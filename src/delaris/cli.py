@@ -192,10 +192,15 @@ def write_manifest(out: Path, subcommand: str, params: ModelParams,
     return path
 
 
-def _power_solution(params: ModelParams, dt: float | None) -> powmod.OdeSolution:
-    if dt is None:
-        dt = params.horizon / 20000
-    return powmod.solve_growth_factors(params, dt=dt)
+def _write_table(path: Path, values, columns: dict, valid, reasons) -> None:
+    """A sweep table: param_value, the columns, valid, reason. Floats are
+    written with repr; the columns of an invalid row are left blank."""
+    with path.open("w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["param_value", *columns, "valid", "reason"])
+        for k, ok in enumerate(valid):
+            cells = [repr(float(col[k])) if ok else "" for col in columns.values()]
+            w.writerow([repr(float(values[k])), *cells, "true" if ok else "false", reasons[k]])
 
 
 # ------------------------------------------------------------- commands
@@ -214,7 +219,7 @@ def cmd_strategy(args) -> int:
             q, amount = expmod.strategy(params, float(t))
             rows.append((t, q, amount, amount / x))
     else:
-        sol = _power_solution(params, args.dt)
+        sol = powmod.solve_growth_factors(params, dt=args.dt)
         powmod.write_csv(sol, out / "growth_factors.csv")
         outputs.append("growth_factors.csv")
         for t in t_vals:
@@ -239,18 +244,8 @@ def cmd_sweep(args) -> int:
     result = swp.run_sweep(params, case, args.param, points=args.points,
                            lo=args.lo, hi=args.hi, power_dt=args.dt)
     name = f"sweep_{args.param}.csv"
-    with (out / name).open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["param_value", "q_hat_0", "pi_0", "valid", "reason"])
-        for k in range(len(result.values)):
-            ok = bool(result.valid[k])
-            w.writerow([
-                repr(float(result.values[k])),
-                repr(float(result.q0[k])) if ok else "",
-                repr(float(result.pi0[k])) if ok else "",
-                "true" if ok else "false",
-                result.reasons[k],
-            ])
+    _write_table(out / name, result.values, {"q_hat_0": result.q0, "pi_0": result.pi0},
+                 result.valid, result.reasons)
     n_bad = int((~result.valid).sum())
     write_manifest(out, "sweep", params, {
         "case": case, "param": args.param, "points": args.points,
@@ -269,7 +264,7 @@ def cmd_simulate(args) -> int:
     if params.dist.family == EXPONENTIAL:
         strategy: sim.StrategySource = EXPONENTIAL
     else:
-        strategy = _power_solution(params, None)
+        strategy = powmod.solve_growth_factors(params)
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=strategy)
 
     outputs = ["estimate.json"]
@@ -370,9 +365,8 @@ def _verify_checks(params, args):
             ],
         }
     if want("monotonicity"):
-        family = params.dist.family
-        panels = swp.figure_data(points=args.points, families=(family,),
-                                 power_dt=horizon / 2000 if power else None)
+        # the baseline panels solve on their own grid (swept horizon / 2000)
+        panels = swp.figure_data(points=args.points, families=(params.dist.family,))
         violations = swp.validate_shapes(panels)
         checks["monotonicity"] = {
             "passed": not violations,
@@ -412,24 +406,11 @@ def cmd_reproduce_figures(args) -> int:
     out = _out_dir(args)
     # figure panels always use the bundled baselines for both families
     base = swp.baseline_params(EXPONENTIAL, "I")
-    panels = swp.figure_data(points=args.points,
-                             power_dt=base.horizon / 2000 if args.dt is None else args.dt)
+    panels = swp.figure_data(points=args.points, power_dt=args.dt)
     outputs = []
     for stem, panel in sorted(panels.items()):
         name = f"{stem}.csv"
-        with (out / name).open("w", newline="") as f:
-            w = csv.writer(f)
-            cols = list(panel["columns"])
-            w.writerow(["param_value", *cols, "valid", "reason"])
-            for k in range(len(panel["values"])):
-                ok = bool(panel["valid"][k])
-                row = [repr(float(panel["values"][k]))]
-                for col in cols:
-                    v = panel["columns"][col][k]
-                    row.append(repr(float(v)) if ok else "")
-                row.append("true" if ok else "false")
-                row.append(panel["reasons"][k])
-                w.writerow(row)
+        _write_table(out / name, panel["values"], panel["columns"], panel["valid"], panel["reasons"])
         outputs.append(name)
     write_manifest(out, "reproduce-figures", base, {
         "points": args.points, "dt": args.dt,

@@ -308,7 +308,7 @@ def write_csv(sol: OdeSolution, path) -> None:
             + (f" explosion_time={sol.explosion_time!r}" if sol.exploded else "")
             + "\n"
         )
-        f.write("t,varpi," + ",".join(f"g_{g:g}" for g in sol.gammas) + "\n")
+        f.write("t,varpi," + ",".join(f"g_{g!r}" for g in sol.gammas) + "\n")
         for k in range(len(sol.t)):
             row = [repr(float(sol.t[k])), repr(float(sol.varpi[k]))]
             row += [repr(float(v)) for v in sol.g[k]]

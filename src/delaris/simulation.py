@@ -130,8 +130,7 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
 def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool, resolved=None):
     """Simulate the given path indices together (vectorized elementwise, so
     results do not depend on the batching). Returns terminal effective
-    wealth, exit times, the control L2 accumulator, and optionally the full
-    per-step records."""
+    wealth, exit times, and optionally the full per-step records."""
     n_steps, n_lag = _grid_steps(params, cfg)
     m = len(indices)
     dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
@@ -153,7 +152,6 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool, resol
     hist[0] = x
     active = np.ones(m, dtype=bool)
     exit_time = np.full(m, np.nan)
-    control_l2 = np.zeros(m)
     pre_history = np.full(m, float(params.x0))
 
     rec = None
@@ -186,20 +184,19 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool, resol
         drift = cons.A * x + cons.B * m1 + cons.C * m2 + a_eta + a_eta2 * q + pi * mu_r
         x_next = x + drift * dt + co.b * q * sq_dt * noise[k, :, 0] + fin.sigma * pi * sq_dt * noise[k, :, 1]
         m1_next = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
-        control_l2 += (q * q + pi * pi) * dt
         x = np.where(active, x_next, np.nan)
         m1 = np.where(active, m1_next, np.nan)
         hist[k + 1] = x
 
     w_term = x + beta * m1
-    return w_term, exit_time, control_l2, rec
+    return w_term, exit_time, rec
 
 
 def simulate_path(params: ModelParams, cfg: SimConfig, path_index: int = 0) -> SimPath:
     """Simulate and fully record a single path (noise derived from
     (cfg.seed, path_index) per the documented scheme)."""
     n_steps, _ = _grid_steps(params, cfg)
-    w_term, exit_time, _, rec = _run_paths(params, cfg, [int(path_index)], record=True)
+    w_term, exit_time, rec = _run_paths(params, cfg, [int(path_index)], record=True)
     exited = bool(np.isfinite(exit_time[0]))
     return SimPath(
         t=np.arange(n_steps + 1) * cfg.dt,
@@ -255,7 +252,6 @@ class McEstimate:
     n_paths: int
     excluded_paths: int
     per_gamma: tuple[PerGammaEstimate, ...]
-    control_l2_mean: float
 
 
 def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
@@ -269,13 +265,11 @@ def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
     n_steps, _ = _grid_steps(params, cfg)
     resolved = _make_step_strategy(params, cfg, n_steps)
     w_all = np.empty(cfg.n_paths)
-    l2_all = np.empty(cfg.n_paths)
     start = 0
     while start < cfg.n_paths:
         stop = min(start + _CHUNK, cfg.n_paths)
-        w_term, _, l2, _ = _run_paths(params, cfg, range(start, stop), record=False, resolved=resolved)
+        w_term, _, _ = _run_paths(params, cfg, range(start, stop), record=False, resolved=resolved)
         w_all[start:stop] = w_term
-        l2_all[start:stop] = l2
         start = stop
 
     valid = np.isfinite(w_all)
@@ -314,7 +308,6 @@ def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
         n_paths=cfg.n_paths,
         excluded_paths=excluded,
         per_gamma=tuple(per),
-        control_l2_mean=float(np.mean(l2_all[valid])),
     )
 
 

@@ -13,10 +13,14 @@ Sweeps recompute every derived quantity per point; the power family
 re-integrates its factor system per point (default grid horizon/2000, an
 RK4 error far below the 1e-10 shape-noise band). Invalid points are
 reported as marked rows, never dropped silently.
+
+``FIGURE_TABLE`` is the single definition of the 29 figure panels and their
+shape claims; ``figure_data`` turns its rows into panels.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,148 +169,62 @@ def run_sweep(
 
 
 # ------------------------------------------------------------- figures
+# one row per figure CSV: (stem, family, swept parameter, metric, cases, per-case shape)
+FIGURE_TABLE = (
+    ("fig1_a", EXPONENTIAL, "alpha", "q_hat_0", CASES, "interior_min"),
+    ("fig1_b", EXPONENTIAL, "beta", "q_hat_0", CASES, "decreasing"),
+    ("fig1_c", EXPONENTIAL, "h", "q_hat_0", CASES, "decreasing"),
+    ("fig1_d", EXPONENTIAL, "alpha", "pi_0", CASES, "interior_min"),
+    ("fig1_e", EXPONENTIAL, "beta", "pi_0", CASES, "decreasing"),
+    ("fig1_f", EXPONENTIAL, "h", "pi_0", CASES, "decreasing"),
+    ("fig2_a", POWER, "alpha", "q_hat_0", ("I",), "decreasing"),
+    ("fig2_b", POWER, "alpha", "q_hat_0", ("II",), "decreasing"),
+    ("fig2_c", POWER, "alpha", "pi_0", ("I",), "decreasing"),
+    ("fig2_d", POWER, "alpha", "pi_0", ("II",), "decreasing"),
+    ("fig3_a", POWER, "beta", "q_hat_0", CASES, "increasing"),
+    ("fig3_b", POWER, "beta", "pi_0", CASES, "increasing"),
+    ("fig3_c", POWER, "h", "q_hat_0", CASES, "increasing"),
+    ("fig3_d", POWER, "h", "pi_0", CASES, "increasing"),
+    ("fig4_a", POWER, "mu1", "q_hat_0", CASES, "increasing"),
+    ("fig4_b", POWER, "mu2", "q_hat_0", CASES, "decreasing"),
+    ("fig4_c", POWER, "eta2", "q_hat_0", CASES, "increasing"),
+    ("fig5_a", POWER, "mu1", "pi_0", ("I",), "increasing"),
+    ("fig5_b", POWER, "mu1", "pi_0", ("II",), "increasing"),
+    ("fig5_c", POWER, "mu2", "pi_0", ("I",), "decreasing"),
+    ("fig5_d", POWER, "mu2", "pi_0", ("II",), "decreasing"),
+    ("fig5_e", POWER, "eta2", "pi_0", ("I",), "increasing"),
+    ("fig5_f", POWER, "eta2", "pi_0", ("II",), "increasing"),
+    ("fig6_a", POWER, "r", "q_hat_0", CASES, "decreasing"),
+    ("fig6_b", POWER, "mu", "q_hat_0", CASES, "increasing"),
+    ("fig6_c", POWER, "sigma", "q_hat_0", CASES, "decreasing"),
+    ("fig6_d", POWER, "r", "pi_0", CASES, "decreasing"),
+    ("fig6_e", POWER, "mu", "pi_0", CASES, "increasing"),
+    ("fig6_f", POWER, "sigma", "pi_0", CASES, "decreasing"),
+)
 
-# claim vocabulary: ("increasing"|"decreasing", column),
-# ("interior_min", column, x_star), ("below", lower_column, higher_column)
-FigPanel = dict
 
+def figure_data(points: int = 25, power_dt: float | None = None,
+                families: tuple[str, ...] = (EXPONENTIAL, POWER)) -> dict[str, dict]:
+    """All bundled figure panels keyed by stem: one per FIGURE_TABLE row of ``families``."""
+    @functools.cache  # each (family, param, case) sweep runs once
+    def sweep(family, param, case):
+        return run_sweep(baseline_params(family, case), case, param, points=points, power_dt=power_dt)
 
-def _panel(param, metric, sweeps_by_case, claims):
-    cols = {}
-    for case, sweep in sweeps_by_case.items():
-        arr = sweep.q0 if metric == "q_hat_0" else sweep.pi0
-        cols[f"{metric}_case_{case}"] = arr
-    any_sweep = next(iter(sweeps_by_case.values()))
-    return {
-        "param": param,
-        "values": any_sweep.values,
-        "columns": cols,
-        "valid": any_sweep.valid,
-        "reasons": any_sweep.reasons,
-        "claims": claims,
-    }
-
-
-def figure_data(
-    points: int = 25,
-    power_dt: float | None = None,
-    families: tuple[str, ...] = (EXPONENTIAL, POWER),
-) -> dict[str, FigPanel]:
-    """All bundled figure panels keyed by file stem (fig{N}_{panel}).
-    Restricting ``families`` skips the other family's panels entirely."""
-
-    def sweeps_for(family, param):
-        out = {}
-        for case in CASES:
-            base = baseline_params(family, case)
-            out[case] = run_sweep(base, case, param, points=points, power_dt=power_dt)
-        return out
-
-    panels: dict[str, FigPanel] = {}
-
-    if EXPONENTIAL not in families:
-        exp_a = exp_b = exp_h = None
-    else:
-        exp_a = sweeps_for(EXPONENTIAL, "alpha")
-        exp_b = sweeps_for(EXPONENTIAL, "beta")
-        exp_h = sweeps_for(EXPONENTIAL, "h")
-    if POWER in families:
-        pow_a = sweeps_for(POWER, "alpha")
-        pow_b = sweeps_for(POWER, "beta")
-        pow_h = sweeps_for(POWER, "h")
-        pow_mu1 = sweeps_for(POWER, "mu1")
-        pow_mu2 = sweeps_for(POWER, "mu2")
-        pow_eta2 = sweeps_for(POWER, "eta2")
-        pow_r = sweeps_for(POWER, "r")
-        pow_mu = sweeps_for(POWER, "mu")
-        pow_sigma = sweeps_for(POWER, "sigma")
-
-    alpha_star = baseline_sensitivity_threshold()
-
-    def both(metric):
-        # lower mean risk aversion (case II) always demands the larger position
-        return [("below", f"{metric}_case_I", f"{metric}_case_II")]
-
-    # exponential: retention/investment versus the memory parameters
-    if exp_a is not None:
-        for stem, sweeps, param, metric, claims in (
-            ("fig1_a", exp_a, "alpha", "q_hat_0", [("interior_min", "q_hat_0_case_I", alpha_star),
-                                                   ("interior_min", "q_hat_0_case_II", alpha_star)]),
-            ("fig1_b", exp_b, "beta", "q_hat_0", [("decreasing", "q_hat_0_case_I"),
-                                                  ("decreasing", "q_hat_0_case_II")]),
-            ("fig1_c", exp_h, "h", "q_hat_0", [("decreasing", "q_hat_0_case_I"),
-                                               ("decreasing", "q_hat_0_case_II")]),
-            ("fig1_d", exp_a, "alpha", "pi_0", [("interior_min", "pi_0_case_I", alpha_star),
-                                                ("interior_min", "pi_0_case_II", alpha_star)]),
-            ("fig1_e", exp_b, "beta", "pi_0", [("decreasing", "pi_0_case_I"),
-                                               ("decreasing", "pi_0_case_II")]),
-            ("fig1_f", exp_h, "h", "pi_0", [("decreasing", "pi_0_case_I"),
-                                            ("decreasing", "pi_0_case_II")]),
-        ):
-            claims = claims + both(metric)
-            panels[stem] = _panel(param, metric, sweeps, claims)
-
-    if POWER not in families:
-        return panels
-
-    # power: single-case panels for alpha
-    for stem, case, metric in (
-        ("fig2_a", "I", "q_hat_0"),
-        ("fig2_b", "II", "q_hat_0"),
-        ("fig2_c", "I", "pi_0"),
-        ("fig2_d", "II", "pi_0"),
-    ):
-        sweep = pow_a[case]
-        panels[stem] = _panel("alpha", metric, {case: sweep},
-                              [("decreasing", f"{metric}_case_{case}")])
-
-    # power: beta and h
-    for stem, sweeps, metric, param in (
-        ("fig3_a", pow_b, "q_hat_0", "beta"),
-        ("fig3_b", pow_b, "pi_0", "beta"),
-        ("fig3_c", pow_h, "q_hat_0", "h"),
-        ("fig3_d", pow_h, "pi_0", "h"),
-    ):
-        claims = [("increasing", f"{metric}_case_I"), ("increasing", f"{metric}_case_II")]
-        claims += both(metric)
-        panels[stem] = _panel(param, metric, sweeps, claims)
-
-    # power: insurance primitives on the retention
-    for stem, sweeps, param, direction in (
-        ("fig4_a", pow_mu1, "mu1", "increasing"),
-        ("fig4_b", pow_mu2, "mu2", "decreasing"),
-        ("fig4_c", pow_eta2, "eta2", "increasing"),
-    ):
-        claims = [(direction, "q_hat_0_case_I"), (direction, "q_hat_0_case_II")]
-        claims += both("q_hat_0")
-        panels[stem] = _panel(param, "q_hat_0", sweeps, claims)
-
-    # power: insurance primitives on the investment, one case per panel
-    for stem, sweeps, param, case, direction in (
-        ("fig5_a", pow_mu1, "mu1", "I", "increasing"),
-        ("fig5_b", pow_mu1, "mu1", "II", "increasing"),
-        ("fig5_c", pow_mu2, "mu2", "I", "decreasing"),
-        ("fig5_d", pow_mu2, "mu2", "II", "decreasing"),
-        ("fig5_e", pow_eta2, "eta2", "I", "increasing"),
-        ("fig5_f", pow_eta2, "eta2", "II", "increasing"),
-    ):
-        sweep = sweeps[case]
-        panels[stem] = _panel(param, "pi_0", {case: sweep},
-                              [(direction, f"pi_0_case_{case}")])
-
-    # power: market primitives on both controls
-    for stem, sweeps, param, metric, direction in (
-        ("fig6_a", pow_r, "r", "q_hat_0", "decreasing"),
-        ("fig6_b", pow_mu, "mu", "q_hat_0", "increasing"),
-        ("fig6_c", pow_sigma, "sigma", "q_hat_0", "decreasing"),
-        ("fig6_d", pow_r, "r", "pi_0", "decreasing"),
-        ("fig6_e", pow_mu, "mu", "pi_0", "increasing"),
-        ("fig6_f", pow_sigma, "sigma", "pi_0", "decreasing"),
-    ):
-        claims = [(direction, f"{metric}_case_I"), (direction, f"{metric}_case_II")]
-        claims += both(metric)
-        panels[stem] = _panel(param, metric, sweeps, claims)
-
+    alpha_star, panels = baseline_sensitivity_threshold(), {}
+    for stem, family, param, metric, cases, shape in FIGURE_TABLE:
+        if family not in families:
+            continue
+        columns, claims = {}, []
+        for case in cases:
+            res, col = sweep(family, param, case), f"{metric}_case_{case}"
+            columns[col] = res.q0 if metric == "q_hat_0" else res.pi0
+            claims.append((shape, col, alpha_star) if shape == "interior_min" else (shape, col))
+        if len(cases) == 2:
+            # lower mean risk aversion (case II) always demands the larger position
+            claims.append(("below", *columns))
+        first = sweep(family, param, cases[0])
+        panels[stem] = {"param": param, "values": first.values, "columns": columns,
+                        "valid": first.valid, "reasons": first.reasons, "claims": claims}
     return panels
 
 
@@ -317,10 +235,13 @@ def baseline_sensitivity_threshold() -> float:
     return expmod.sensitivity(base).alpha_star
 
 
-def validate_shapes(panels: dict[str, FigPanel], band: float = 1e-10) -> list[str]:
+def validate_shapes(panels: dict[str, dict], band: float = 1e-10) -> list[str]:
     """Check every panel's qualitative claims; returns human-readable
     violations (empty means all shapes hold). Differences within ``band``
-    (scaled by the column's largest magnitude) count as noise."""
+    (scaled by the column's largest magnitude) count as noise.
+
+    Claim vocabulary: ("increasing"|"decreasing", column),
+    ("interior_min", column, x_star), ("below", lower_column, higher_column)."""
     violations = []
     for stem, panel in panels.items():
         xs = panel["values"]

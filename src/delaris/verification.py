@@ -57,28 +57,18 @@ class ScalarField:
     phi_m1: Callable
 
     @classmethod
-    def from_function(cls, phi: Callable, rel_step: float = 1e-5, richardson: bool = False):
+    def from_function(cls, phi: Callable, rel_step: float = 1e-5):
         """Finite-difference field: first derivatives by central differences
         with step rel_step*max(1, |coordinate|), second x-derivative with a
-        wider step (6e-4 relative) to balance truncation against roundoff.
-        With richardson=True the first derivatives are extrapolated once,
-        raising their order from 2 to 4."""
+        wider step (6e-4 relative) to balance truncation against roundoff."""
 
         def d1(axis):
             def deriv(t, x, m1):
-                args = [t, x, m1]
-                step = rel_step * max(1.0, abs(args[axis]))
-
-                def central(s):
-                    up = list(args)
-                    dn = list(args)
-                    up[axis] += s
-                    dn[axis] -= s
-                    return (phi(*up) - phi(*dn)) / (2.0 * s)
-
-                if richardson:
-                    return (4.0 * central(step / 2.0) - central(step)) / 3.0
-                return central(step)
+                up, dn = [t, x, m1], [t, x, m1]
+                step = rel_step * max(1.0, abs(up[axis]))
+                up[axis] += step
+                dn[axis] -= step
+                return (phi(*up) - phi(*dn)) / (2.0 * step)
 
             return deriv
 
@@ -119,20 +109,6 @@ def generator_terms(
         diff * field.phi_xx(t, x, m1),
         mem * field.phi_m1(t, x, m1),
     )
-
-
-def apply_generator(
-    field: ScalarField,
-    params: ModelParams,
-    t: float,
-    x: float,
-    m1: float,
-    m2: float,
-    q: float,
-    pi_x: float,
-) -> float:
-    """Controlled generator (including the time derivative) applied to the field."""
-    return math.fsum(generator_terms(field, params, t, x, m1, m2, q, pi_x))
 
 
 # ---------------------------------------------------------------- fields

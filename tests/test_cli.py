@@ -136,6 +136,19 @@ def test_verify_power_skips_coefficient_check(tmp_path):
     assert rep["checks"]["coefficients"]["skipped"] is True
 
 
+def test_verify_monotonicity_with_custom_horizon(tmp_path):
+    # the check sweeps the bundled baselines, whatever the config's horizon
+    cfg = cli.config_dict(sweeps.baseline_params("power", "I"))
+    cfg["horizon"] = 3.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("verify", "--config", str(path), "--check", "monotonicity",
+                   "--points", "2", "--out", str(out)) == 0
+    rep = json.loads((out / "verify_report.json").read_text())
+    assert rep["checks"]["monotonicity"]["violations"] == []
+
+
 def test_reproduce_figures_and_manifest_reproducibility(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["reproduce-figures", "--points", "3", "--dt", "0.04"]

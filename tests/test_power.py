@@ -149,17 +149,29 @@ def test_dt_must_divide_horizon(pow_case1):
 
 
 def test_csv_round_trip(tmp_path, pow_case1):
-    sol = powmod.solve_growth_factors(pow_case1, dt=1e-2)
-    path = tmp_path / "growth.csv"
-    powmod.write_csv(sol, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# power growth factors:")
-    assert text[1] == "t,varpi,g_0.5,g_0.9"
-    back = powmod.read_csv(path)
-    np.testing.assert_array_equal(back.t, sol.t)
-    np.testing.assert_array_equal(back.g, sol.g)
-    np.testing.assert_array_equal(back.varpi, sol.varpi)
-    assert back.gammas == sol.gammas
-    assert back.probs == sol.probs
-    assert back.dt == sol.dt and back.horizon == sol.horizon
-    assert back.exploded == sol.exploded and back.explosion_time == sol.explosion_time
+    # a gamma with more than 6 significant digits must read back exactly
+    fine = ModelParams.build(
+        insurance=pow_case1.insurance,
+        financial=pow_case1.financial,
+        delay=pow_case1.delay,
+        dist=RiskAversionDist(family=POWER, points=((0.123456789, 0.5), (0.9, 0.5))),
+        horizon=pow_case1.horizon,
+        x0=pow_case1.x0,
+    )
+    for params, header in ((pow_case1, "t,varpi,g_0.5,g_0.9"),
+                           (fine, "t,varpi,g_0.123456789,g_0.9")):
+        sol = powmod.solve_growth_factors(params, dt=1e-2)
+        path = tmp_path / "growth.csv"
+        powmod.write_csv(sol, path)
+        text = path.read_text().splitlines()
+        assert text[0].startswith("# power growth factors:")
+        assert text[1] == header
+        back = powmod.read_csv(path)
+        np.testing.assert_array_equal(back.t, sol.t)
+        np.testing.assert_array_equal(back.g, sol.g)
+        np.testing.assert_array_equal(back.varpi, sol.varpi)
+        assert back.gammas == sol.gammas == params.dist.gammas
+        assert back.probs == sol.probs
+        assert back.dt == sol.dt and back.horizon == sol.horizon
+        assert back.exploded == sol.exploded and back.explosion_time == sol.explosion_time
+        assert powmod.varpi_at(back, 0.0) == powmod.varpi_at(sol, 0.0)
