@@ -370,6 +370,7 @@ def _verify_checks(params, args):
         violations = swp.validate_shapes(panels)
         checks["monotonicity"] = {
             "passed": not violations,
+            "scope": "bundled baselines",
             "panels": len(panels),
             "points_per_sweep": args.points,
             "violations": violations,
@@ -421,6 +422,16 @@ def cmd_reproduce_figures(args) -> int:
 
 # ------------------------------------------------------------- parser
 
+def _count(minimum: int):
+    """argparse ``type`` for an integer count of at least ``minimum``."""
+    def count(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits usage errors with code 2; remap them to 1 so exit
     code 2 stays reserved for failed verification checks."""
@@ -450,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strategy", parents=[common],
                        help="tabulate equilibrium controls over time")
-    p.add_argument("--t-points", type=int, default=101, help="grid size (default: 101)")
+    p.add_argument("--t-points", type=_count(1), default=101, help="grid size (default: 101)")
     p.add_argument("--x", type=float, default=None, help="wealth for fractions (default: x0)")
     p.add_argument("--m1", type=float, default=None,
                    help="wealth average for the power state (default: initial value)")
@@ -459,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="sweep one parameter, record time-zero controls")
     p.add_argument("--param", required=True, choices=sorted(swp.SWEEP_RANGES))
-    p.add_argument("--points", type=int, default=25, help="sweep size (default: 25)")
+    p.add_argument("--points", type=_count(1), default=25, help="sweep size (default: 25)")
     p.add_argument("--lo", type=float, default=None, help="sweep lower bound override")
     p.add_argument("--hi", type=float, default=None, help="sweep upper bound override")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="Monte Carlo estimate of the expected certainty equivalent")
-    p.add_argument("--paths-csv", type=int, default=0,
+    p.add_argument("--paths-csv", type=_count(0), default=0,
                    help="also write this many individual path files")
     p.set_defaults(func=cmd_simulate)
 
@@ -476,13 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-kappa", type=float, default=0.0,
                    help="relative fault injected into the decay constant (diagnostic; "
                         "a nonzero fault should make checks fail)")
-    p.add_argument("--points", type=int, default=9,
+    p.add_argument("--points", type=_count(1), default=9,
                    help="sweep size for the monotonicity check (default: 9)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce-figures", parents=[common],
                        help="regenerate all bundled figure data files")
-    p.add_argument("--points", type=int, default=25,
+    p.add_argument("--points", type=_count(1), default=25,
                    help="sweep size per panel (default: 25)")
     p.set_defaults(func=cmd_reproduce_figures)
 

@@ -11,6 +11,14 @@ the constant pre-history X(s) = x0 for s <= 0. One Euler step:
 where pi_k is the invested amount and Z1, Z2 are independent standard
 normals. The scheme is weak order one.
 
+Memory: the drift reads only M1 and M2, so each path keeps an n_lag-row ring
+of its last h units of wealth (pre-filled with x0) instead of its history.
+Paths run in chunks of at most 2048, fewer when a chunk's noise and ring would
+exceed ``_CHUNK_BYTES``, so memory is bounded whatever n_paths and dt are.
+Under a power-family strategy a path whose effective wealth w = X + beta*M1
+stops being positive exits the domain: its exit time is recorded and its
+state is NaN from then on.
+
 Reproducibility: path j draws its noise from ``numpy`` PCG64 seeded with
 ``SeedSequence((seed, j))``, the documented per-path derivation; Z1 and Z2
 are the two columns of a single (K, 2) standard-normal draw. Results are
@@ -42,7 +50,8 @@ from .utility import (
 # strategy callbacks take (t, x_array, m1_array) and return (q, pi_amount)
 StrategySource = Union[str, powmod.OdeSolution, Callable]
 
-_CHUNK = 2048
+_CHUNK = 2048  # paths per chunk, unless the chunk would exceed _CHUNK_BYTES
+_CHUNK_BYTES = 256 * 2**20  # noise (2 per step) plus lag ring (n_lag) per path, 8 B each
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,13 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
     raise ParameterError(f"unrecognized strategy source {strat!r}")
 
 
-def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool, resolved=None):
-    """Simulate the given path indices together (vectorized elementwise, so
-    results do not depend on the batching). Returns terminal effective
-    wealth, exit times, and optionally the full per-step records."""
+def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = False):
+    """Simulate the given path indices (vectorized elementwise, so results do
+    not depend on the batching) in chunks sized by ``_CHUNK_BYTES``. Returns
+    terminal effective wealth, exit times (NaN if none), and optionally the
+    full per-step records; a path is NaN from its domain exit on."""
     n_steps, n_lag = _grid_steps(params, cfg)
-    m = len(indices)
+    step_strategy, power_domain = _make_step_strategy(params, cfg, n_steps)
     dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
     co, fin, delay, cons = params.coeffs, params.financial, params.delay, params.constants
     e_ah = math.exp(-delay.alpha * delay.h)
@@ -140,66 +150,60 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool, resol
     a_eta2 = co.a * co.eta2
     mu_r = fin.mu - fin.r
     beta = delay.beta
-    step_strategy, power_domain = resolved or _make_step_strategy(params, cfg, n_steps)
-
-    noise = np.empty((n_steps, m, 2))
-    for j, idx in enumerate(indices):
-        noise[:, j, :] = path_rng(cfg.seed, idx).standard_normal((n_steps, 2))
-
-    x = np.full(m, float(params.x0))
-    m1 = np.full(m, float(params.m1_0))
-    hist = np.empty((n_steps + 1, m))
-    hist[0] = x
-    active = np.ones(m, dtype=bool)
-    exit_time = np.full(m, np.nan)
-    pre_history = np.full(m, float(params.x0))
-
+    n = len(indices)
+    w_term = np.empty(n)
+    exit_time = np.full(n, np.nan)
     rec = None
     if record:
-        rec = {name: np.full((n_steps + 1, m), np.nan) for name in ("X", "M1", "M2", "q", "pi")}
+        rec = {name: np.full((n_steps + 1, n), np.nan) for name in ("X", "M1", "M2", "q", "pi")}
 
-    for k in range(n_steps + 1):
-        t_k = k * dt
-        m2 = hist[k - n_lag] if k >= n_lag else pre_history
-        w = x + beta * m1
-        if power_domain:
-            exited_now = active & ~(w > 0.0)
-            if exited_now.any():
-                exit_time[exited_now] = t_k
-                active = active & ~exited_now
-                x = np.where(active, x, np.nan)
-                m1 = np.where(active, m1, np.nan)
-                w = x + beta * m1
-                hist[k] = x
-        q, pi = step_strategy(k, t_k, x, m1, w)
-        q = np.where(active, np.broadcast_to(np.asarray(q, dtype=float), (m,)), np.nan)
-        pi = np.where(active, np.broadcast_to(np.asarray(pi, dtype=float), (m,)), np.nan)
-        if np.any(q[active] < 0.0):
-            raise DomainError("strategy returned a negative retention q (inadmissible)")
-        if record:
-            rec["X"][k], rec["M1"][k], rec["M2"][k] = x, m1, np.where(active, m2, np.nan)
-            rec["q"][k], rec["pi"][k] = q, pi
-        if k == n_steps:
-            break
-        drift = cons.A * x + cons.B * m1 + cons.C * m2 + a_eta + a_eta2 * q + pi * mu_r
-        x_next = x + drift * dt + co.b * q * sq_dt * noise[k, :, 0] + fin.sigma * pi * sq_dt * noise[k, :, 1]
-        m1_next = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
-        x = np.where(active, x_next, np.nan)
-        m1 = np.where(active, m1_next, np.nan)
-        hist[k + 1] = x
+    def run_chunk(lo, hi):
+        # noise and ring are local, so they are freed before the next chunk allocates
+        noise = np.empty((n_steps, hi - lo, 2))
+        for j, idx in enumerate(indices[lo:hi]):
+            noise[:, j, :] = path_rng(cfg.seed, idx).standard_normal((n_steps, 2))
+        ring = np.full((n_lag, hi - lo), float(params.x0))  # slot k % n_lag holds X(t_k - h)
+        x = np.full(hi - lo, float(params.x0))
+        m1 = np.full(hi - lo, float(params.m1_0))
+        exit_t = exit_time[lo:hi]
+        for k in range(n_steps + 1):
+            t_k = k * dt
+            m2 = ring[k % n_lag]
+            w = x + beta * m1
+            if power_domain:
+                exited_now = ~(w > 0.0) & np.isnan(exit_t)
+                if exited_now.any():
+                    exit_t[exited_now] = t_k
+                    x[exited_now] = m1[exited_now] = w[exited_now] = np.nan
+            q, pi = step_strategy(k, t_k, x, m1, w)
+            if np.any(np.asarray(q) < 0.0):
+                raise DomainError("strategy returned a negative retention q (inadmissible)")
+            if record:
+                rec["X"][k, lo:hi], rec["M1"][k, lo:hi] = x, m1
+                rec["M2"][k, lo:hi] = np.where(np.isnan(exit_t), m2, np.nan)
+                rec["q"][k, lo:hi], rec["pi"][k, lo:hi] = q, pi
+            if k == n_steps:
+                break
+            drift = cons.A * x + cons.B * m1 + cons.C * m2 + a_eta + a_eta2 * q + pi * mu_r
+            x_next = x + drift * dt + co.b * q * sq_dt * noise[k, :, 0] + fin.sigma * pi * sq_dt * noise[k, :, 1]
+            m1 = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
+            m2[:] = x
+            x = x_next
+        w_term[lo:hi] = x + beta * m1
 
-    w_term = x + beta * m1
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * (2 * n_steps + n_lag))))
+    for lo in range(0, n, chunk):
+        run_chunk(lo, min(lo + chunk, n))
     return w_term, exit_time, rec
 
 
 def simulate_path(params: ModelParams, cfg: SimConfig, path_index: int = 0) -> SimPath:
     """Simulate and fully record a single path (noise derived from
     (cfg.seed, path_index) per the documented scheme)."""
-    n_steps, _ = _grid_steps(params, cfg)
     w_term, exit_time, rec = _run_paths(params, cfg, [int(path_index)], record=True)
     exited = bool(np.isfinite(exit_time[0]))
     return SimPath(
-        t=np.arange(n_steps + 1) * cfg.dt,
+        t=np.arange(len(rec["X"])) * cfg.dt,
         X=rec["X"][:, 0].copy(),
         M1=rec["M1"][:, 0].copy(),
         M2=rec["M2"][:, 0].copy(),
@@ -262,16 +266,7 @@ def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
     family: w <= 0 or an earlier domain exit) are excluded and counted,
     never clamped."""
     family = params.dist.family
-    n_steps, _ = _grid_steps(params, cfg)
-    resolved = _make_step_strategy(params, cfg, n_steps)
-    w_all = np.empty(cfg.n_paths)
-    start = 0
-    while start < cfg.n_paths:
-        stop = min(start + _CHUNK, cfg.n_paths)
-        w_term, _, _ = _run_paths(params, cfg, range(start, stop), record=False, resolved=resolved)
-        w_all[start:stop] = w_term
-        start = stop
-
+    w_all, _, _ = _run_paths(params, cfg, range(cfg.n_paths))
     valid = np.isfinite(w_all)
     if family == POWER:
         valid &= w_all > 0.0

@@ -147,6 +147,7 @@ def test_verify_monotonicity_with_custom_horizon(tmp_path):
                    "--points", "2", "--out", str(out)) == 0
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["checks"]["monotonicity"]["violations"] == []
+    assert rep["checks"]["monotonicity"]["scope"] == "bundled baselines"
 
 
 def test_reproduce_figures_and_manifest_reproducibility(tmp_path):
@@ -165,6 +166,23 @@ def test_reproduce_figures_and_manifest_reproducibility(tmp_path):
     assert m1 == m2
     header = (out1 / "fig1_a.csv").read_text().splitlines()[0]
     assert header == "param_value,q_hat_0_case_I,q_hat_0_case_II,valid,reason"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--check", "monotonicity", "--points", "0"), "--points"),
+    (("sweep", "--param", "r", "--points", "-1"), "--points"),
+    (("reproduce-figures", "--points", "0"), "--points"),
+    (("strategy", "--t-points", "0"), "--t-points"),
+    (("strategy", "--t-points", "-2"), "--t-points"),
+    (("simulate", "--paths-csv", "-1"), "--paths-csv"),
+])
+def test_nonpositive_counts_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_argparse_usage_error_exits_1():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from delaris import exponential as expmod
 from delaris import power as powmod
 from delaris import simulation as sim
+from delaris import sweeps
 from delaris.exceptions import DomainError, ParameterError
 from delaris.model import (
     DelayParams,
@@ -93,10 +95,14 @@ def test_wealth_average_fixed_point():
     assert np.max(np.abs(path.X - 0.6)) < 1e-9
 
 
-def test_lagged_state_mirrors_path(exp_case1):
+@pytest.mark.parametrize("h", [2.0, 0.3])
+def test_lagged_state_mirrors_path(exp_case1, h):
+    # the lag ring has n_lag rows: at h = 2 it wraps only at the last step,
+    # at h = 0.3 (30 steps) it wraps more than six times
+    params = sweeps.apply_param(exp_case1, "h", h)
     cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=23, strategy="exponential")
-    path = sim.simulate_path(exp_case1, cfg, path_index=0)
-    n_lag = round(exp_case1.delay.h / cfg.dt)
+    path = sim.simulate_path(params, cfg, path_index=0)
+    n_lag = round(h / cfg.dt)
     np.testing.assert_array_equal(path.M2[:n_lag], 0.6)
     np.testing.assert_array_equal(path.M2[n_lag:], path.X[: len(path.X) - n_lag])
 
@@ -162,6 +168,66 @@ def test_exclusion_counts_bad_paths(pow_case1):
     assert est.excluded_paths > 0
     assert est.n_paths == 400
     assert math.isfinite(est.mean)
+
+
+def _levered_power():
+    """Low risk aversion and strong memory feedback: most paths leave w > 0."""
+    base = sweeps.baseline_params("power", "I")
+    return ModelParams.build(
+        insurance=base.insurance,
+        financial=base.financial,
+        delay=DelayParams(alpha=0.5, beta=0.3, h=0.4),
+        dist=RiskAversionDist(family="power", points=((0.05, 0.5), (0.1, 0.5))),
+        horizon=2.0,
+        x0=0.6,
+    )
+
+
+def test_domain_exit_propagates_nan():
+    params = _levered_power()
+    sol = powmod.solve_growth_factors(params, dt=0.01)
+    cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=sol)
+    paths = [sim.simulate_path(params, cfg, i) for i in range(cfg.n_paths)]
+    exited = [p for p in paths if p.domain_exit]
+    assert 0 < len(exited) < cfg.n_paths - 1
+    for p in paths:
+        k = int(np.flatnonzero(p.t == p.exit_time)[0]) if p.domain_exit else len(p.t)
+        for arr in (p.X, p.M1, p.M2, p.q, p.pi_x):
+            assert np.all(np.isfinite(arr[:k])) and np.all(np.isnan(arr[k:]))
+        assert np.all(p.X[:k] + params.delay.beta * p.M1[:k] > 0.0)
+        assert math.isnan(p.terminal_effective_wealth) == p.domain_exit
+    assert sim.mc_reward(params, cfg).excluded_paths == len(exited)
+
+
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_chunking_is_invisible(monkeypatch, exp_case1, family):
+    if family == "exponential":
+        params, strategy, dt = exp_case1, "exponential", 1e-2
+    else:
+        params = _levered_power()
+        strategy, dt = powmod.solve_growth_factors(params, dt=0.01), 0.2
+    cfg = sim.SimConfig(dt=dt, n_paths=40, seed=4, strategy=strategy)
+    whole = sim.estimate_to_dict(sim.mc_reward(params, cfg))
+    n_steps, n_lag = sim._grid_steps(params, cfg)
+    # a budget of three paths: thirteen chunks of 3 and one of 1
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * (2 * n_steps + n_lag))
+    assert sim.estimate_to_dict(sim.mc_reward(params, cfg)) == whole
+
+
+def test_chunk_budget_bounds_memory(monkeypatch, exp_case1):
+    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy="exponential")
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            sim.mc_reward(exp_case1, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = traced_peak()  # one chunk of 40 paths: about 40 * 4.8 kB
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * (2 * 200 + 200))
+    assert traced_peak() < whole / 4
 
 
 def test_negative_retention_rejected(exp_case1):
