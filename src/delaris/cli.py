@@ -487,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-kappa", type=float, default=0.0,
                    help="relative fault injected into the decay constant (diagnostic; "
                         "a nonzero fault should make checks fail)")
-    p.add_argument("--points", type=_count(1), default=9,
-                   help="sweep size for the monotonicity check (default: 9)")
+    p.add_argument("--points", type=_count(3), default=9,
+                   help="sweep size for the monotonicity check, at least 3 "
+                        "(default: 9)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce-figures", parents=[common],

@@ -178,7 +178,7 @@ class RiskAversionDist:
     gamma_max_pow: upper cutoff for power gammas (default 1 - 1e-6)
 
     Probabilities must sum to 1 within 1e-9; they are then renormalized
-    exactly. Larger deviations are rejected.
+    exactly. Larger deviations are rejected, and so is a repeated gamma.
     """
 
     family: str
@@ -213,6 +213,8 @@ class RiskAversionDist:
                 raise ParameterError(
                     f"power gamma must lie in (0, {self.gamma_max_pow}], got {g}"
                 )
+            if any(g == seen for seen, _ in normed):
+                raise ParameterError(f"risk_aversion.points repeats gamma {g!r}")
             normed.append((g, p / total))
         object.__setattr__(self, "points", tuple(normed))
 

@@ -16,8 +16,8 @@ The system requires equal safety loadings (net loading zero). It is
 integrated with fixed-step classical RK4, recomputing varpi from the stage
 values of g. The aggregate varpi stays inside [min gamma, max gamma], so
 the exact system cannot blow up; if a numerically extreme distribution
-drives g out of (0, inf) the solver stops and flags the solution instead
-of raising.
+drives a step out of (0, inf) the march stops quietly there, keeps the
+rows before it and flags the solution instead of raising.
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
 
@@ -36,10 +36,6 @@ from .model import ModelParams
 from .utility import POWER
 
 _GRID_RTOL = 1e-9
-
-
-class _Explosion(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,10 +58,6 @@ class OdeSolution:
     exploded: bool
     explosion_time: float | None
 
-    @property
-    def n(self) -> int:
-        return len(self.gammas)
-
 
 def _require_power(params: ModelParams) -> None:
     if params.dist.family != POWER:
@@ -77,17 +69,38 @@ def _require_power(params: ModelParams) -> None:
         )
 
 
+def _effective_wealth(params: ModelParams, x: float, m1: float, what: str) -> float:
+    """w = x + beta*m1 for a power-family routine; w must be positive."""
+    _require_power(params)
+    w = x + params.delay.beta * m1
+    if w <= 0.0:
+        raise DomainError(f"power {what} requires x + beta*m1 > 0, got {w}")
+    return w
+
+
 def _g2_const(params: ModelParams) -> float:
     co, fin = params.coeffs, params.financial
     return (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
 
 
+def _powers(g, gam):
+    """g_i^{gamma_i/(1-gamma_i)}, elementwise (any leading shape)."""
+    return np.exp(gam / (1.0 - gam) * np.log(g))
+
+
+def _rate(g, gam, p, kappa, g2c):
+    """Right-hand side dg/dt of the factor system at one grid row g."""
+    # varpi stays a NumPy scalar (not aggregate_gamma's float), so a stage
+    # whose weights all underflow gives inf or nan instead of raising
+    w = _powers(g, gam) * p
+    varpi = (w @ gam) / w.sum()
+    return (1.0 - gam) / gam * (-kappa - g2c / varpi + 0.5 * gam * g2c / varpi**2) * g
+
+
 def aggregate_gamma(g, gammas, probs) -> float:
     """Aggregate risk aversion induced by factor values g (one grid row)."""
-    g = np.asarray(g, dtype=float)
     gam = np.asarray(gammas, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    w = np.exp(gam / (1.0 - gam) * np.log(g)) * p
+    w = _powers(np.asarray(g, dtype=float), gam) * np.asarray(probs, dtype=float)
     return float(w @ gam / w.sum())
 
 
@@ -108,61 +121,42 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
 
     gam = np.array(params.dist.gammas, dtype=float)
     p = np.array(params.dist.probs, dtype=float)
-    c = gam / (1.0 - gam)
-    cinv = (1.0 - gam) / gam
     kappa = params.constants.kappa
     g2c = _g2_const(params)
 
-    def rhs(g):
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-            raise _Explosion
-        # overflow here is the explosion signal, not a reportable warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.exp(c * np.log(g)) * p
-            tot = w.sum()
-            varpi = (w @ gam) / tot
-            out = cinv * (-kappa - g2c / varpi + 0.5 * gam * g2c / varpi**2) * g
-        if not np.all(np.isfinite(out)):
-            raise _Explosion
-        return out
-
-    # backward march: nodes t_k = horizon - k*dt, k = 0..n_steps
-    g = np.ones_like(gam)
-    rows = [g.copy()]
-    exploded = False
-    steps_done = 0
-    for _ in range(n_steps):
-        try:
-            k1 = rhs(g)
-            k2 = rhs(g - 0.5 * dt * k1)
-            k3 = rhs(g - 0.5 * dt * k2)
-            k4 = rhs(g - dt * k3)
-            g_new = g - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(g_new)) or np.any(g_new <= 0.0):
-                raise _Explosion
-        except _Explosion:
-            exploded = True
-            break
-        g = g_new
-        rows.append(g.copy())
-        steps_done += 1
-
-    t_back = horizon - dt * np.arange(steps_done + 1)
+    # row k holds the node t_k = horizon - (n_steps - k)*dt, filled from the end;
+    # overflow and log of a nonpositive stage poison g_new, which ends the march
+    g = np.empty((n_steps + 1, len(gam)))
+    g[n_steps] = 1.0
+    k = n_steps
+    with np.errstate(all="ignore"):
+        while k > 0:
+            y = g[k]
+            k1 = _rate(y, gam, p, kappa, g2c)
+            k2 = _rate(y - 0.5 * dt * k1, gam, p, kappa, g2c)
+            k3 = _rate(y - 0.5 * dt * k2, gam, p, kappa, g2c)
+            k4 = _rate(y - dt * k3, gam, p, kappa, g2c)
+            g_new = y - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all((g_new > 0.0) & (g_new < np.inf)):
+                break
+            k -= 1
+            g[k] = g_new
+    g = g[k:]
+    exploded = k > 0
+    t = horizon - dt * np.arange(n_steps - k, -1, -1)
     if not exploded:
-        t_back[-1] = 0.0  # exact endpoint
-    g_arr = np.array(rows)[::-1]
-    t_arr = t_back[::-1].copy()
-    varpi = np.array([aggregate_gamma(row, gam, p) for row in g_arr])
+        t[0] = 0.0  # exact endpoint
+    w = _powers(g, gam) * p
     return OdeSolution(
-        t=t_arr,
-        g=g_arr,
-        varpi=varpi,
+        t=t,
+        g=g,
+        varpi=np.array([row @ gam / row.sum() for row in w]),
         gammas=params.dist.gammas,
         probs=params.dist.probs,
         dt=dt,
         horizon=horizon,
         exploded=exploded,
-        explosion_time=float(t_arr[0]) if exploded else None,
+        explosion_time=float(t[0]) if exploded else None,
     )
 
 
@@ -182,10 +176,7 @@ def _check_range(sol: OdeSolution, t: float) -> float:
 def g_at(sol: OdeSolution, t: float) -> np.ndarray:
     """Factor values at t, linearly interpolated componentwise on the grid."""
     t = _check_range(sol, t)
-    out = np.empty(sol.n)
-    for i in range(sol.n):
-        out[i] = np.interp(t, sol.t, sol.g[:, i])
-    return out
+    return np.array([np.interp(t, sol.t, col) for col in sol.g.T])
 
 
 def varpi_at(sol: OdeSolution, t: float) -> float:
@@ -196,10 +187,7 @@ def varpi_at(sol: OdeSolution, t: float) -> float:
 def strategy(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> tuple[float, float]:
     """Equilibrium (retention, invested amount) at (t, x, m1); both scale
     with effective wealth w = x + beta*m1, which must be positive."""
-    _require_power(params)
-    w = x + params.delay.beta * m1
-    if w <= 0.0:
-        raise DomainError(f"power strategy requires x + beta*m1 > 0, got {w}")
+    w = _effective_wealth(params, x, m1, "strategy")
     varpi = varpi_at(sol, t)
     co, fin = params.coeffs, params.financial
     q = co.a * co.eta2 * w / (co.b2 * varpi)
@@ -210,29 +198,19 @@ def strategy(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: floa
 def certainty_factor(sol: OdeSolution, t: float) -> float:
     """Probability-weighted sum of g_i^{gamma_i/(1-gamma_i)}; the value
     function is this factor times effective wealth."""
-    g = g_at(sol, t)
-    gam = np.asarray(sol.gammas)
-    p = np.asarray(sol.probs)
-    return float(np.exp(gam / (1.0 - gam) * np.log(g)) @ p)
+    return float(_powers(g_at(sol, t), np.asarray(sol.gammas)) @ np.asarray(sol.probs))
 
 
 def value(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> float:
     """Aggregated certainty-equivalent value, linear in w = x + beta*m1 > 0."""
-    _require_power(params)
-    w = x + params.delay.beta * m1
-    if w <= 0.0:
-        raise DomainError(f"power value requires x + beta*m1 > 0, got {w}")
-    return w * certainty_factor(sol, t)
+    return _effective_wealth(params, x, m1, "value") * certainty_factor(sol, t)
 
 
 def ansatz(sol: OdeSolution, params: ModelParams, i: int, t: float, x: float, m1: float) -> float:
     """Per-gamma expected utility of terminal effective wealth under the
     equilibrium strategy: g_i(t)^gamma_i * w^(1-gamma_i) / (1-gamma_i)."""
-    _require_power(params)
+    w = _effective_wealth(params, x, m1, "ansatz")
     gam = sol.gammas[i]
-    w = x + params.delay.beta * m1
-    if w <= 0.0:
-        raise DomainError(f"power ansatz requires x + beta*m1 > 0, got {w}")
     g = g_at(sol, t)[i]
     return g**gam * w ** (1.0 - gam) / (1.0 - gam)
 
@@ -249,10 +227,7 @@ def single_gamma_growth(params: ModelParams, gamma: float, t: float) -> float:
 def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1: float) -> float:
     """Closed-form value for a one-point distribution:
     w * exp((kappa + 0.5*G2/gamma)*(T - t))."""
-    _require_power(params)
-    w = x + params.delay.beta * m1
-    if w <= 0.0:
-        raise DomainError(f"power value requires x + beta*m1 > 0, got {w}")
+    w = _effective_wealth(params, x, m1, "value")
     rate = params.constants.kappa + 0.5 * _g2_const(params) / gamma
     return w * math.exp(rate * (params.horizon - float(t)))
 
@@ -260,27 +235,17 @@ def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1
 def growth_rate(sol: OdeSolution, params: ModelParams, t: float) -> np.ndarray:
     """ODE right-hand side dg/dt evaluated on the interpolated factors."""
     _require_power(params)
-    g = g_at(sol, t)
-    gam = np.asarray(sol.gammas)
-    p = np.asarray(sol.probs)
-    w = np.exp(gam / (1.0 - gam) * np.log(g)) * p
-    varpi = float(w @ gam / w.sum())
-    g2c = _g2_const(params)
-    kappa = params.constants.kappa
-    return (1.0 - gam) / gam * (-kappa - g2c / varpi + 0.5 * gam * g2c / varpi**2) * g
+    return _rate(g_at(sol, t), np.asarray(sol.gammas), np.asarray(sol.probs),
+                 params.constants.kappa, _g2_const(params))
 
 
 def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
     """Analytic time derivative of the aggregate risk aversion:
     0.5*G2/varpi^2 * (E_w[gamma^2] - varpi^2), with E_w the w_i-weighted mean."""
     _require_power(params)
-    g = g_at(sol, t)
     gam = np.asarray(sol.gammas)
-    p = np.asarray(sol.probs)
-    w = np.exp(gam / (1.0 - gam) * np.log(g)) * p
-    tot = w.sum()
-    varpi = float(w @ gam / tot)
-    second = float(w @ (gam * gam) / tot)
+    w = _powers(g_at(sol, t), gam) * np.asarray(sol.probs)
+    varpi, second = (float(w @ m / w.sum()) for m in (gam, gam * gam))
     return 0.5 * _g2_const(params) / varpi**2 * (second - varpi**2)
 
 

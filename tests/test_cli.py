@@ -144,7 +144,7 @@ def test_verify_monotonicity_with_custom_horizon(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert run_cli("verify", "--config", str(path), "--check", "monotonicity",
-                   "--points", "2", "--out", str(out)) == 0
+                   "--points", "3", "--out", str(out)) == 0
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["checks"]["monotonicity"]["violations"] == []
     assert rep["checks"]["monotonicity"]["scope"] == "bundled baselines"
@@ -175,6 +175,7 @@ def test_reproduce_figures_and_manifest_reproducibility(tmp_path):
     (("strategy", "--t-points", "0"), "--t-points"),
     (("strategy", "--t-points", "-2"), "--t-points"),
     (("simulate", "--paths-csv", "-1"), "--paths-csv"),
+    (("verify", "--check", "monotonicity", "--points", "2"), "--points"),
 ])
 def test_nonpositive_counts_rejected(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"

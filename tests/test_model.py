@@ -121,6 +121,8 @@ def test_risk_aversion_validation():
         RiskAversionDist(family="power", points=((1.0, 1.0),))
     with pytest.raises(ParameterError, match="gamma"):
         RiskAversionDist(family="power", points=((1.5, 1.0),))
+    with pytest.raises(ParameterError, match=r"risk_aversion\.points repeats gamma 0\.5"):
+        RiskAversionDist(family="power", points=((0.5, 0.25), (0.5, 0.25), (0.9, 0.5)))
     # power gammas above 1 are rejected, exponential ones are fine
     d = RiskAversionDist(family="exponential", points=((1.5, 1.0),))
     assert d.gammas == (1.5,)

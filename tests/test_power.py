@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,30 @@ def test_explosion_flagged(pow_case1):
     # while the surviving tail still answers
     g_tail = powmod.g_at(sol, float(sol.t[len(sol.t) // 2]))
     assert np.all(np.isfinite(g_tail))
+
+
+def test_explosion_is_quiet(pow_case1):
+    # one nearly risk-neutral atom overflows a step; the march ends there
+    # without a floating-point warning
+    levered = ModelParams.build(
+        insurance=pow_case1.insurance,
+        financial=pow_case1.financial,
+        delay=pow_case1.delay,
+        dist=RiskAversionDist(family=POWER, points=((1e-4, 0.5), (0.9, 0.5))),
+        horizon=2.0,
+        x0=0.6,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = powmod.solve_growth_factors(levered, dt=1e-4)
+    assert sol.exploded
+    assert sol.explosion_time == pytest.approx(1.5968)
+
+
+def test_varpi_rows_match_aggregate_gamma(pow_case2):
+    sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
+    for g_row, varpi in zip(sol.g, sol.varpi):
+        assert varpi == powmod.aggregate_gamma(g_row, sol.gammas, sol.probs)
 
 
 def test_family_guard(exp_case1):
