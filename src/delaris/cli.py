@@ -301,10 +301,10 @@ def _verify_checks(params, args):
 
     t_vals = np.linspace(0.0, horizon, 10)
     if solution is not None:
-        # snap to solver nodes so interpolation cannot blur the residual
-        t_vals = np.array([float(sol_t) for sol_t in
-                           solution.t[np.minimum(
-                               np.searchsorted(solution.t, t_vals), len(solution.t) - 1)]])
+        # snap to solver nodes so interpolation cannot blur the residual; a
+        # time before an explosion stays put, so its lookup reports it
+        k = np.minimum(np.searchsorted(solution.t, t_vals), len(solution.t) - 1)
+        t_vals = np.where(t_vals >= solution.t[0], solution.t[k], t_vals)
     x_vals = np.linspace(0.2, 1.2, 10)
     m1_vals = np.linspace(0.3, 1.2, 10)
 

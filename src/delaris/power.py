@@ -44,7 +44,8 @@ class OdeSolution:
 
     t: ascending node times; t[-1] is the horizon, where g = 1 exactly.
        When exploded, t[0] is the last time the solution stayed valid.
-    g: array (len(t), n) of per-gamma factors.
+    g: array (len(t), n) of per-gamma factors, column-major so that each
+       factor's column is contiguous for interpolation.
     varpi: aggregate risk aversion at each node.
     """
 
@@ -149,7 +150,7 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
     w = _powers(g, gam) * p
     return OdeSolution(
         t=t,
-        g=g,
+        g=np.asfortranarray(g),
         varpi=np.array([row @ gam / row.sum() for row in w]),
         gammas=params.dist.gammas,
         probs=params.dist.probs,
@@ -188,7 +189,12 @@ def strategy(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: floa
     """Equilibrium (retention, invested amount) at (t, x, m1); both scale
     with effective wealth w = x + beta*m1, which must be positive."""
     w = _effective_wealth(params, x, m1, "strategy")
-    varpi = varpi_at(sol, t)
+    return _controls(params, w, varpi_at(sol, t))
+
+
+def _controls(params: ModelParams, w: float, varpi: float) -> tuple[float, float]:
+    """(retention, invested amount) at effective wealth w and aggregate
+    risk aversion varpi."""
     co, fin = params.coeffs, params.financial
     q = co.a * co.eta2 * w / (co.b2 * varpi)
     pi_x = (fin.mu - fin.r) * w / (fin.sigma**2 * varpi)
@@ -210,8 +216,11 @@ def ansatz(sol: OdeSolution, params: ModelParams, i: int, t: float, x: float, m1
     """Per-gamma expected utility of terminal effective wealth under the
     equilibrium strategy: g_i(t)^gamma_i * w^(1-gamma_i) / (1-gamma_i)."""
     w = _effective_wealth(params, x, m1, "ansatz")
-    gam = sol.gammas[i]
-    g = g_at(sol, t)[i]
+    return _ansatz(g_at(sol, t)[i], sol.gammas[i], w)
+
+
+def _ansatz(g: float, gam: float, w: float) -> float:
+    """g^gamma * w^(1-gamma) / (1-gamma) for one atom's factor value g."""
     return g**gam * w ** (1.0 - gam) / (1.0 - gam)
 
 
@@ -296,7 +305,7 @@ def read_csv(path) -> OdeSolution:
     exploded = meta.get("exploded") == "True"
     return OdeSolution(
         t=data[:, 0],
-        g=data[:, 2:],
+        g=np.asfortranarray(data[:, 2:]),
         varpi=data[:, 1],
         gammas=gammas,
         probs=probs,

@@ -16,6 +16,16 @@ expected utilities. Every check reports magnitudes scaled by the sum of
 the absolute generator terms, so "zero" means "full cancellation at
 working precision", and small fault injections (helper provided) must
 blow the residuals up by orders of magnitude.
+
+Every candidate, in both families, depends on the state (x, m1) only
+through the effective wealth w = x + beta*m1, so a field at one state is
+a :class:`Jet` in w (value, time derivative, first and second
+w-derivatives; the m1-derivative is beta*phi_w). Each time is evaluated
+once: a per-time slice holds the family's time-only factors (exponent
+slopes and drift rates, or the interpolated growth factors, their rates
+and the certainty factor) and returns the controls, the per-gamma ansatz
+jets and the value jet at any (x, m1). The closed forms themselves stay
+in :mod:`delaris.exponential` and :mod:`delaris.power`.
 """
 
 from __future__ import annotations
@@ -45,44 +55,20 @@ FK_DT_COEFF = 0.5
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """A function of (t, x, m1) with the partial derivatives the generator
-    needs. Build analytically or via :meth:`from_function` (central
-    differences)."""
+class Jet:
+    """A field at one state (t, x, m1) that depends on the state only
+    through effective wealth w = x + beta*m1: its value, time derivative
+    and first two w-derivatives. The m1-derivative is beta*phi_w."""
 
-    phi: Callable
-    phi_t: Callable
-    phi_x: Callable
-    phi_xx: Callable
-    phi_m1: Callable
-
-    @classmethod
-    def from_function(cls, phi: Callable, rel_step: float = 1e-5):
-        """Finite-difference field: first derivatives by central differences
-        with step rel_step*max(1, |coordinate|), second x-derivative with a
-        wider step (6e-4 relative) to balance truncation against roundoff."""
-
-        def d1(axis):
-            def deriv(t, x, m1):
-                up, dn = [t, x, m1], [t, x, m1]
-                step = rel_step * max(1.0, abs(up[axis]))
-                up[axis] += step
-                dn[axis] -= step
-                return (phi(*up) - phi(*dn)) / (2.0 * step)
-
-            return deriv
-
-        def d2x(t, x, m1):
-            step = 6e-4 * max(1.0, abs(x))
-            return (phi(t, x + step, m1) - 2.0 * phi(t, x, m1) + phi(t, x - step, m1)) / step**2
-
-        return cls(phi=phi, phi_t=d1(0), phi_x=d1(1), phi_xx=d2x, phi_m1=d1(2))
+    phi: float
+    phi_t: float
+    phi_w: float
+    phi_ww: float
 
 
 def generator_terms(
-    field: ScalarField,
+    jet: Jet,
     params: ModelParams,
-    t: float,
     x: float,
     m1: float,
     m2: float,
@@ -103,141 +89,93 @@ def generator_terms(
     )
     diff = 0.5 * (co.b2 * q * q + fin.sigma**2 * pi_x * pi_x)
     mem = x - delay.alpha * m1 - math.exp(-delay.alpha * delay.h) * m2
-    return (
-        field.phi_t(t, x, m1),
-        drift * field.phi_x(t, x, m1),
-        diff * field.phi_xx(t, x, m1),
-        mem * field.phi_m1(t, x, m1),
-    )
+    return jet.phi_t, drift * jet.phi_w, diff * jet.phi_ww, mem * (delay.beta * jet.phi_w)
 
 
-# ---------------------------------------------------------------- fields
+# ----------------------------------------------------------- time slices
 
 
-def exp_ansatz_field(params: ModelParams, gamma: float) -> ScalarField:
-    """Analytic per-gamma ansatz field for the exponential family."""
+@dataclass(frozen=True)
+class _Slice:
+    """The closed forms of one family at one time, with every time-only
+    factor evaluated once. controls(x, m1) -> (q, pi_x); ansatz(x, m1) ->
+    one jet per gamma; value(x, m1) -> the aggregated-value jet; source is
+    the family's strategy for :class:`SimConfig`."""
+
+    controls: Callable
+    ansatz: Callable
+    value: Callable
+    source: object
+
+
+def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, float, float]:
+    """(g1, dg1/dt, dg2/dt) of the exponential ansatz exponent g1*w + g2."""
+    co, kappa = params.coeffs, params.constants.kappa
+    g1 = expmod.exponent_slope(params, gamma, t)
+    g2_dot = gamma * co.a * co.eta * math.exp(
+        kappa * (params.horizon - t)
+    ) + expmod.drift_adjustment(params, gamma)
+    return g1, -kappa * g1, g2_dot
+
+
+def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float) -> _Slice:
+    """Evaluate the family's closed forms at time t; power needs the solved
+    factor grid, from which it makes one factor and one rate lookup."""
     beta = params.delay.beta
-    kappa = params.constants.kappa
-    co = params.coeffs
-
-    def phi(t, x, m1):
-        return expmod.ansatz(params, gamma, t, x, m1)
-
-    def phi_t(t, x, m1):
-        w = x + beta * m1
-        g1 = expmod.exponent_slope(params, gamma, t)
-        g1_dot = -kappa * g1
-        g2_dot = gamma * co.a * co.eta * math.exp(
-            kappa * (params.horizon - t)
-        ) + expmod.drift_adjustment(params, gamma)
-        return phi(t, x, m1) * (g1_dot * w + g2_dot)
-
-    def phi_x(t, x, m1):
-        return expmod.exponent_slope(params, gamma, t) * phi(t, x, m1)
-
-    def phi_xx(t, x, m1):
-        return expmod.exponent_slope(params, gamma, t) ** 2 * phi(t, x, m1)
-
-    def phi_m1(t, x, m1):
-        return beta * expmod.exponent_slope(params, gamma, t) * phi(t, x, m1)
-
-    return ScalarField(phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx, phi_m1=phi_m1)
-
-
-def exp_value_field(params: ModelParams) -> ScalarField:
-    """Analytic aggregated-value field for the exponential family."""
-    beta = params.delay.beta
-    kappa = params.constants.kappa
-    co, fin = params.coeffs, params.financial
-    e_gamma = params.mean_gamma
-    g_const = ((fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2) / e_gamma
-
-    def phi(t, x, m1):
-        return expmod.value(params, t, x, m1)
-
-    def phi_t(t, x, m1):
-        w = x + beta * m1
+    if params.dist.family == EXPONENTIAL:
+        co, fin, kappa = params.coeffs, params.financial, params.constants.kappa
         e = math.exp(kappa * (params.horizon - t))
-        return -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
+        g_const = ((fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2) / (
+            params.mean_gamma
+        )
+        controls = expmod.strategy(params, t)
+        rates = [(g, *_exp_rates(params, g, t)) for g in params.dist.gammas]
 
-    def phi_x(t, x, m1):
-        return math.exp(kappa * (params.horizon - t))
+        def ansatz(x, m1):
+            w = x + beta * m1
+            jets = []
+            for gamma, g1, g1_dot, g2_dot in rates:
+                phi = expmod.ansatz(params, gamma, t, x, m1)
+                jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
+            return jets
 
-    def phi_xx(t, x, m1):
-        return 0.0
+        def value(x, m1):
+            w = x + beta * m1
+            u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
+            return Jet(expmod.value(params, t, x, m1), u_t, e, 0.0)
 
-    def phi_m1(t, x, m1):
-        return beta * math.exp(kappa * (params.horizon - t))
+        return _Slice(lambda x, m1: controls, ansatz, value, EXPONENTIAL)
 
-    return ScalarField(phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx, phi_m1=phi_m1)
+    if solution is None:
+        raise ParameterError("power-family verification needs the solved factor grid")
+    gam, p = np.asarray(solution.gammas), np.asarray(solution.probs)
+    g = powmod.g_at(solution, t)
+    g_dot = powmod.growth_rate(solution, params, t)
+    varpi = powmod.aggregate_gamma(g, solution.gammas, solution.probs)  # varpi_at(t)
+    gc = powmod._powers(g, gam)
+    factor = float(gc @ p)  # certainty_factor(t)
+    rate = float((gam / (1.0 - gam) * gc / g * g_dot) @ p)  # its time derivative
 
+    def controls(x, m1):
+        return powmod._controls(params, powmod._effective_wealth(params, x, m1, "strategy"), varpi)
 
-def power_ansatz_field(sol: powmod.OdeSolution, params: ModelParams, i: int) -> ScalarField:
-    """Analytic per-gamma ansatz field for the power family; the time
-    derivative uses the ODE right-hand side on the interpolated factors."""
-    beta = params.delay.beta
-    gam = sol.gammas[i]
+    def ansatz(x, m1):
+        w = powmod._effective_wealth(params, x, m1, "ansatz")
+        return [
+            Jet(
+                powmod._ansatz(gi, gm, w),
+                gm * gi ** (gm - 1.0) * gi_dot * w ** (1.0 - gm) / (1.0 - gm),
+                gi**gm * w ** (-gm),
+                -gm * gi**gm * w ** (-gm - 1.0),
+            )
+            for gm, gi, gi_dot in zip(solution.gammas, g, g_dot)
+        ]
 
-    def parts(t):
-        g = powmod.g_at(sol, t)[i]
-        gdot = powmod.growth_rate(sol, params, t)[i]
-        return g, gdot
+    def value(x, m1):
+        w = powmod._effective_wealth(params, x, m1, "value")
+        return Jet(w * factor, w * rate, factor, 0.0)
 
-    def phi(t, x, m1):
-        return powmod.ansatz(sol, params, i, t, x, m1)
-
-    def phi_t(t, x, m1):
-        w = x + beta * m1
-        g, gdot = parts(t)
-        return gam * g ** (gam - 1.0) * gdot * w ** (1.0 - gam) / (1.0 - gam)
-
-    def phi_x(t, x, m1):
-        w = x + beta * m1
-        g, _ = parts(t)
-        return g**gam * w**(-gam)
-
-    def phi_xx(t, x, m1):
-        w = x + beta * m1
-        g, _ = parts(t)
-        return -gam * g**gam * w**(-gam - 1.0)
-
-    def phi_m1(t, x, m1):
-        return beta * phi_x(t, x, m1)
-
-    return ScalarField(phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx, phi_m1=phi_m1)
-
-
-def power_value_field(sol: powmod.OdeSolution, params: ModelParams) -> ScalarField:
-    """Analytic aggregated-value field for the power family (linear in w)."""
-    beta = params.delay.beta
-    gam = np.asarray(sol.gammas)
-    p = np.asarray(sol.probs)
-    c = gam / (1.0 - gam)
-
-    def factor_and_rate(t):
-        g = powmod.g_at(sol, t)
-        gdot = powmod.growth_rate(sol, params, t)
-        gc = np.exp(c * np.log(g))
-        factor = float(gc @ p)
-        rate = float((c * gc / g * gdot) @ p)
-        return factor, rate
-
-    def phi(t, x, m1):
-        return (x + beta * m1) * factor_and_rate(t)[0]
-
-    def phi_t(t, x, m1):
-        return (x + beta * m1) * factor_and_rate(t)[1]
-
-    def phi_x(t, x, m1):
-        return factor_and_rate(t)[0]
-
-    def phi_xx(t, x, m1):
-        return 0.0
-
-    def phi_m1(t, x, m1):
-        return beta * factor_and_rate(t)[0]
-
-    return ScalarField(phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx, phi_m1=phi_m1)
+    return _Slice(controls, ansatz, value, solution)
 
 
 # ------------------------------------------------------- expectation PDE
@@ -260,30 +198,12 @@ class ResidualGrid:
     scaled: np.ndarray
 
     @property
-    def max_abs(self) -> float:
-        return float(self.residual.max())
-
-    @property
     def max_scaled(self) -> float:
         return float(self.scaled.max())
 
     @property
     def rms_scaled(self) -> float:
         return float(np.sqrt(np.mean(self.scaled**2)))
-
-
-def _equilibrium_controls(params, solution):
-    if params.dist.family == EXPONENTIAL:
-        return lambda t, x, m1: expmod.strategy(params, t)
-    if solution is None:
-        raise ParameterError("power-family verification needs the solved factor grid")
-    return lambda t, x, m1: powmod.strategy(solution, params, t, x, m1)
-
-
-def _family_fields(params, solution):
-    if params.dist.family == EXPONENTIAL:
-        return [exp_ansatz_field(params, g) for g in params.dist.gammas]
-    return [power_ansatz_field(solution, params, i) for i in range(len(params.dist.gammas))]
 
 
 def expectation_pde_residual(
@@ -298,24 +218,22 @@ def expectation_pde_residual(
     controls, on the tensor grid. Closed forms cancel to roundoff; any
     perturbation of the derived constants must show up at ~the perturbation
     size (see :func:`perturb_constants`)."""
-    controls = _equilibrium_controls(params, solution)
-    fields = _family_fields(params, solution)
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
     m1_vals = np.asarray(m1_vals, dtype=float)
-    shape = (len(fields), len(t_vals), len(x_vals), len(m1_vals))
+    shape = (len(params.dist.gammas), len(t_vals), len(x_vals), len(m1_vals))
     residual = np.empty(shape)
     scaled = np.empty(shape)
     for a, t in enumerate(t_vals):
+        at = _slice(params, solution, t)
         for b, x in enumerate(x_vals):
             for c, m1 in enumerate(m1_vals):
-                q, pi_x = controls(t, x, m1)
-                for i, field in enumerate(fields):
-                    terms = generator_terms(field, params, t, x, m1, m2, q, pi_x)
+                q, pi_x = at.controls(x, m1)
+                for i, jet in enumerate(at.ansatz(x, m1)):
+                    terms = generator_terms(jet, params, x, m1, m2, q, pi_x)
                     res = abs(math.fsum(terms))
-                    scale = sum(abs(v) for v in terms)
                     residual[i, a, b, c] = res
-                    scaled[i, a, b, c] = res / max(scale, _TINY)
+                    scaled[i, a, b, c] = res / max(sum(abs(v) for v in terms), _TINY)
     return ResidualGrid(
         t_vals=t_vals,
         x_vals=x_vals,
@@ -346,6 +264,14 @@ class OptimalityResult:
     n_nodes: int
 
 
+def _mesh(cand: float, lo: float, hi: float, w: float, n: int) -> np.ndarray:
+    """Control mesh from lo*|cand| to hi*|cand|; a zero candidate takes the
+    node's effective wealth (or 1) as its width, so the sweep never
+    collapses to a point."""
+    width = abs(cand) or abs(w) or 1.0
+    return np.linspace(lo * width, hi * width, n)
+
+
 def optimality_residual(
     params: ModelParams,
     t_vals: Sequence[float],
@@ -358,22 +284,14 @@ def optimality_residual(
     """Sweep the control objective
 
         generator(U; q, pi) - 0.5*(b^2 q^2 + sigma^2 pi^2) *
-            sum_i p_i * d2(u_i^{-1})(Y_i) * (dY_i/dx)^2
+            sum_i p_i * d2(u_i^{-1})(Y_i) * (dY_i/dw)^2
 
     over a coarse global grid q in [0, 4*q_cand], pi in [-2, 4]*pi_cand plus
     a multiplicatively refined local grid around the closed-form candidate.
     The sup must vanish (scaled) and the argmax must land within one coarse
     cell of the candidate."""
-    family = params.dist.family
-    controls = _equilibrium_controls(params, solution)
-    fields = _family_fields(params, solution)
-    if family == EXPONENTIAL:
-        u_field = exp_value_field(params)
-    else:
-        u_field = power_value_field(solution, params)
-    co, fin, cons, delay = params.coeffs, params.financial, params.constants, params.delay
-    probs = params.dist.probs
-    gammas = params.dist.gammas
+    family, gammas, probs = params.dist.family, params.dist.gammas, params.dist.probs
+    co, fin = params.coeffs, params.financial
 
     worst_sup = -math.inf
     worst_dist = 0.0
@@ -382,31 +300,25 @@ def optimality_residual(
         [0.0, 1e-5, -1e-5, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1]
     )
     for t in np.asarray(t_vals, dtype=float):
+        at = _slice(params, solution, t)
         for x in np.asarray(x_vals, dtype=float):
             for m1 in np.asarray(m1_vals, dtype=float):
-                q_cand, pi_cand = controls(t, x, m1)
-                u_t = u_field.phi_t(t, x, m1)
-                u_x = u_field.phi_x(t, x, m1)
-                u_xx = u_field.phi_xx(t, x, m1)
-                u_m1 = u_field.phi_m1(t, x, m1)
+                q_cand, pi_cand = at.controls(x, m1)
+                u = at.value(x, m1)
                 penalty = 0.0
-                for i, field in enumerate(fields):
-                    y = field.phi(t, x, m1)
-                    yx = field.phi_x(t, x, m1)
-                    penalty += probs[i] * inverse_utility_d2(family, gammas[i], y) * yx * yx
-                quad = 0.5 * (u_xx - penalty)
+                for gamma, p, jet in zip(gammas, probs, at.ansatz(x, m1)):
+                    penalty += p * inverse_utility_d2(family, gamma, jet.phi) * jet.phi_w * jet.phi_w
+                quad = 0.5 * (u.phi_ww - penalty)
                 if quad >= 0.0:
                     concave = False
-                base = (
-                    u_t
-                    + (cons.A * x + cons.B * m1 + cons.C * m2 + co.a * co.eta) * u_x
-                    + (x - delay.alpha * m1 - math.exp(-delay.alpha * delay.h) * m2) * u_m1
-                )
-                cq = co.a * co.eta2 * u_x
-                cpi = (fin.mu - fin.r) * u_x
+                # the generator of U with both controls at zero
+                base = sum(generator_terms(u, params, x, m1, m2, 0.0, 0.0))
+                cq = co.a * co.eta2 * u.phi_w
+                cpi = (fin.mu - fin.r) * u.phi_w
 
-                q_grid = np.linspace(0.0, 4.0 * q_cand, n_mesh)
-                pi_grid = np.linspace(-2.0 * abs(pi_cand), 4.0 * abs(pi_cand), n_mesh)
+                w = x + params.delay.beta * m1
+                q_grid = _mesh(q_cand, 0.0, 4.0, w, n_mesh)
+                pi_grid = _mesh(pi_cand, -2.0, 4.0, w, n_mesh)
                 cell_q = q_grid[1] - q_grid[0]
                 cell_pi = pi_grid[1] - pi_grid[0]
                 q_all = np.concatenate([q_grid, q_cand * (1.0 + offsets)])
@@ -419,8 +331,8 @@ def optimality_residual(
                 sup = float(vals.flat[flat])
 
                 scale = (
-                    abs(u_t)
-                    + abs(base - u_t)
+                    abs(u.phi_t)
+                    + abs(base - u.phi_t)
                     + abs(cq * q_cand)
                     + abs(cpi * pi_cand)
                     + abs(quad) * (co.b2 * q_cand**2 + fin.sigma**2 * pi_cand**2)
@@ -464,16 +376,11 @@ def coefficient_split_check(
     and split it into slope and intercept. Both vanish for the closed
     forms; ``g1_factor`` != 1 injects a multiplicative fault into the
     wealth-slope value (its analytic derivative stays unperturbed), which
-    the slope coefficient must detect."""
-    if params.dist.family != EXPONENTIAL:
-        raise ParameterError("coefficient split applies to the exponential family")
-    co, fin, cons = params.coeffs, params.financial, params.constants
-    kappa = cons.kappa
-    g1 = expmod.exponent_slope(params, gamma, t) * g1_factor
-    g1_dot = -kappa * expmod.exponent_slope(params, gamma, t)
-    g2_dot = gamma * co.a * co.eta * math.exp(
-        kappa * (params.horizon - t)
-    ) + expmod.drift_adjustment(params, gamma)
+    the slope coefficient must detect. Exponential family only."""
+    co, fin = params.coeffs, params.financial
+    kappa = params.constants.kappa
+    g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
+    g1 *= g1_factor
     q_hat, pi_hat = expmod.strategy(params, t)
     control_lin = (pi_hat * (fin.mu - fin.r) + co.a * co.eta + co.a * co.eta2 * q_hat) * g1
     control_quad = 0.5 * (co.b2 * q_hat**2 + fin.sigma**2 * pi_hat**2) * g1**2
@@ -529,21 +436,9 @@ def feynman_kac_check(
 
     Pass criterion per gamma: |mc - ansatz| <= 3*SE + dt_coeff*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
-    family = params.dist.family
-    if family == EXPONENTIAL:
-        strategy = EXPONENTIAL
-        refs = [
-            expmod.ansatz(params, g, 0.0, params.x0, params.m1_0) for g in params.dist.gammas
-        ]
-    else:
-        if solution is None:
-            raise ParameterError("power-family Feynman-Kac check needs the solved factor grid")
-        strategy = solution
-        refs = [
-            powmod.ansatz(solution, params, i, 0.0, params.x0, params.m1_0)
-            for i in range(len(params.dist.gammas))
-        ]
-    cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=strategy)
+    start = _slice(params, solution, 0.0)
+    refs = [jet.phi for jet in start.ansatz(params.x0, params.m1_0)]
+    cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=start.source)
     est = mc_reward(params, cfg)
     results = []
     for ref, pg in zip(refs, est.per_gamma):
@@ -582,20 +477,12 @@ def aggregated_value_identity(
 ) -> tuple[float, float]:
     """(probability-weighted certainty equivalent of the per-gamma ansatz,
     closed-form aggregated value); the two must agree."""
-    family = params.dist.family
-    if family == EXPONENTIAL:
-        h = math.fsum(
-            p * inverse_utility(family, g, expmod.ansatz(params, g, t, x, m1))
-            for g, p in params.dist.points
-        )
-        return h, expmod.value(params, t, x, m1)
-    if solution is None:
-        raise ParameterError("power-family identity needs the solved factor grid")
+    at = _slice(params, solution, t)
     h = math.fsum(
-        p * inverse_utility(family, g, powmod.ansatz(solution, params, i, t, x, m1))
-        for i, (g, p) in enumerate(params.dist.points)
+        p * inverse_utility(params.dist.family, g, jet.phi)
+        for (g, p), jet in zip(params.dist.points, at.ansatz(x, m1))
     )
-    return h, powmod.value(solution, params, t, x, m1)
+    return h, at.value(x, m1).phi
 
 
 def perturb_constants(params: ModelParams, name: str, rel: float) -> ModelParams:

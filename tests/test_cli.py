@@ -136,6 +136,19 @@ def test_verify_power_skips_coefficient_check(tmp_path):
     assert rep["checks"]["coefficients"]["skipped"] is True
 
 
+@pytest.mark.parametrize("check", ["expectation", "optimality"])
+def test_verify_reports_exploded_power_solution(tmp_path, capsys, check):
+    # the factor solve explodes near t = 1.59; grid times before it must
+    # fail their lookup instead of being moved onto the first valid node
+    cfg = cli.config_dict(sweeps.baseline_params("power", "I"))
+    cfg["risk_aversion"]["points"] = [[1e-4, 0.5], [0.9, 0.5]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("verify", "--config", str(path), "--check", check,
+                   "--out", str(tmp_path / "o")) == 1
+    assert "exploded" in capsys.readouterr().err
+
+
 def test_verify_monotonicity_with_custom_horizon(tmp_path):
     # the check sweeps the bundled baselines, whatever the config's horizon
     cfg = cli.config_dict(sweeps.baseline_params("power", "I"))

@@ -201,3 +201,13 @@ def test_csv_round_trip(tmp_path, pow_case1):
         assert back.dt == sol.dt and back.horizon == sol.horizon
         assert back.exploded == sol.exploded and back.explosion_time == sol.explosion_time
         assert powmod.varpi_at(back, 0.0) == powmod.varpi_at(sol, 0.0)
+
+
+def test_factor_columns_are_contiguous(pow_case2, tmp_path):
+    # g_at interpolates one column per atom; a strided column would be
+    # copied on every lookup
+    sol = powmod.solve_growth_factors(pow_case2, dt=1e-2)
+    path = tmp_path / "growth.csv"
+    powmod.write_csv(sol, path)
+    for s in (sol, powmod.read_csv(path)):
+        assert all(col.flags.c_contiguous for col in s.g.T)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from delaris import power as powmod
+from delaris import sweeps
 from delaris import verification as ver
 from delaris.exceptions import ParameterError
+from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 
 T_GRID = np.linspace(0.0, 2.0, 6)
 X_GRID = np.linspace(0.2, 1.2, 6)
@@ -17,35 +21,23 @@ def pow_sol(pow_case1):
     return powmod.solve_growth_factors(pow_case1, dt=1e-3)
 
 
-def test_scalar_field_from_function_derivatives():
-    def phi(t, x, m1):
-        return math.sin(t) * x**2 + 0.3 * x * m1
-
-    field = ver.ScalarField.from_function(phi)
-    t, x, m1 = 0.7, 1.1, 0.4
-    assert field.phi_t(t, x, m1) == pytest.approx(math.cos(t) * x**2, rel=1e-7)
-    assert field.phi_x(t, x, m1) == pytest.approx(2 * math.sin(t) * x + 0.3 * m1, rel=1e-7)
-    assert field.phi_xx(t, x, m1) == pytest.approx(2 * math.sin(t), rel=1e-5)
-    assert field.phi_m1(t, x, m1) == pytest.approx(0.3 * x, rel=1e-7)
-
-
 def test_generator_terms_hand_example(exp_case1):
-    # phi = x^2: time and memory channels vanish, drift and diffusion remain
-    field = ver.ScalarField(
-        phi=lambda t, x, m1: x**2,
-        phi_t=lambda t, x, m1: 0.0,
-        phi_x=lambda t, x, m1: 2 * x,
-        phi_xx=lambda t, x, m1: 2.0,
-        phi_m1=lambda t, x, m1: 0.0,
-    )
+    # phi = w^2 with w = x + beta*m1: no time channel; drift, diffusion and
+    # the memory channel (through dphi/dm1 = beta*2w) remain
     c, co, fin = exp_case1.constants, exp_case1.coeffs, exp_case1.financial
-    t, x, m1, m2, q, pi = 0.5, 0.8, 0.7, 0.6, 0.3, 0.4
-    time_term, drift, diff, mem = ver.generator_terms(field, exp_case1, t, x, m1, m2, q, pi)
-    assert time_term == 0.0 and mem == 0.0
+    d = exp_case1.delay
+    x, m1, m2, q, pi = 0.8, 0.7, 0.6, 0.3, 0.4
+    w = x + d.beta * m1
+    jet = ver.Jet(phi=w**2, phi_t=0.0, phi_w=2 * w, phi_ww=2.0)
+    time_term, drift, diff, mem = ver.generator_terms(jet, exp_case1, x, m1, m2, q, pi)
+    assert time_term == 0.0
     exp_drift = (c.A * x + pi * (fin.mu - fin.r) + c.B * m1 + c.C * m2
-                 + co.a * co.eta + co.a * co.eta2 * q) * 2 * x
+                 + co.a * co.eta + co.a * co.eta2 * q) * 2 * w
     assert drift == pytest.approx(exp_drift, rel=1e-14)
     assert diff == pytest.approx(0.5 * (co.b2 * q**2 + fin.sigma**2 * pi**2) * 2.0, rel=1e-14)
+    exp_mem = (x - d.alpha * m1 - math.exp(-d.alpha * d.h) * m2) * d.beta * 2 * w
+    assert mem != 0.0
+    assert mem == pytest.approx(exp_mem, rel=1e-14)
 
 
 def test_expectation_residual_exponential(exp_case1):
@@ -163,3 +155,63 @@ def test_feynman_kac_detects_wrong_reference(exp_case1):
     bad = ver.perturb_constants(exp_case1, "kappa", 0.5)
     rep = ver.feynman_kac_check(bad, dt=4e-3, n_paths=20000, seed=902)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_optimality_with_zero_candidate(family):
+    # mu == r is admissible and makes the invested amount zero; the pi
+    # sweep must still span a mesh and the argmax distance stay finite
+    base = sweeps.baseline_params(family, "I")
+    params = ModelParams.build(
+        insurance=base.insurance,
+        financial=dataclasses.replace(base.financial, mu=base.financial.r),
+        delay=base.delay, dist=base.dist, horizon=base.horizon, x0=base.x0)
+    sol = powmod.solve_growth_factors(params, dt=1e-3) if family == "power" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ver.optimality_residual(
+            params, T_GRID[::2], X_GRID[::2], M1_GRID[::2], m2=0.6, solution=sol)
+    assert math.isfinite(res.max_cell_distance)
+    assert res.max_cell_distance <= 1.0
+    assert res.max_scaled_sup < 1e-12
+    assert res.concave
+
+
+def _random_models(family, n, seed):
+    """Seeded admissible models around the baseline: market, memory and a
+    two-atom risk-aversion distribution drawn at random."""
+    base = sweeps.baseline_params(family, "I")
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.1, 3.0) if family == "exponential" else (0.2, 0.95)
+    for _ in range(n):
+        r = rng.uniform(0.01, 0.3)
+        gammas = rng.uniform(lo, hi, size=2)
+        p = rng.uniform(0.1, 0.9)
+        yield ModelParams.build(
+            insurance=base.insurance,
+            financial=FinancialParams(r=r, mu=r + rng.uniform(0.0, 0.3),
+                                      sigma=rng.uniform(0.2, 1.0)),
+            delay=DelayParams(alpha=rng.uniform(0.0, 2.0), beta=rng.uniform(0.0, 1.0),
+                              h=rng.uniform(0.1, 5.0)),
+            dist=RiskAversionDist(family=family,
+                                  points=((gammas[0], p), (gammas[1], 1.0 - p))),
+            horizon=base.horizon,
+            x0=base.x0,
+        )
+
+
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_jets_on_random_models(family):
+    t_vals, x_vals, m1_vals = np.linspace(0.0, 2.0, 3), X_GRID[::2], M1_GRID[::2]
+    for params in _random_models(family, 10, seed=5150 if family == "power" else 5151):
+        sol = powmod.solve_growth_factors(params, dt=1e-3) if family == "power" else None
+        clean = ver.expectation_pde_residual(
+            params, t_vals, x_vals, m1_vals, m2=0.6, solution=sol).max_scaled
+        assert clean <= 1e-12, params
+        for t, x, m1 in ((0.0, 0.6, 0.75), (1.3, 0.9, 0.5)):
+            h, u = ver.aggregated_value_identity(params, t, x, m1, solution=sol)
+            assert h == pytest.approx(u, rel=1e-12), params
+        bad = ver.perturb_constants(params, "C", 0.01)
+        lifted = ver.expectation_pde_residual(
+            bad, t_vals, x_vals, m1_vals, m2=0.6, solution=sol).max_scaled
+        assert lifted >= 100 * max(clean, 1e-14), params
