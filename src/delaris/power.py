@@ -14,10 +14,15 @@ each factor solving, backward from the horizon,
 
 The system requires equal safety loadings (net loading zero). It is
 integrated with fixed-step classical RK4, recomputing varpi from the stage
-values of g. The aggregate varpi stays inside [min gamma, max gamma], so
-the exact system cannot blow up; if a numerically extreme distribution
-drives a step out of (0, inf) the march stops quietly there, keeps the
-rows before it and flags the solution instead of raising.
+values of g. There is one march, over a leading model axis: each row
+carries its own gammas, probabilities, kappa and G2. A single solve is the
+march with one row that keeps its history; ``initial_strategies`` marches
+every model sharing a grid together and keeps only the current rows, since
+a sweep point needs only the controls at t = 0. The aggregate varpi stays
+inside [min gamma, max gamma], so the exact system cannot blow up; if a
+numerically extreme distribution drives a row's step out of (0, inf),
+that row stops quietly there, keeps the nodes before it and is flagged as
+exploded instead of raising.
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
 
@@ -89,27 +94,45 @@ def _powers(g, gam):
     return np.exp(gam / (1.0 - gam) * np.log(g))
 
 
-def _rate(g, gam, p, kappa, g2c):
-    """Right-hand side dg/dt of the factor system at one grid row g."""
-    # varpi stays a NumPy scalar (not aggregate_gamma's float), so a stage
-    # whose weights all underflow gives inf or nan instead of raising
-    w = _powers(g, gam) * p
-    varpi = (w @ gam) / w.sum()
-    return (1.0 - gam) / gam * (-kappa - g2c / varpi + 0.5 * gam * g2c / varpi**2) * g
+def _mean_gamma(w, gam):
+    """w-weighted mean of gam over the last axis, kept as a length-1 axis.
+
+    The stacked matmul is one dot product per row and rounds as a 1-D
+    ``w @ gam`` does; a 2-D ``w @ gam`` goes through gemv and moves some
+    rows by an ulp."""
+    return (w[..., None, :] @ gam[..., None])[..., 0] / w.sum(axis=-1, keepdims=True)
+
+
+def _square(v):
+    """v**2 elementwise through the C library's pow, as a Python or NumPy
+    scalar squares; an array's ``**2`` is ``v*v`` and differs in the last
+    bit. v holds weighted means of gammas, so no square overflows."""
+    return np.array([x**2 for x in v.ravel().tolist()]).reshape(v.shape)
+
+
+def _rate_fn(gam, p, kappa, g2c):
+    """Right-hand side dg/dt of the factor system as a function of g, for one
+    model or for models stacked on a leading axis (gam, p of shape (m, n);
+    kappa, g2c of shape (m, 1))."""
+    expo, lead, half, neg_kappa = gam / (1.0 - gam), (1.0 - gam) / gam, 0.5 * gam * g2c, -kappa
+
+    def rate(g):
+        varpi = _mean_gamma(np.exp(expo * np.log(g)) * p, gam)
+        return lead * (neg_kappa - g2c / varpi + half / _square(varpi)) * g
+
+    return rate
 
 
 def aggregate_gamma(g, gammas, probs) -> float:
     """Aggregate risk aversion induced by factor values g (one grid row)."""
     gam = np.asarray(gammas, dtype=float)
     w = _powers(np.asarray(g, dtype=float), gam) * np.asarray(probs, dtype=float)
-    return float(w @ gam / w.sum())
+    return float(_mean_gamma(w, gam)[0])
 
 
-def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
-    """Integrate the factor system backward from the horizon with RK4.
-
-    dt defaults to horizon/20000 and must divide the horizon (1e-9 relative).
-    """
+def _grid(params: ModelParams, dt: float | None) -> tuple[float, int]:
+    """(dt, n_steps) of a power model's factor grid; dt defaults to
+    horizon/20000 and must divide the horizon (1e-9 relative)."""
     _require_power(params)
     horizon = params.horizon
     if dt is None:
@@ -119,46 +142,118 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > _GRID_RTOL * max(1.0, horizon):
         raise ParameterError(f"dt={dt} does not divide the horizon {horizon}")
+    return dt, n_steps
 
-    gam = np.array(params.dist.gammas, dtype=float)
-    p = np.array(params.dist.probs, dtype=float)
-    kappa = params.constants.kappa
-    g2c = _g2_const(params)
 
-    # row k holds the node t_k = horizon - (n_steps - k)*dt, filled from the end;
-    # overflow and log of a nonpositive stage poison g_new, which ends the march
-    g = np.empty((n_steps + 1, len(gam)))
-    g[n_steps] = 1.0
-    k = n_steps
+def _stack(models):
+    """Per-model constants of the factor system, one row per model."""
+    return (np.array([m.dist.gammas for m in models], dtype=float),
+            np.array([m.dist.probs for m in models], dtype=float),
+            np.array([[m.constants.kappa] for m in models]),
+            np.array([[_g2_const(m)] for m in models]))
+
+
+def _march(gam, p, kappa, g2c, dt, n_steps, history=None):
+    """Classical RK4 for the factor system backward from g = 1 at node
+    n_steps (the horizon) to node 0 (t = 0), for the models stacked on the
+    leading axis (see ``_rate_fn``).
+
+    A row stops on its own at the first step that leaves (0, inf): overflow
+    or the log of a nonpositive stage poisons only that row. Returns each
+    row's last valid factors and the node it stopped at (0 when it reached
+    t = 0). Only the current rows are kept, unless ``history`` (shape
+    (n_steps+1, m, n)) is given to receive every marching row's node k as
+    history[k]."""
+    y = np.ones(gam.shape)
+    last, stop = np.empty_like(y), np.zeros(len(y), dtype=int)
+    rows, slot = np.arange(len(y)), slice(None)  # marching models; their history rows
+    rate = _rate_fn(gam, p, kappa, g2c)
+    if history is not None:
+        history[n_steps] = y
     with np.errstate(all="ignore"):
-        while k > 0:
-            y = g[k]
-            k1 = _rate(y, gam, p, kappa, g2c)
-            k2 = _rate(y - 0.5 * dt * k1, gam, p, kappa, g2c)
-            k3 = _rate(y - 0.5 * dt * k2, gam, p, kappa, g2c)
-            k4 = _rate(y - dt * k3, gam, p, kappa, g2c)
-            g_new = y - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all((g_new > 0.0) & (g_new < np.inf)):
-                break
-            k -= 1
-            g[k] = g_new
-    g = g[k:]
+        for k in range(n_steps, 0, -1):
+            k1 = rate(y)
+            k2 = rate(y - 0.5 * dt * k1)
+            k3 = rate(y - 0.5 * dt * k2)
+            k4 = rate(y - dt * k3)
+            y_new = y - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (y_new.min() > 0.0 and y_new.max() < np.inf):  # NaN fails both
+                ok = ((y_new > 0.0) & (y_new < np.inf)).all(axis=1)
+                last[rows[~ok]], stop[rows[~ok]] = y[~ok], k
+                rows = slot = rows[ok]
+                if not len(rows):
+                    break
+                y_new = y_new[ok]
+                rate = _rate_fn(gam[rows], p[rows], kappa[rows], g2c[rows])
+            y = y_new
+            if history is not None:
+                history[k - 1, slot] = y
+    last[rows] = y
+    return last, stop
+
+
+def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarray) -> OdeSolution:
+    """The solution whose rows g hold nodes k, k+1, ... of the grid; a march
+    that stopped at node k > 0 has exploded there."""
+    t = params.horizon - dt * np.arange(n_steps - k, n_steps - k - len(g), -1)
     exploded = k > 0
-    t = horizon - dt * np.arange(n_steps - k, -1, -1)
     if not exploded:
         t[0] = 0.0  # exact endpoint
-    w = _powers(g, gam) * p
+    gam = np.array(params.dist.gammas, dtype=float)
+    w = _powers(g, gam) * np.array(params.dist.probs, dtype=float)
     return OdeSolution(
         t=t,
         g=np.asfortranarray(g),
-        varpi=np.array([row @ gam / row.sum() for row in w]),
+        varpi=_mean_gamma(w, gam)[:, 0],
         gammas=params.dist.gammas,
         probs=params.dist.probs,
         dt=dt,
-        horizon=horizon,
+        horizon=params.horizon,
         exploded=exploded,
         explosion_time=float(t[0]) if exploded else None,
     )
+
+
+def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
+    """Integrate the factor system backward from the horizon with RK4.
+
+    dt defaults to horizon/20000 and must divide the horizon (1e-9 relative).
+    """
+    dt, n_steps = _grid(params, dt)
+    history = np.empty((n_steps + 1, 1, params.dist.n))
+    _, stop = _march(*_stack([params]), dt, n_steps, history)
+    k = int(stop[0])
+    return _solution(params, dt, n_steps, k, history[k:, 0])
+
+
+def initial_strategies(models, dts) -> list:
+    """Equilibrium (retention, invested amount) at t = 0 and the initial
+    state of each model, solved on the grid dts[i] (None: the default).
+
+    All models that share an atom count and a grid march together, and only
+    their current factors are kept. A model that cannot be solved (wrong
+    family, a dt that does not divide its horizon, an exploded solution)
+    gets, in place of the pair, the ParameterError or DomainError that
+    solving it alone and calling ``strategy`` would raise."""
+    out, groups = [None] * len(models), {}
+    for i, (params, dt) in enumerate(zip(models, dts)):
+        try:
+            dt, n_steps = _grid(params, dt)
+        except ParameterError as err:
+            out[i] = err
+            continue
+        groups.setdefault((params.dist.n, dt, n_steps), []).append(i)
+    for (_, dt, n_steps), idx in groups.items():
+        batch = [models[i] for i in idx]
+        last, stop = _march(*_stack(batch), dt, n_steps)
+        for i, params, g, k in zip(idx, batch, last, stop):
+            # the solution's first node is all a time-zero query reads
+            sol = _solution(params, dt, n_steps, int(k), g[None])
+            try:
+                out[i] = strategy(sol, params, 0.0, params.x0, params.m1_0)
+            except DomainError as err:
+                out[i] = err
+    return out
 
 
 def _check_range(sol: OdeSolution, t: float) -> float:
@@ -183,6 +278,15 @@ def g_at(sol: OdeSolution, t: float) -> np.ndarray:
 def varpi_at(sol: OdeSolution, t: float) -> float:
     """Aggregate risk aversion at t, recomputed from the interpolated factors."""
     return aggregate_gamma(g_at(sol, t), sol.gammas, sol.probs)
+
+
+def varpi_on(sol: OdeSolution, times) -> np.ndarray:
+    """``varpi_at`` at each of the ascending ``times``, in one pass."""
+    for t in (times[0], times[-1]):
+        _check_range(sol, t)
+    gam = np.asarray(sol.gammas)
+    g = np.stack([np.interp(times, sol.t, col) for col in sol.g.T], axis=-1)
+    return _mean_gamma(_powers(g, gam) * np.asarray(sol.probs), gam)[:, 0]
 
 
 def strategy(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> tuple[float, float]:
@@ -244,8 +348,9 @@ def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1
 def growth_rate(sol: OdeSolution, params: ModelParams, t: float) -> np.ndarray:
     """ODE right-hand side dg/dt evaluated on the interpolated factors."""
     _require_power(params)
-    return _rate(g_at(sol, t), np.asarray(sol.gammas), np.asarray(sol.probs),
-                 params.constants.kappa, _g2_const(params))
+    rate = _rate_fn(np.asarray(sol.gammas), np.asarray(sol.probs),
+                    params.constants.kappa, _g2_const(params))
+    return rate(g_at(sol, t))
 
 
 def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
@@ -254,7 +359,7 @@ def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
     _require_power(params)
     gam = np.asarray(sol.gammas)
     w = _powers(g_at(sol, t), gam) * np.asarray(sol.probs)
-    varpi, second = (float(w @ m / w.sum()) for m in (gam, gam * gam))
+    varpi, second = (float(_mean_gamma(w, m)[0]) for m in (gam, gam * gam))
     return 0.5 * _g2_const(params) / varpi**2 * (second - varpi**2)
 
 

@@ -124,9 +124,7 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
     if isinstance(strat, powmod.OdeSolution):
         if params.dist.family != POWER:
             raise ParameterError("power strategy supplied for a non-power distribution")
-        varpi_s = np.array(
-            [powmod.varpi_at(strat, min(k * dt, params.horizon)) for k in range(n_steps + 1)]
-        )
+        varpi_s = powmod.varpi_on(strat, np.minimum(np.arange(n_steps + 1) * dt, params.horizon))
         co, fin = params.coeffs, params.financial
         cq = co.a * co.eta2 / co.b2
         cpi = (fin.mu - fin.r) / fin.sigma**2

@@ -9,10 +9,12 @@ and the two-point risk-aversion cases
     case I : gamma = (0.5, 0.9), p = (0.5, 0.5)
     case II: gamma = (0.5, 0.9), p = (0.8, 0.2)
 
-Sweeps recompute every derived quantity per point; the power family
-re-integrates its factor system per point (default grid horizon/2000, an
-RK4 error far below the 1e-10 shape-noise band). Invalid points are
-reported as marked rows, never dropped silently.
+Sweeps rebuild every point's model first. The power points then solve
+their factor systems in one batched RK4 march that keeps only each row's
+current factors (default grid horizon/2000, an RK4 error far below the
+1e-10 shape-noise band); ``figure_data`` marches the points of all its
+sweeps together. Invalid points are reported as marked rows, never
+dropped silently.
 
 ``FIGURE_TABLE`` is the single definition of the 29 figure panels and their
 shape claims; ``figure_data`` turns its rows into panels.
@@ -20,7 +22,6 @@ shape claims; ``figure_data`` turns its rows into panels.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,16 +104,41 @@ def apply_param(base: ModelParams, name: str, value: float) -> ModelParams:
     )
 
 
-def initial_controls(params: ModelParams, power_dt: float | None = None) -> tuple[float, float]:
-    """(retention, invested fraction) at time zero and the initial state."""
-    if params.dist.family == EXPONENTIAL:
-        q0, pi_amount = expmod.strategy(params, 0.0)
-    else:
-        if power_dt is None:
-            power_dt = params.horizon / POWER_SWEEP_DT_DIVISOR
-        sol = powmod.solve_growth_factors(params, dt=power_dt)
-        q0, pi_amount = powmod.strategy(sol, params, 0.0, params.x0, params.m1_0)
-    return q0, pi_amount / params.x0
+def _sweep_models(base: ModelParams, param: str, points: int,
+                  lo: float | None, hi: float | None) -> tuple[np.ndarray, list]:
+    """The swept values and, for each, the rebuilt model or the error that
+    rejected it."""
+    if param not in SWEEP_RANGES:
+        raise DelarisError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_RANGES)}")
+    lo_d, hi_d = SWEEP_RANGES[param]
+    values = np.linspace(lo_d if lo is None else lo, hi_d if hi is None else hi, points)
+    models = []
+    for v in values:
+        try:
+            models.append(apply_param(base, param, float(v)))
+        except DelarisError as err:
+            models.append(err)
+    return values, models
+
+
+def _initial_controls(models: list, power_dt: float | None) -> list:
+    """(retention, invested fraction) at time zero and the initial state of
+    each model, or the DelarisError that marks its point invalid. A slot of
+    ``models`` may already hold such an error. Every power model is solved
+    in one batched march (default grid: its horizon / 2000)."""
+    power = [m for m in models if isinstance(m, ModelParams) and m.dist.family == POWER]
+    solved = iter(powmod.initial_strategies(power, [
+        m.horizon / POWER_SWEEP_DT_DIVISOR if power_dt is None else power_dt for m in power]))
+    rows = []
+    for m in models:
+        res = m
+        if isinstance(m, ModelParams):
+            try:
+                res = next(solved) if m.dist.family == POWER else expmod.strategy(m, 0.0)
+            except DelarisError as err:
+                res = err
+        rows.append(res if isinstance(res, DelarisError) else (res[0], res[1] / m.x0))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -128,6 +154,16 @@ class SweepResult:
     valid: np.ndarray
     reasons: tuple[str, ...]
 
+    @classmethod
+    def from_rows(cls, param: str, family: str, case: str, values: np.ndarray, rows: list):
+        """Pack ``_initial_controls`` rows; an error row is invalid, with NaN
+        controls and the error text as its reason."""
+        valid = np.array([not isinstance(r, DelarisError) for r in rows], dtype=bool)
+        q0, pi0 = (np.array([r[j] if ok else np.nan for r, ok in zip(rows, valid)], dtype=float)
+                   for j in (0, 1))
+        reasons = tuple("" if ok else str(r) for r, ok in zip(rows, valid))
+        return cls(param, family, case, values, q0, pi0, valid, reasons)
+
 
 def run_sweep(
     base: ModelParams,
@@ -138,34 +174,9 @@ def run_sweep(
     hi: float | None = None,
     power_dt: float | None = None,
 ) -> SweepResult:
-    if param not in SWEEP_RANGES:
-        raise DelarisError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_RANGES)}")
-    lo_d, hi_d = SWEEP_RANGES[param]
-    lo = lo_d if lo is None else lo
-    hi = hi_d if hi is None else hi
-    values = np.linspace(lo, hi, points)
-    q0 = np.full(points, np.nan)
-    pi0 = np.full(points, np.nan)
-    valid = np.zeros(points, dtype=bool)
-    reasons = []
-    for k, v in enumerate(values):
-        try:
-            p = apply_param(base, param, float(v))
-            q0[k], pi0[k] = initial_controls(p, power_dt=power_dt)
-            valid[k] = True
-            reasons.append("")
-        except DelarisError as err:
-            reasons.append(str(err))
-    return SweepResult(
-        param=param,
-        family=base.dist.family,
-        case=case,
-        values=values,
-        q0=q0,
-        pi0=pi0,
-        valid=valid,
-        reasons=tuple(reasons),
-    )
+    values, models = _sweep_models(base, param, points, lo, hi)
+    return SweepResult.from_rows(param, base.dist.family, case, values,
+                                 _initial_controls(models, power_dt))
 
 
 # ------------------------------------------------------------- figures
@@ -205,10 +216,17 @@ FIGURE_TABLE = (
 
 def figure_data(points: int = 25, power_dt: float | None = None,
                 families: tuple[str, ...] = (EXPONENTIAL, POWER)) -> dict[str, dict]:
-    """All bundled figure panels keyed by stem: one per FIGURE_TABLE row of ``families``."""
-    @functools.cache  # each (family, param, case) sweep runs once
-    def sweep(family, param, case):
-        return run_sweep(baseline_params(family, case), case, param, points=points, power_dt=power_dt)
+    """All bundled figure panels keyed by stem: one per FIGURE_TABLE row of
+    ``families``. Each (family, param, case) sweep is built once, and all
+    their power points march together."""
+    keys = dict.fromkeys((family, param, case) for _, family, param, _, cases, _ in FIGURE_TABLE
+                         if family in families for case in cases)
+    built = {key: _sweep_models(baseline_params(key[0], key[2]), key[1], points, None, None)
+             for key in keys}
+    rows = iter(_initial_controls([m for _, models in built.values() for m in models], power_dt))
+    sweep = {(family, param, case): SweepResult.from_rows(
+                 param, family, case, values, [next(rows) for _ in models])
+             for (family, param, case), (values, models) in built.items()}
 
     alpha_star, panels = baseline_sensitivity_threshold(), {}
     for stem, family, param, metric, cases, shape in FIGURE_TABLE:
@@ -216,13 +234,13 @@ def figure_data(points: int = 25, power_dt: float | None = None,
             continue
         columns, claims = {}, []
         for case in cases:
-            res, col = sweep(family, param, case), f"{metric}_case_{case}"
+            res, col = sweep[family, param, case], f"{metric}_case_{case}"
             columns[col] = res.q0 if metric == "q_hat_0" else res.pi0
             claims.append((shape, col, alpha_star) if shape == "interior_min" else (shape, col))
         if len(cases) == 2:
             # lower mean risk aversion (case II) always demands the larger position
             claims.append(("below", *columns))
-        first = sweep(family, param, cases[0])
+        first = sweep[family, param, cases[0]]
         panels[stem] = {"param": param, "values": first.values, "columns": columns,
                         "valid": first.valid, "reasons": first.reasons, "claims": claims}
     return panels

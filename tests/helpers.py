@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 
+from delaris.model import ModelParams, RiskAversionDist
+from delaris.utility import POWER
+
 
 def euler_growth(kappa, g2, gammas, probs, horizon, n_steps):
     """First-order backward march of the growth-factor system; returns g(0)."""
@@ -42,3 +45,12 @@ def varpi_of(g, gammas, probs):
         for gi, gam, p in zip(g, gammas, probs)
     ]
     return sum(w * gam for w, gam in zip(ws, gammas)) / sum(ws)
+
+
+def levered(base, gamma_low=1e-4):
+    """The power model ``base`` with atoms ((gamma_low, 0.5), (0.9, 0.5)): a
+    nearly risk-neutral atom makes its factor overflow and the solve explode."""
+    return ModelParams.build(
+        insurance=base.insurance, financial=base.financial, delay=base.delay,
+        dist=RiskAversionDist(family=POWER, points=((gamma_low, 0.5), (0.9, 0.5))),
+        horizon=base.horizon, x0=base.x0)

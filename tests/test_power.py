@@ -5,8 +5,9 @@ import pytest
 
 from delaris import power as powmod
 from delaris.exceptions import DomainError, ParameterError
-from delaris.model import ModelParams, RiskAversionDist
+from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 from delaris.utility import POWER, utility
+from helpers import levered
 
 # frozen references: step-doubled first-order integration at dt = 1e-6
 # (helpers.richardson_growth), independent of the RK4 solver under test
@@ -143,17 +144,9 @@ def test_explosion_flagged(pow_case1):
 def test_explosion_is_quiet(pow_case1):
     # one nearly risk-neutral atom overflows a step; the march ends there
     # without a floating-point warning
-    levered = ModelParams.build(
-        insurance=pow_case1.insurance,
-        financial=pow_case1.financial,
-        delay=pow_case1.delay,
-        dist=RiskAversionDist(family=POWER, points=((1e-4, 0.5), (0.9, 0.5))),
-        horizon=2.0,
-        x0=0.6,
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = powmod.solve_growth_factors(levered, dt=1e-4)
+        sol = powmod.solve_growth_factors(levered(pow_case1), dt=1e-4)
     assert sol.exploded
     assert sol.explosion_time == pytest.approx(1.5968)
 
@@ -162,6 +155,151 @@ def test_varpi_rows_match_aggregate_gamma(pow_case2):
     sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
     for g_row, varpi in zip(sol.g, sol.varpi):
         assert varpi == powmod.aggregate_gamma(g_row, sol.gammas, sol.probs)
+
+
+def _reference_rate(g, gam, p, kappa, g2c):
+    """The factor rate of one model on 1-D arrays with a NumPy-scalar varpi,
+    written apart from the package: the rounding every batched row must
+    reproduce."""
+    w = np.exp(gam / (1.0 - gam) * np.log(g)) * p
+    varpi = (w @ gam) / w.sum()
+    return (1.0 - gam) / gam * (-kappa - g2c / varpi + 0.5 * gam * g2c / varpi**2) * g
+
+
+def _reference_march(params, dt):
+    """A plain one-model RK4 on ``_reference_rate``. Returns the last valid
+    factors and their node index."""
+    gam, p = np.array(params.dist.gammas), np.array(params.dist.probs)
+    kappa, g2c = params.constants.kappa, powmod._g2_const(params)
+
+    def rate(g):
+        return _reference_rate(g, gam, p, kappa, g2c)
+
+    g, k = np.ones(len(gam)), round(params.horizon / dt)
+    with np.errstate(all="ignore"):
+        while k > 0:
+            k1 = rate(g)
+            k2 = rate(g - 0.5 * dt * k1)
+            k3 = rate(g - 0.5 * dt * k2)
+            k4 = rate(g - dt * k3)
+            g_new = g - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all((g_new > 0.0) & (g_new < np.inf)):
+                break
+            g, k = g_new, k - 1
+    return g, k
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_batched_rate_matches_one_row_rate(n):
+    # each row of one batched rate call, with its own constants, equals the
+    # 1-D rate bit for bit; varpi^2 and the weighted sums round as for one row
+    rng = np.random.default_rng(n)
+    m = 8000
+    gam = np.sort(rng.uniform(0.02, 0.98, (m, n)), axis=1)
+    p = rng.dirichlet(np.ones(n), m)
+    kappa, g2c = rng.uniform(-0.5, 0.5, (m, 1)), rng.uniform(0.01, 1.0, (m, 1))
+    g = rng.uniform(0.5, 2.0, (m, n))
+    got = powmod._rate_fn(gam, p, kappa, g2c)(g)
+    want = [_reference_rate(g[i], gam[i], p[i], float(kappa[i, 0]), float(g2c[i, 0]))
+            for i in range(m)]
+    np.testing.assert_array_equal(got, want)
+
+
+def _random_power_models(count, seed, base):
+    """Seeded admissible power models with 2-10 atoms and random market and memory."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 11))
+        r = rng.uniform(0.01, 0.2)
+        yield ModelParams.build(
+            insurance=base.insurance,
+            financial=FinancialParams(r=r, mu=r + rng.uniform(0.0, 0.3),
+                                      sigma=rng.uniform(0.2, 1.0)),
+            delay=DelayParams(alpha=rng.uniform(0.0, 2.0), beta=rng.uniform(0.0, 1.0),
+                              h=rng.uniform(0.1, 5.0)),
+            dist=RiskAversionDist(family=POWER, points=tuple(zip(
+                rng.choice(np.linspace(0.02, 0.98, 49), n, replace=False),
+                rng.dirichlet(np.ones(n))))),
+            horizon=base.horizon,
+            x0=base.x0,
+        )
+
+
+def _march_batch(models, dt):
+    n_steps = round(models[0].horizon / dt)
+    return powmod._march(*powmod._stack(models), dt, n_steps)
+
+
+def test_batched_march_matches_solo_solves(pow_case1):
+    # every row of a batch (grouped by atom count) ends bit for bit where a
+    # one-model solve and the plain 1-D reference end; the varpi pass agrees
+    # with aggregate_gamma row by row
+    dt = 4e-3
+    models = list(_random_power_models(20, seed=4242, base=pow_case1))
+    by_atoms = {}
+    for m in models:
+        by_atoms.setdefault(m.dist.n, []).append(m)
+    assert max(len(b) for b in by_atoms.values()) >= 3
+    for batch in by_atoms.values():
+        last, stop = _march_batch(batch, dt)
+        for params, g0, k in zip(batch, last, stop):
+            solo = powmod.solve_growth_factors(params, dt=dt)
+            ref_g, ref_k = _reference_march(params, dt)
+            assert k == ref_k == round(2.0 / dt) - (len(solo.t) - 1)
+            np.testing.assert_array_equal(g0, solo.g[0])
+            np.testing.assert_array_equal(g0, ref_g)
+            for g_row, varpi in zip(solo.g, solo.varpi):
+                assert varpi == powmod.aggregate_gamma(g_row, solo.gammas, solo.probs)
+    got = powmod.initial_strategies(models, [dt] * len(models))
+    for params, pair in zip(models, got):
+        solo = powmod.solve_growth_factors(params, dt=dt)
+        assert pair == powmod.strategy(solo, params, 0.0, params.x0, params.m1_0)
+
+
+def test_batch_keeps_the_exploding_row(pow_case1, pow_case2):
+    # the exploding row stops at its own node with the solo explosion time
+    # and reason text; its batch-mates march on unchanged
+    dt = 1e-3
+    batch = [pow_case1, levered(pow_case1), pow_case2, levered(pow_case2, 0.3)]
+    last, stop = _march_batch(batch, dt)
+    for params, g0, k in zip(batch, last, stop):
+        solo = powmod.solve_growth_factors(params, dt=dt)
+        np.testing.assert_array_equal(g0, solo.g[0])
+        assert k == round(2.0 / dt) - (len(solo.t) - 1)
+        assert solo.exploded == (params is batch[1])
+    solo = powmod.solve_growth_factors(batch[1], dt=dt)
+    assert solo.explosion_time == 2.0 - dt * (round(2.0 / dt) - stop[1]) == pytest.approx(1.589)
+    got = powmod.initial_strategies(batch, [dt] * len(batch))
+    assert isinstance(got[1], DomainError)
+    assert str(got[1]) == ("t=0.0 outside the valid range [1.589, 2.0] "
+                           "(solution flagged as exploded at t=1.589)")
+    with pytest.raises(DomainError) as err:
+        powmod.strategy(solo, batch[1], 0.0, batch[1].x0, batch[1].m1_0)
+    assert str(err.value) == str(got[1])
+    for params, pair in zip(batch[::2], got[::2]):
+        solo = powmod.solve_growth_factors(params, dt=dt)
+        assert pair == powmod.strategy(solo, params, 0.0, params.x0, params.m1_0)
+
+
+def test_initial_strategies_report_bad_grids(pow_case1, exp_case1):
+    got = powmod.initial_strategies([pow_case1, exp_case1, pow_case1], [0.0003, 1e-2, 1e-2])
+    assert isinstance(got[0], ParameterError) and "does not divide" in str(got[0])
+    assert isinstance(got[1], ParameterError) and "family" in str(got[1])
+    sol = powmod.solve_growth_factors(pow_case1, dt=1e-2)
+    assert got[2] == powmod.strategy(sol, pow_case1, 0.0, pow_case1.x0, pow_case1.m1_0)
+
+
+def test_varpi_on_matches_varpi_at(pow_case2):
+    sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
+    times = np.minimum(np.arange(3001) * (2.0 / 3000), 2.0)  # between and on nodes
+    got = powmod.varpi_on(sol, times)
+    np.testing.assert_array_equal(got, [powmod.varpi_at(sol, float(t)) for t in times])
+    exploded = powmod.solve_growth_factors(levered(pow_case2), dt=1e-3)
+    with pytest.raises(DomainError, match="exploded") as on:
+        powmod.varpi_on(exploded, times)
+    with pytest.raises(DomainError) as at:
+        powmod.varpi_at(exploded, 0.0)
+    assert str(on.value) == str(at.value)
 
 
 def test_family_guard(exp_case1):
