@@ -1,21 +1,24 @@
 """Euler-Maruyama simulation of the delayed wealth dynamics.
 
-State per path: wealth X, running memory M1 (exponentially weighted average
-of the last h units of wealth) and the lagged wealth M2(t) = X(t - h), with
-the constant pre-history X(s) = x0 for s <= 0. One Euler step:
+Wealth X follows a delay equation in X, its running memory M1 (exponentially
+weighted average of the last h units of wealth) and the lagged wealth
+M2(t) = X(t - h), with the constant pre-history X(s) = x0 for s <= 0: its
+drift is A*X + B*M1 + C*M2 plus the control terms, and
+M1' = X - alpha*M1 - exp(-alpha*h)*M2. The derived constants satisfy
+C = beta*exp(-alpha*h) and B = beta*(alpha + A + beta), so the delay cancels
+from the Euler step of the effective wealth w = X + beta*M1:
 
-    X_{k+1}  = X_k + [A*X_k + B*M1_k + C*M2_k + a*eta + a*eta2*q_k
-               + pi_k*(mu - r)] dt + b*q_k*sqrt(dt)*Z1 + sigma*pi_k*sqrt(dt)*Z2
-    M1_{k+1} = M1_k + (X_k - alpha*M1_k - exp(-alpha*h)*M2_k) dt
+    w_{k+1} = w_k + [(A + beta)*w_k + a*eta + a*eta2*q_k + pi_k*(mu - r)] dt
+              + b*q_k*sqrt(dt)*Z1 + sigma*pi_k*sqrt(dt)*Z2
 
 where pi_k is the invested amount and Z1, Z2 are independent standard
-normals. The scheme is weak order one.
-
-Memory: the drift reads only M1 and M2, so each path keeps an n_lag-row ring
-of its last h units of wealth (pre-filled with x0) instead of its history.
-Paths run in chunks of at most 2048, fewer when a chunk's noise and ring would
-exceed ``_CHUNK_BYTES``, so memory is bounded whatever n_paths and dt are.
-Under a power-family strategy a path whose effective wealth w = X + beta*M1
+normals; the scheme is weak order one. Every control is a function of (t, w),
+so w is the one state of a Monte Carlo path and memory does not depend on h.
+A recorded path (``simulate_path``) also steps M1 with an h/dt-row ring of
+its last h units of X = w - beta*M1 (pre-filled with x0): X, M1 and M2 exist
+only for recorded paths. Paths run in chunks of at most 2048, fewer when a
+chunk's noise (and ring) would exceed ``_CHUNK_BYTES``, so memory is bounded
+whatever n_paths and dt are. Under a power-family strategy a path whose w
 stops being positive exits the domain: its exit time is recorded and its
 state is NaN from then on.
 
@@ -47,11 +50,11 @@ from .utility import (
     utility,
 )
 
-# strategy callbacks take (t, x_array, m1_array) and return (q, pi_amount)
+# strategy callbacks take (t, w_array) and return (q, pi_amount)
 StrategySource = Union[str, powmod.OdeSolution, Callable]
 
 _CHUNK = 2048  # paths per chunk, unless the chunk would exceed _CHUNK_BYTES
-_CHUNK_BYTES = 256 * 2**20  # noise (2 per step) plus lag ring (n_lag) per path, 8 B each
+_CHUNK_BYTES = 256 * 2**20  # noise (2 per step), plus lag ring (n_lag) if recorded, 8 B each
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,8 @@ class SimConfig:
     """Simulation controls. ``strategy`` is either the string
     "exponential" (closed-form equilibrium schedule), a power
     :class:`~delaris.power.OdeSolution` (wealth-proportional equilibrium), or
-    a callable ``(t, x, m1) -> (q, pi_amount)`` operating on arrays."""
+    a callable ``(t, w) -> (q, pi_amount)`` operating on arrays of effective
+    wealth."""
 
     dt: float
     n_paths: int
@@ -112,25 +116,21 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 
 def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """Normalize the strategy source to a per-step callable
-    (k, t, x_arr, m1_arr, w_arr) -> (q, pi) broadcastable to x_arr."""
+    """Normalize the strategy source to a per-step callable (k, w) -> (q, pi)
+    broadcastable to w, and say whether the power domain w > 0 applies."""
     strat = cfg.strategy
     dt = cfg.dt
     if strat == EXPONENTIAL:
-        sched = [expmod.strategy(params, min(k * dt, params.horizon)) for k in range(n_steps + 1)]
-        q_s = np.array([s[0] for s in sched])
-        pi_s = np.array([s[1] for s in sched])
-        return lambda k, t, x, m1, w: (q_s[k], pi_s[k]), False
+        q_s, pi_s = np.array(
+            [expmod.strategy(params, min(k * dt, params.horizon)) for k in range(n_steps + 1)]).T
+        return lambda k, w: (q_s[k], pi_s[k]), False
     if isinstance(strat, powmod.OdeSolution):
         if params.dist.family != POWER:
             raise ParameterError("power strategy supplied for a non-power distribution")
         varpi_s = powmod.varpi_on(strat, np.minimum(np.arange(n_steps + 1) * dt, params.horizon))
-        co, fin = params.coeffs, params.financial
-        cq = co.a * co.eta2 / co.b2
-        cpi = (fin.mu - fin.r) / fin.sigma**2
-        return lambda k, t, x, m1, w: (cq * w / varpi_s[k], cpi * w / varpi_s[k]), True
+        return lambda k, w: powmod._controls(params, w, varpi_s[k]), True
     if callable(strat):
-        return lambda k, t, x, m1, w: strat(t, x, m1), False
+        return lambda k, w: strat(k * dt, w), False
     raise ParameterError(f"unrecognized strategy source {strat!r}")
 
 
@@ -142,54 +142,53 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
     n_steps, n_lag = _grid_steps(params, cfg)
     step_strategy, power_domain = _make_step_strategy(params, cfg, n_steps)
     dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
-    co, fin, delay, cons = params.coeffs, params.financial, params.delay, params.constants
-    e_ah = math.exp(-delay.alpha * delay.h)
-    a_eta = co.a * co.eta
-    a_eta2 = co.a * co.eta2
-    mu_r = fin.mu - fin.r
+    co, fin, delay = params.coeffs, params.financial, params.delay
     beta = delay.beta
+    # A + beta rather than constants.kappa: fault injection perturbs kappa
+    # alone, and that must move only the analytic reference
+    growth = params.constants.A + beta
+    a_eta, a_eta2, mu_r = co.a * co.eta, co.a * co.eta2, fin.mu - fin.r
     n = len(indices)
     w_term = np.empty(n)
     exit_time = np.full(n, np.nan)
-    rec = None
-    if record:
-        rec = {name: np.full((n_steps + 1, n), np.nan) for name in ("X", "M1", "M2", "q", "pi")}
+    fields = ("X", "M1", "M2", "q", "pi")
+    rec = {name: np.full((n_steps + 1, n), np.nan) for name in fields} if record else None
 
     def run_chunk(lo, hi):
         # noise and ring are local, so they are freed before the next chunk allocates
         noise = np.empty((n_steps, hi - lo, 2))
         for j, idx in enumerate(indices[lo:hi]):
             noise[:, j, :] = path_rng(cfg.seed, idx).standard_normal((n_steps, 2))
-        ring = np.full((n_lag, hi - lo), float(params.x0))  # slot k % n_lag holds X(t_k - h)
-        x = np.full(hi - lo, float(params.x0))
-        m1 = np.full(hi - lo, float(params.m1_0))
+        w = np.full(hi - lo, params.x0 + beta * params.m1_0)
         exit_t = exit_time[lo:hi]
+        if record:
+            m1 = np.full(hi - lo, float(params.m1_0))
+            e_ah = math.exp(-delay.alpha * delay.h)
+            ring = np.full((n_lag, hi - lo), float(params.x0))  # slot k % n_lag holds X(t_k - h)
         for k in range(n_steps + 1):
-            t_k = k * dt
-            m2 = ring[k % n_lag]
-            w = x + beta * m1
             if power_domain:
                 exited_now = ~(w > 0.0) & np.isnan(exit_t)
                 if exited_now.any():
-                    exit_t[exited_now] = t_k
-                    x[exited_now] = m1[exited_now] = w[exited_now] = np.nan
-            q, pi = step_strategy(k, t_k, x, m1, w)
+                    exit_t[exited_now] = k * dt
+                    w[exited_now] = np.nan
+            q, pi = step_strategy(k, w)
             if np.any(np.asarray(q) < 0.0):
                 raise DomainError("strategy returned a negative retention q (inadmissible)")
             if record:
-                rec["X"][k, lo:hi], rec["M1"][k, lo:hi] = x, m1
-                rec["M2"][k, lo:hi] = np.where(np.isnan(exit_t), m2, np.nan)
+                x, m2, alive = w - beta * m1, ring[k % n_lag], np.isnan(exit_t)
+                rec["X"][k, lo:hi] = x
+                rec["M1"][k, lo:hi] = np.where(alive, m1, np.nan)
+                rec["M2"][k, lo:hi] = np.where(alive, m2, np.nan)
                 rec["q"][k, lo:hi], rec["pi"][k, lo:hi] = q, pi
+                m1 = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
+                m2[:] = x
             if k == n_steps:
                 break
-            drift = cons.A * x + cons.B * m1 + cons.C * m2 + a_eta + a_eta2 * q + pi * mu_r
-            x_next = x + drift * dt + co.b * q * sq_dt * noise[k, :, 0] + fin.sigma * pi * sq_dt * noise[k, :, 1]
-            m1 = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
-            m2[:] = x
-            x = x_next
-        w_term[lo:hi] = x + beta * m1
+            drift = growth * w + a_eta + a_eta2 * q + pi * mu_r
+            w = w + drift * dt + co.b * q * sq_dt * noise[k, :, 0] + fin.sigma * pi * sq_dt * noise[k, :, 1]
+        w_term[lo:hi] = w
 
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * (2 * n_steps + n_lag))))
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * (2 * n_steps + (n_lag if record else 0)))))
     for lo in range(0, n, chunk):
         run_chunk(lo, min(lo + chunk, n))
     return w_term, exit_time, rec

@@ -1,14 +1,19 @@
 """Shared test helpers.
 
-The reference integrator here is deliberately independent of the package's
-solver: plain-Python first-order Euler with Richardson extrapolation, used
-to cross-check the RK4 march at a far finer step."""
+The reference integrators here are deliberately independent of the package's
+solvers: plain-Python first-order Euler with Richardson extrapolation, used
+to cross-check the RK4 march at a far finer step, and a plain three-state
+Euler step of the delayed wealth, used to cross-check the simulation kernel
+that steps effective wealth alone."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from delaris.model import ModelParams, RiskAversionDist
+from delaris.simulation import path_rng
 from delaris.utility import POWER
 
 
@@ -54,3 +59,37 @@ def levered(base, gamma_low=1e-4):
         insurance=base.insurance, financial=base.financial, delay=base.delay,
         dist=RiskAversionDist(family=POWER, points=((gamma_low, 0.5), (0.9, 0.5))),
         horizon=base.horizon, x0=base.x0)
+
+
+def three_state_euler(params, dt, seed, indices, controls, power_domain):
+    """Euler steps of the delayed wealth in its three states X, M1 and
+    M2 = X(t - h), read from the whole history (pre-history x0), on the noise
+    of ``path_rng``. ``controls(k, w)`` gives (q, pi_amount) at step k and
+    effective wealth w = X + beta*M1; with ``power_domain`` a path exits when
+    w stops being positive and is NaN from then on. Returns the per-step X,
+    M1 and M2 (rows are steps, columns paths) and the exit times (NaN if
+    none)."""
+    co, fin, delay, cons = params.coeffs, params.financial, params.delay, params.constants
+    n_steps, n_lag = round(params.horizon / dt), round(delay.h / dt)
+    n = len(indices)
+    noise = np.stack([path_rng(seed, i).standard_normal((n_steps, 2)) for i in indices], axis=1)
+    X, M1, M2 = (np.full((n_steps + 1, n), np.nan) for _ in range(3))
+    x, m1 = np.full(n, params.x0), np.full(n, params.m1_0)
+    exit_t = np.full(n, np.nan)
+    for k in range(n_steps + 1):
+        m2 = X[k - n_lag] if k >= n_lag else np.full(n, params.x0)
+        w = x + delay.beta * m1
+        if power_domain:
+            exit_t[~(w > 0.0) & np.isnan(exit_t)] = k * dt
+        alive = np.isnan(exit_t)
+        x, m1, m2, w = (np.where(alive, v, np.nan) for v in (x, m1, m2, w))
+        X[k], M1[k], M2[k] = x, m1, m2
+        if k == n_steps:
+            break
+        q, pi = controls(k, w)
+        drift = (cons.A * x + cons.B * m1 + cons.C * m2 + co.a * co.eta + co.a * co.eta2 * q
+                 + pi * (fin.mu - fin.r))
+        x, m1 = (x + drift * dt + co.b * q * math.sqrt(dt) * noise[k, :, 0]
+                 + fin.sigma * pi * math.sqrt(dt) * noise[k, :, 1],
+                 m1 + (x - delay.alpha * m1 - math.exp(-delay.alpha * delay.h) * m2) * dt)
+    return X, M1, M2, exit_t

@@ -9,6 +9,7 @@ from delaris import exponential as expmod
 from delaris import power as powmod
 from delaris import simulation as sim
 from delaris import sweeps
+from delaris import verification as ver
 from delaris.exceptions import DomainError, ParameterError
 from delaris.model import (
     DelayParams,
@@ -17,9 +18,10 @@ from delaris.model import (
     ModelParams,
     RiskAversionDist,
 )
+from helpers import three_state_euler
 
 
-def _zero_strategy(t, x, m1):
+def _zero_strategy(t, w):
     return 0.0, 0.0
 
 
@@ -163,7 +165,7 @@ def test_mc_matches_closed_form_power(pow_case1):
 def test_exclusion_counts_bad_paths(pow_case1):
     # a reckless constant bet drives some effective wealth non-positive
     cfg = sim.SimConfig(dt=1e-2, n_paths=400, seed=3,
-                        strategy=lambda t, x, m1: (0.0, 25.0))
+                        strategy=lambda t, w: (0.0, 25.0))
     est = sim.mc_reward(pow_case1, cfg)
     assert est.excluded_paths > 0
     assert est.n_paths == 400
@@ -208,9 +210,9 @@ def test_chunking_is_invisible(monkeypatch, exp_case1, family):
         strategy, dt = powmod.solve_growth_factors(params, dt=0.01), 0.2
     cfg = sim.SimConfig(dt=dt, n_paths=40, seed=4, strategy=strategy)
     whole = sim.estimate_to_dict(sim.mc_reward(params, cfg))
-    n_steps, n_lag = sim._grid_steps(params, cfg)
-    # a budget of three paths: thirteen chunks of 3 and one of 1
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * (2 * n_steps + n_lag))
+    n_steps, _ = sim._grid_steps(params, cfg)
+    # a budget of three paths' noise: thirteen chunks of 3 and one of 1
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * n_steps)
     assert sim.estimate_to_dict(sim.mc_reward(params, cfg)) == whole
 
 
@@ -225,14 +227,84 @@ def test_chunk_budget_bounds_memory(monkeypatch, exp_case1):
         finally:
             tracemalloc.stop()
 
-    whole = traced_peak()  # one chunk of 40 paths: about 40 * 4.8 kB
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * (2 * 200 + 200))
+    whole = traced_peak()  # one chunk of 40 paths: about 40 * 3.2 kB of noise
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * 200)
     assert traced_peak() < whole / 4
+
+
+def test_mc_memory_flat_in_h(exp_case1):
+    # an unrecorded path holds only w and its noise, so a 200-row memory
+    # window costs no more than a 30-row one
+    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy="exponential")
+
+    def traced_peak(h):
+        params = sweeps.apply_param(exp_case1, "h", h)
+        tracemalloc.start()
+        try:
+            sim.mc_reward(params, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(0.3)  # the first call also allocates one-time caches
+    assert traced_peak(2.0) <= 1.1 * traced_peak(0.3)
+
+
+def _oracle_case(name, exp_case1, pow_case1):
+    """(params, strategy source, dt, n_paths) of a named oracle case."""
+    if name == "exponential":
+        return exp_case1, "exponential", 1e-2, 40
+    if name == "exponential-h0.3":
+        return sweeps.apply_param(exp_case1, "h", 0.3), "exponential", 1e-2, 40
+    if name == "exponential-kappa-fault":
+        # a faulted kappa moves only the analytic reference, never the paths
+        return ver.perturb_constants(exp_case1, "kappa", 0.5), "exponential", 1e-2, 40
+    if name == "power":
+        return pow_case1, powmod.solve_growth_factors(pow_case1, dt=1e-2), 1e-2, 40
+    params = _levered_power()
+    sol = powmod.solve_growth_factors(params, dt=0.01)
+    if name == "levered-dt0.2":
+        return params, sol, 0.2, 40
+    return params, sol, 1e-2, 2000  # exits are rare at dt 0.01: 9 of these 2000 paths
+
+
+def _oracle_controls(params, source, dt):
+    n_steps = round(params.horizon / dt)
+    t = np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
+    if source == "exponential":
+        sched = [expmod.strategy(params, float(tk)) for tk in t]
+        return lambda k, w: sched[k]
+    varpi = powmod.varpi_on(source, t)
+    return lambda k, w: powmod._controls(params, w, varpi[k])
+
+
+@pytest.mark.parametrize(
+    "case", ["exponential", "exponential-h0.3", "exponential-kappa-fault", "power",
+             "levered-dt0.2", "levered-dt0.01"])
+def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1, case):
+    # the delay cancels from the step of w only through the identities
+    # C = beta*e^{-alpha*h} and B = beta*(alpha + A + beta), so w matches the
+    # three-state step at roundoff, and recorded X, M1, M2 match it too
+    params, source, dt, n_paths = _oracle_case(case, exp_case1, pow_case1)
+    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=source)
+    power_domain = source != "exponential"
+    X, M1, M2, exit_ref = three_state_euler(
+        params, dt, cfg.seed, range(n_paths), _oracle_controls(params, source, dt), power_domain)
+    w_term, exit_t, _ = sim._run_paths(params, cfg, range(n_paths))
+    np.testing.assert_array_equal(exit_t, exit_ref)
+    if case.startswith("levered"):
+        assert 0 < np.isfinite(exit_ref).sum() < n_paths
+    np.testing.assert_allclose(w_term, X[-1] + params.delay.beta * M1[-1], rtol=1e-11, atol=0.0)
+    for i in (0, 1, 2):
+        path = sim.simulate_path(params, cfg, path_index=i)
+        assert path.exit_time == (None if np.isnan(exit_ref[i]) else exit_ref[i])
+        for got, want in ((path.X, X), (path.M1, M1), (path.M2, M2)):
+            np.testing.assert_allclose(got, want[:, i], rtol=1e-11, atol=0.0)
 
 
 def test_negative_retention_rejected(exp_case1):
     cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=0,
-                        strategy=lambda t, x, m1: (-0.2, 0.0))
+                        strategy=lambda t, w: (-0.2, 0.0))
     with pytest.raises(DomainError, match="retention"):
         sim.simulate_path(exp_case1, cfg, path_index=0)
 
