@@ -5,7 +5,8 @@ risk-aversion level gamma_i carries its own factor g_i(t), and the
 factors are coupled through the certainty-equivalent weight varpi(t).
 The script integrates the system backward from g_i(T) = 1, prints the
 varpi path (which starts below E[gamma] and rises to hit it exactly at
-T), and evaluates the wealth-proportional strategy at t = 0.
+T), compares the RK4 march with the closed-form factors on the same
+grid, and evaluates the wealth-proportional strategy at t = 0.
 
 Run:  python demos/power_factors.py
 """
@@ -13,7 +14,7 @@ Run:  python demos/power_factors.py
 import numpy as np
 
 from delaris import ModelParams, RiskAversionDist, mean_gamma
-from delaris import power
+from delaris import power, power_exact
 from delaris.sweeps import baseline_params
 
 
@@ -29,6 +30,11 @@ def main() -> None:
             w = power.varpi_at(sol, float(t))
             print(f"{t:6.2f} {w:10.6f}" + "".join(f" {gi:12.8f}" for gi in g))
         print(f"  varpi(T) - E[gamma] = {power.varpi_at(sol, params.horizon) - mean_gamma(params.dist):.2e}")
+        exact = power_exact.growth_factors(params, dt=1e-4)
+        gap = max(np.max(np.abs(sol.g / exact.g - 1.0)),
+                  np.max(np.abs(sol.varpi / exact.varpi - 1.0)))
+        print(f"  RK4 at dt = 1e-4 vs the closed form, largest relative difference "
+              f"over every node of g and varpi: {gap:.2e}")
 
         # both rules are proportional to effective wealth x + beta*m1
         x, m1 = params.x0, params.m1_0

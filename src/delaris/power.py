@@ -12,17 +12,33 @@ each factor solving, backward from the horizon,
               + 0.5*gamma_i*G2/varpi^2 ] * g_i,
     G2 = (mu-r)^2/sigma^2 + (a*eta2)^2/b^2.
 
-The system requires equal safety loadings (net loading zero). It is
-integrated with fixed-step classical RK4, recomputing varpi from the stage
-values of g. There is one march, over a leading model axis: each row
-carries its own gammas, probabilities, kappa and G2. A single solve is the
-march with one row that keeps its history; ``initial_strategies`` marches
-every model sharing a grid together and keeps only the current rows, since
-a sweep point needs only the controls at t = 0. The aggregate varpi stays
-inside [min gamma, max gamma], so the exact system cannot blow up; if a
-numerically extreme distribution drives a row's step out of (0, inf),
-that row stops quietly there, keeps the nodes before it and is flagged as
-exploded instead of raising.
+The system requires equal safety loadings (net loading zero). It has a
+closed form in tau = T - t. The common term kappa + G2/varpi cancels
+from the softmax that defines varpi, so with
+
+    M(A) = sum_i p_i e^{-gamma_i G2 A/2},   Phi(A) = sum_i gamma_i p_i e^{-gamma_i G2 A/2} / M(A),
+
+varpi = Phi(A(tau)), where A(tau) = int_0^tau varpi^-2 solves
+tau = int_0^A Phi(a)^2 da, and
+
+    log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
+
+:func:`delaris.power_exact.growth_factors` evaluates it at the nodes of
+a uniform grid. The CLI uses it when a run gives no --dt: ``strategy`` and
+``simulate`` on the horizon/20000 grid, ``verify`` on the horizon/2000
+grid. A run with --dt, sweeps and figure panels, and every
+``solve_growth_factors`` call march the system with fixed-step classical
+RK4 instead, recomputing varpi from the stage values of g. There is one march, over a leading model axis:
+each row carries its own gammas, probabilities, kappa and G2. A single
+solve is the march with one row that keeps its history;
+``initial_strategies`` marches every model sharing a grid together and
+keeps only the current rows, since a sweep point needs only the controls
+at t = 0. varpi stays inside [min gamma, max gamma], but a nearly
+risk-neutral atom's factor can overflow float64 (log g reaches about 1e7
+for gamma = 1e-4). On either route the solution then ends quietly at the
+first node, going backward from the horizon, whose factors leave
+(0, inf): it keeps the nodes after it and is flagged as exploded instead
+of raising.
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
 

@@ -156,9 +156,9 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
 
     def run_chunk(lo, hi):
         # noise and ring are local, so they are freed before the next chunk allocates
-        noise = np.empty((n_steps, hi - lo, 2))
+        noise = np.empty((hi - lo, n_steps, 2))  # path-major: each path draws in place
         for j, idx in enumerate(indices[lo:hi]):
-            noise[:, j, :] = path_rng(cfg.seed, idx).standard_normal((n_steps, 2))
+            path_rng(cfg.seed, idx).standard_normal(out=noise[j])
         w = np.full(hi - lo, params.x0 + beta * params.m1_0)
         exit_t = exit_time[lo:hi]
         if record:
@@ -185,7 +185,7 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
             if k == n_steps:
                 break
             drift = growth * w + a_eta + a_eta2 * q + pi * mu_r
-            w = w + drift * dt + co.b * q * sq_dt * noise[k, :, 0] + fin.sigma * pi * sq_dt * noise[k, :, 1]
+            w = w + drift * dt + co.b * q * sq_dt * noise[:, k, 0] + fin.sigma * pi * sq_dt * noise[:, k, 1]
         w_term[lo:hi] = w
 
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * (2 * n_steps + (n_lag if record else 0)))))

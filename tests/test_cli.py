@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from delaris import cli
@@ -19,6 +20,12 @@ def test_console_script_version():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip().startswith("delaris ")
+
+
+def test_closed_form_module_not_imported_with_cli():
+    # compiling it at import would raise the peak RSS of runs that never use it
+    code = "import sys, delaris.cli; sys.exit('delaris.power_exact' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_strategy_exponential(tmp_path):
@@ -44,6 +51,23 @@ def test_strategy_power_writes_growth_factors(tmp_path):
     assert (out / "growth_factors.csv").exists()
     manifest = json.loads((out / "manifest_strategy.json").read_text())
     assert sorted(manifest["outputs"]) == ["growth_factors.csv", "strategy.csv"]
+
+
+def test_strategy_power_routes_agree(tmp_path):
+    # without --dt the factors are exact at the nodes of the default grid;
+    # --dt 0.0001 marches RK4 on the same grid
+    outs = tmp_path / "exact", tmp_path / "rk4"
+    assert run_cli("strategy", "--family", "power", "--case", "II", "--out", str(outs[0])) == 0
+    assert run_cli("strategy", "--family", "power", "--case", "II", "--dt", "0.0001",
+                   "--out", str(outs[1])) == 0
+    for name in ("growth_factors.csv", "strategy.csv"):
+        exact, rk4 = ((out / name).read_text().splitlines() for out in outs)
+        assert len(exact) == len(rk4)
+        n_header = 2 if name == "growth_factors.csv" else 1
+        assert exact[:n_header] == rk4[:n_header]
+        a, b = (np.array([[float(c) for c in row.split(",")] for row in rows[n_header:]])
+                for rows in (exact, rk4))
+        np.testing.assert_allclose(a, b, rtol=5e-14, atol=0.0)
 
 
 def test_config_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delaris import power as powmod
+from delaris import power_exact
 from delaris.exceptions import DomainError, ParameterError
 from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 from delaris.utility import POWER, utility
@@ -349,3 +350,105 @@ def test_factor_columns_are_contiguous(pow_case2, tmp_path):
     powmod.write_csv(sol, path)
     for s in (sol, powmod.read_csv(path)):
         assert all(col.flags.c_contiguous for col in s.g.T)
+
+
+def _tiny_gamma_model(base):
+    """The power model ``base`` with the single atom gamma = 1e-4, whose
+    factor overflows float64 even when computed exactly."""
+    return ModelParams.build(
+        insurance=base.insurance, financial=base.financial, delay=base.delay,
+        dist=RiskAversionDist(family=POWER, points=((1e-4, 1.0),)),
+        horizon=base.horizon, x0=base.x0)
+
+
+def test_closed_form_matches_rk4_on_baselines(sol1, pow_case1, pow_case2):
+    # the exact factors at the nodes of the dt = 1e-4 grid; RK4 there is
+    # within about 1.3e-14 of them
+    for params, g0, varpi0 in ((pow_case1, G0_CASE1, VARPI0_CASE1),
+                               (pow_case2, G0_CASE2, VARPI0_CASE2)):
+        exact = power_exact.growth_factors(params, dt=1e-4)
+        rk4 = sol1 if params is pow_case1 else powmod.solve_growth_factors(params, dt=1e-4)
+        np.testing.assert_array_equal(exact.t, rk4.t)
+        assert exact.t[0] == 0.0 and not exact.exploded and exact.explosion_time is None
+        np.testing.assert_array_equal(exact.g[-1], 1.0)
+        np.testing.assert_allclose(exact.g, rk4.g, rtol=5e-14, atol=0.0)
+        np.testing.assert_allclose(exact.varpi, rk4.varpi, rtol=5e-14, atol=0.0)
+        np.testing.assert_allclose(exact.g[0], g0, rtol=1e-9)
+        assert exact.varpi[0] == pytest.approx(varpi0, rel=1e-9)
+        assert (exact.dt, exact.gammas, exact.probs) == (rk4.dt, rk4.gammas, rk4.probs)
+        assert all(col.flags.c_contiguous for col in exact.g.T)
+        for g_row, varpi in zip(exact.g[::97], exact.varpi[::97]):
+            assert varpi == powmod.aggregate_gamma(g_row, exact.gammas, exact.probs)
+    default = power_exact.growth_factors(pow_case1)
+    assert default.dt == pow_case1.horizon / 20000 and len(default.t) == 20001
+
+
+def test_closed_form_single_gamma(pow_single):
+    sol = power_exact.growth_factors(pow_single, dt=1e-3)
+    closed = [powmod.single_gamma_growth(pow_single, 0.5, t) for t in sol.t]
+    np.testing.assert_allclose(sol.g[:, 0], closed, rtol=1e-14)
+    np.testing.assert_array_equal(sol.varpi, 0.5)
+
+
+def test_rk4_contracts_toward_closed_form_at_fourth_order(pow_case1):
+    # halving the RK4 step must cut its error in log g(0) about 16-fold
+    # wherever that error is above the rounding floor
+    models = list(_random_power_models(40, seed=777, base=pow_case1))
+    exact = [np.log(power_exact.growth_factors(m, dt=1e-3).g[0]) for m in models]
+    by_atoms, err = {}, {}
+    for i, m in enumerate(models):
+        by_atoms.setdefault(m.dist.n, []).append(i)
+    for dt in (1e-3, 2e-3):
+        err[dt] = np.empty(len(models))
+        for idx in by_atoms.values():
+            last, stop = _march_batch([models[i] for i in idx], dt)
+            assert not stop.any()
+            for i, g0 in zip(idx, last):
+                err[dt][i] = np.max(np.abs(np.log(g0) - exact[i]))
+    resolved = err[1e-3] > 1e-11
+    assert resolved.sum() >= 10
+    assert np.all(err[2e-3][resolved] / err[1e-3][resolved] >= 12.0)
+
+
+@pytest.mark.parametrize("model, dt", [(_tiny_gamma_model, 1e-4), (_tiny_gamma_model, None),
+                                       (levered, 1e-3)])
+def test_closed_form_explosion_flagged(pow_case1, model, dt):
+    # exp(log g) overflows for a nearly risk-neutral atom: the solution keeps
+    # the nodes after the last overflowing one, quietly, as an exploding
+    # march does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = power_exact.growth_factors(model(pow_case1), dt=dt)
+    assert sol.exploded
+    assert sol.explosion_time is not None and 0.0 < sol.explosion_time < 2.0
+    assert sol.t[0] == sol.explosion_time
+    with pytest.raises(DomainError, match="explod"):
+        powmod.g_at(sol, 0.5 * sol.explosion_time)
+    assert np.all(np.isfinite(powmod.g_at(sol, float(sol.t[len(sol.t) // 2]))))
+    assert np.all(np.isfinite(sol.g)) and np.all(sol.g > 0.0)
+
+
+def test_area_matches_mpmath_on_extreme_spread():
+    # a nearly risk-neutral atom of tiny weight: the softmax turns over on
+    # scales from 2/(G2*0.918) to beyond a = 20, and A reaches about 1.5e8.
+    # Without the panel splits the root at tau = 2 is off by 3e-10; the
+    # 20-digit integral at each root must hit tau to rounding
+    mpmath = pytest.importorskip("mpmath")
+    gam = np.array([1e-4, 0.109, 0.189, 0.331, 0.371, 0.918])
+    p = np.array([5.3e-7, 0.0118, 0.178, 0.295, 0.0457, 0.46949947])
+    g2c, tau = 10.17, np.linspace(0.0, 2.0, 2001)
+    area = power_exact._area(tau, gam, p, g2c)
+    assert area[0] == 0.0 and np.all(np.diff(area) > 0.0) and area[-1] > 1e8
+    with mpmath.workdps(20):
+        g, pm = [mpmath.mpf(v) for v in gam], [mpmath.mpf(v) for v in p]
+
+        def phi2(a):
+            e = [pi * mpmath.exp(-(gi - g[0]) * g2c * a / 2) for gi, pi in zip(g, pm)]
+            return (mpmath.fsum(gi * ei for gi, ei in zip(g, e)) / mpmath.fsum(e)) ** 2
+
+        for k in (3, 500, 2000):
+            a = area[k]
+            pts = sorted({0.0, *np.linspace(0.0, min(a, 60.0), 121), *(a * 2.0 ** -np.arange(40))})
+            f = mpmath.quad(phi2, [mpmath.mpf(v) for v in pts if v <= a], method="gauss-legendre")
+            # the relative error of A that the miss in F implies
+            assert float(abs(f - tau[k]) / phi2(mpmath.mpf(a)) / a) < 1e-14
