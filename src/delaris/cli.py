@@ -205,14 +205,12 @@ def _write_table(path: Path, values, columns: dict, valid, reasons) -> None:
 
 # ------------------------------------------------------------- commands
 
-def _growth_factors(params, dt_option, dt):
-    """A run's power factors on the grid dt (None: horizon/20000): exact at
-    the nodes when the run gives no --dt, marched with RK4 when it does."""
-    if dt_option is None:
-        from . import power_exact  # only runs that use it compile it
+def _growth_factors(params, dt):
+    """A run's power factors, exact at the nodes of the grid dt
+    (None: horizon/20000)."""
+    from . import power_exact  # only runs that use it compile it
 
-        return power_exact.growth_factors(params, dt)
-    return powmod.solve_growth_factors(params, dt)
+    return power_exact.growth_factors(params, dt)
 
 
 def cmd_strategy(args) -> int:
@@ -229,7 +227,7 @@ def cmd_strategy(args) -> int:
             q, amount = expmod.strategy(params, float(t))
             rows.append((t, q, amount, amount / x))
     else:
-        sol = _growth_factors(params, args.dt, args.dt)
+        sol = _growth_factors(params, args.dt)
         powmod.write_csv(sol, out / "growth_factors.csv")
         outputs.append("growth_factors.csv")
         for t in t_vals:
@@ -274,7 +272,7 @@ def cmd_simulate(args) -> int:
     if params.dist.family == EXPONENTIAL:
         strategy: sim.StrategySource = EXPONENTIAL
     else:
-        strategy = _growth_factors(params, args.dt, None)
+        strategy = _growth_factors(params, None)
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=strategy)
 
     outputs = ["estimate.json"]
@@ -306,8 +304,7 @@ def _verify_checks(params, args):
 
     solution = None
     if power:
-        solution = _growth_factors(params, args.dt,
-                                   args.dt if args.dt is not None else horizon / 2000)
+        solution = _growth_factors(params, args.dt if args.dt is not None else horizon / 2000)
 
     t_vals = np.linspace(0.0, horizon, 10)
     if solution is not None:

@@ -24,11 +24,12 @@ tau = int_0^A Phi(a)^2 da, and
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
 
 :func:`delaris.power_exact.growth_factors` evaluates it at the nodes of
-a uniform grid. The CLI uses it when a run gives no --dt: ``strategy`` and
-``simulate`` on the horizon/20000 grid, ``verify`` on the horizon/2000
-grid. A run with --dt, sweeps and figure panels, and every
-``solve_growth_factors`` call march the system with fixed-step classical
-RK4 instead, recomputing varpi from the stage values of g. There is one march, over a leading model axis:
+a uniform grid. The CLI's ``strategy``, ``simulate`` and ``verify`` use
+it, on the --dt grid (by default horizon/20000, and horizon/2000 for
+``verify``; ``simulate`` always uses horizon/20000). Sweeps and figure
+panels, and every ``solve_growth_factors`` call, march the system with
+fixed-step classical RK4 instead, recomputing varpi from the stage
+values of g. There is one march, over a leading model axis:
 each row carries its own gammas, probabilities, kappa and G2. A single
 solve is the march with one row that keeps its history;
 ``initial_strategies`` marches every model sharing a grid together and

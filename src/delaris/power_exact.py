@@ -31,8 +31,9 @@ _SPLIT_MAX = 40
 _NEWTON_MAX = 60  # enough to bisect a panel down to _NEWTON_RTOL
 _NEWTON_RTOL = 1e-13  # relative size of the last step; Newton's error is quadratic in it
 # temporaries of one block of node evaluations: larger blocks are no faster,
-# and once freed they leave a later Monte Carlo run a larger heap
-_BLOCK_BYTES = 2**18
+# and once freed they leave a later Monte Carlo run a larger heap (2**18
+# raised the peak RSS of power-verify by 0.5 MB)
+_BLOCK_BYTES = 2**16
 
 
 def _softmax_gamma(a, gam, p, g2c):
@@ -62,64 +63,61 @@ def _gauss_legendre(n):
     return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope**2)
 
 
-def _area(tau, gam, p, g2c):
-    """A(tau), the root of F(A) = int_0^A Phi(a)^2 da = tau, at every tau of
-    the ascending array (tau[0] = 0).
+_GL_X, _GL_W = _gauss_legendre(_GL_NODES)
 
-    F is a cumulative sum of Gauss-Legendre panels. Their edges first grow
-    geometrically from below the fastest transition scale
-    2/(G2*(gamma_max - gamma_min)) to twice A's bound tau_max/gamma_min^2;
-    then every panel whose two halves integrate differently from the whole
-    is halved, until none does, so each panel is short next to the poles of
-    the softmax it meets. Each root is bracketed by its panel's edges. One
-    batched Newton per block of nodes (derivative Phi^2) refines it,
-    integrating one short segment from the panel's left edge, and a step
-    that would leave the bracket bisects it instead."""
-    x, wts = _gauss_legendre(_GL_NODES)
 
-    def integral(left, width):
-        """int_left^{left+width} Phi^2, elementwise."""
-        phi, _ = _softmax_gamma(left[:, None] + width[:, None] * x, gam, p, g2c)
-        return (phi**2 @ wts) * width
+def _integral(left, width, gam, p, g2c):
+    """int_left^{left+width} Phi^2, elementwise."""
+    phi, _ = _softmax_gamma(left[:, None] + width[:, None] * _GL_X, gam, p, g2c)
+    return (phi**2 @ _GL_W) * width
 
-    a_hi = 2.0 * tau[-1] / gam.min() ** 2  # Phi >= gamma_min, so F(a_hi) >= 2*tau[-1]
+
+def _panels(tau_max, gam, p, g2c):
+    """Edges of the Gauss-Legendre panels of F(A) = int_0^A Phi(a)^2 da up
+    to past A(tau_max), and F at them.
+
+    The edges first grow geometrically from below the fastest transition
+    scale 2/(G2*(gamma_max - gamma_min)) to twice A's bound
+    tau_max/gamma_min^2; then every panel whose two halves integrate
+    differently from the whole is halved, until none does, so each panel
+    is short next to the poles of the softmax it meets."""
+    a_hi = 2.0 * tau_max / gam.min() ** 2  # Phi >= gamma_min, so F(a_hi) >= 2*tau_max
     fastest = 0.5 * g2c * (gam.max() - gam.min())
     a_lo = min(a_hi, 1.0 / fastest if fastest > 0.0 else a_hi) / 8.0
     n_geo = max(1, math.ceil(math.log2(a_hi / a_lo)))
     edges = np.concatenate(([0.0], a_lo * (a_hi / a_lo) ** (np.arange(n_geo + 1) / n_geo)))
     for _ in range(_SPLIT_MAX):
         half = 0.5 * np.diff(edges)
-        whole = integral(edges[:-1], 2.0 * half)
-        halves = integral(edges[:-1], half) + integral(edges[:-1] + half, half)
+        whole = _integral(edges[:-1], 2.0 * half, gam, p, g2c)
+        halves = (_integral(edges[:-1], half, gam, p, g2c)
+                  + _integral(edges[:-1] + half, half, gam, p, g2c))
         rough = np.abs(whole - halves) > _PANEL_RTOL * halves
         if not rough.any():
-            break
+            return edges, np.concatenate(([0.0], np.cumsum(whole)))
         edges = np.sort(np.concatenate((edges, edges[:-1][rough] + half[rough])))
-    else:
-        raise EvaluationError(f"varpi integral not resolved in {_SPLIT_MAX} panel splits")
-    f_edges = np.concatenate(([0.0], np.cumsum(whole)))
+    raise EvaluationError(f"varpi integral not resolved in {_SPLIT_MAX} panel splits")
 
-    panel = np.minimum(np.searchsorted(f_edges, tau, side="right") - 1, len(whole) - 1)
-    area = np.interp(tau, f_edges, edges)
-    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
-    for s in range(0, len(tau), block):
-        j, target, a = panel[s:s + block], tau[s:s + block], area[s:s + block]
-        left, lo, hi = edges[j], edges[j], edges[j + 1]
-        for _ in range(_NEWTON_MAX):
-            miss = f_edges[j] + integral(left, a - left) - target
-            over = miss > 0.0
-            lo, hi = np.where(over, lo, a), np.where(over, a, hi)
-            end, _ = _softmax_gamma(a, gam, p, g2c)
-            new = a - miss / end**2
-            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-            done = np.abs(new - a) <= _NEWTON_RTOL * new
-            a[:] = new
-            if done.all():
-                break
-        else:
-            raise EvaluationError(
-                f"varpi integral did not converge in {_NEWTON_MAX} Newton steps")
-    return area
+
+def _area(tau, edges, f_edges, gam, p, g2c):
+    """A(tau), the root of F(A) = tau, at every tau of the block. Each root
+    is bracketed by its panel's edges. One batched Newton (derivative
+    Phi^2) refines them, integrating one short segment from the panel's
+    left edge, and a step that would leave the bracket bisects it instead."""
+    j = np.minimum(np.searchsorted(f_edges, tau, side="right") - 1, len(edges) - 2)
+    a = np.interp(tau, f_edges, edges)
+    left, lo, hi = edges[j], edges[j], edges[j + 1]
+    for _ in range(_NEWTON_MAX):
+        miss = f_edges[j] + _integral(left, a - left, gam, p, g2c) - tau
+        over = miss > 0.0
+        lo, hi = np.where(over, lo, a), np.where(over, a, hi)
+        end, _ = _softmax_gamma(a, gam, p, g2c)
+        new = a - miss / end**2
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - a) <= _NEWTON_RTOL * new
+        a = new
+        if done.all():
+            return a
+    raise EvaluationError(f"varpi integral did not converge in {_NEWTON_MAX} Newton steps")
 
 
 def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
@@ -131,17 +129,22 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
     with tau = T - t and A = A(tau) (see the module docstring). g(T) = 1 and
     t[0] = 0 exactly. A node whose factors leave (0, inf) ends the solution
     as an exploding march ends there: the solution keeps the nodes after the
-    last such node and is flagged as exploded."""
+    last such node and is flagged as exploded. The nodes are evaluated in
+    blocks straight into the factor array, so the temporaries stay small."""
     dt, n_steps = _grid(params, dt)
     gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
     g2c = _g2_const(params)
-    tau = dt * np.arange(n_steps + 1.0)  # node n_steps - i
-    area = _area(tau, gam, p, g2c)
-    _, log_m = _softmax_gamma(area, gam, p, g2c)
-    bracket = ((params.constants.kappa * tau - 2.0 * log_m)[:, None]
-               - 0.5 * g2c * area[:, None] * gam)
-    with np.errstate(over="ignore"):
-        g = np.exp((1.0 - gam) / gam * bracket)[::-1]
+    kappa = params.constants.kappa
+    edges, f_edges = _panels(dt * n_steps, gam, p, g2c)
+    g = np.empty((n_steps + 1, len(gam)), order="F")  # the layout OdeSolution keeps
+    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
+    for s in range(0, n_steps + 1, block):
+        tau = dt * np.arange(s, min(s + block, n_steps + 1), dtype=float)  # nodes n_steps - s, ...
+        area = _area(tau, edges, f_edges, gam, p, g2c)
+        _, log_m = _softmax_gamma(area, gam, p, g2c)
+        bracket = (kappa * tau - 2.0 * log_m)[:, None] - 0.5 * g2c * area[:, None] * gam
+        with np.errstate(over="ignore"):
+            g[n_steps + 1 - s - len(tau):n_steps + 1 - s] = np.exp((1.0 - gam) / gam * bracket)[::-1]
     g[-1] = 1.0
     bad = np.flatnonzero(~((g > 0.0) & (g < np.inf)).all(axis=1))
     k = int(bad[-1]) + 1 if len(bad) else 0

@@ -437,7 +437,7 @@ def test_area_matches_mpmath_on_extreme_spread():
     gam = np.array([1e-4, 0.109, 0.189, 0.331, 0.371, 0.918])
     p = np.array([5.3e-7, 0.0118, 0.178, 0.295, 0.0457, 0.46949947])
     g2c, tau = 10.17, np.linspace(0.0, 2.0, 2001)
-    area = power_exact._area(tau, gam, p, g2c)
+    area = power_exact._area(tau, *power_exact._panels(tau[-1], gam, p, g2c), gam, p, g2c)
     assert area[0] == 0.0 and np.all(np.diff(area) > 0.0) and area[-1] > 1e8
     with mpmath.workdps(20):
         g, pm = [mpmath.mpf(v) for v in gam], [mpmath.mpf(v) for v in p]
