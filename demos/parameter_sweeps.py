@@ -25,9 +25,7 @@ def main() -> None:
         print(f"{v:8.4f} {qi:12.8f} {qii:12.8f}{marker}")
     print()
 
-    # coarse power step keeps this demo fast; the shape checks do not
-    # need the production resolution
-    panels = sweeps.figure_data(points=9, power_dt=4e-3)
+    panels = sweeps.figure_data(points=9)
     violations = sweeps.validate_shapes(panels)
     print(f"built {len(panels)} sweep panels, shape violations: {violations or 'none'}")
     for name in sorted(panels):

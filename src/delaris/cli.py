@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from . import exponential as expmod
 from . import power as powmod
+from . import power_exact
 from . import simulation as sim
 from . import sweeps as swp
 from . import verification as ver
@@ -205,14 +206,6 @@ def _write_table(path: Path, values, columns: dict, valid, reasons) -> None:
 
 # ------------------------------------------------------------- commands
 
-def _growth_factors(params, dt):
-    """A run's power factors, exact at the nodes of the grid dt
-    (None: horizon/20000)."""
-    from . import power_exact  # only runs that use it compile it
-
-    return power_exact.growth_factors(params, dt)
-
-
 def cmd_strategy(args) -> int:
     params, case = resolve_params(args)
     out = _out_dir(args)
@@ -227,7 +220,7 @@ def cmd_strategy(args) -> int:
             q, amount = expmod.strategy(params, float(t))
             rows.append((t, q, amount, amount / x))
     else:
-        sol = _growth_factors(params, args.dt)
+        sol = power_exact.growth_factors(params, args.dt)
         powmod.write_csv(sol, out / "growth_factors.csv")
         outputs.append("growth_factors.csv")
         for t in t_vals:
@@ -249,15 +242,14 @@ def cmd_strategy(args) -> int:
 def cmd_sweep(args) -> int:
     params, case = resolve_params(args)
     out = _out_dir(args)
-    result = swp.run_sweep(params, case, args.param, points=args.points,
-                           lo=args.lo, hi=args.hi, power_dt=args.dt)
+    result = swp.run_sweep(params, case, args.param, points=args.points, lo=args.lo, hi=args.hi)
     name = f"sweep_{args.param}.csv"
     _write_table(out / name, result.values, {"q_hat_0": result.q0, "pi_0": result.pi0},
                  result.valid, result.reasons)
     n_bad = int((~result.valid).sum())
     write_manifest(out, "sweep", params, {
         "case": case, "param": args.param, "points": args.points,
-        "lo": args.lo, "hi": args.hi, "dt": args.dt,
+        "lo": args.lo, "hi": args.hi,
     }, [name])
     print(f"wrote {out / name} ({len(result.values)} points, {n_bad} invalid)")
     return 0
@@ -272,7 +264,7 @@ def cmd_simulate(args) -> int:
     if params.dist.family == EXPONENTIAL:
         strategy: sim.StrategySource = EXPONENTIAL
     else:
-        strategy = _growth_factors(params, None)
+        strategy = power_exact.growth_factors(params, dt)  # the Euler steps read its nodes
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=strategy)
 
     outputs = ["estimate.json"]
@@ -304,7 +296,8 @@ def _verify_checks(params, args):
 
     solution = None
     if power:
-        solution = _growth_factors(params, args.dt if args.dt is not None else horizon / 2000)
+        solution = power_exact.growth_factors(
+            params, args.dt if args.dt is not None else horizon / 2000)
 
     t_vals = np.linspace(0.0, horizon, 10)
     if solution is not None:
@@ -372,7 +365,7 @@ def _verify_checks(params, args):
             ],
         }
     if want("monotonicity"):
-        # the baseline panels solve on their own grid (swept horizon / 2000)
+        # the bundled baseline panels, whatever the configured model
         panels = swp.figure_data(points=args.points, families=(params.dist.family,))
         violations = swp.validate_shapes(panels)
         checks["monotonicity"] = {
@@ -414,15 +407,13 @@ def cmd_reproduce_figures(args) -> int:
     out = _out_dir(args)
     # figure panels always use the bundled baselines for both families
     base = swp.baseline_params(EXPONENTIAL, "I")
-    panels = swp.figure_data(points=args.points, power_dt=args.dt)
+    panels = swp.figure_data(points=args.points)
     outputs = []
     for stem, panel in sorted(panels.items()):
         name = f"{stem}.csv"
         _write_table(out / name, panel["values"], panel["columns"], panel["valid"], panel["reasons"])
         outputs.append(name)
-    write_manifest(out, "reproduce-figures", base, {
-        "points": args.points, "dt": args.dt,
-    }, outputs)
+    write_manifest(out, "reproduce-figures", base, {"points": args.points}, outputs)
     print(f"wrote {len(outputs)} figure data files to {out}")
     return 0
 
@@ -453,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON model configuration file")
     common.add_argument("--out", default="outputs", help="output directory (default: outputs)")
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    common.add_argument("--dt", type=float, default=None,
-                        help="time step (solver or simulation, command dependent)")
     common.add_argument("--n-paths", type=int, default=None, help="Monte Carlo sample size")
     common.add_argument("--family", choices=FAMILIES, default=None,
                         help="utility family for the bundled baseline (default: exponential)")
@@ -468,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strategy", parents=[common],
                        help="tabulate equilibrium controls over time")
+    p.add_argument("--dt", type=float, default=None,
+                   help="power factor grid step (default: horizon/20000)")
     p.add_argument("--t-points", type=_count(1), default=101, help="grid size (default: 101)")
     p.add_argument("--x", type=float, default=None, help="wealth for fractions (default: x0)")
     p.add_argument("--m1", type=float, default=None,
@@ -484,12 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="Monte Carlo estimate of the expected certainty equivalent")
+    p.add_argument("--dt", type=float, default=None,
+                   help="Euler step, also the power factor grid (default: horizon/2000)")
     p.add_argument("--paths-csv", type=_count(0), default=0,
                    help="also write this many individual path files")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check the analytic solution against its defining equations")
+    p.add_argument("--dt", type=float, default=None,
+                   help="power factor grid and Feynman-Kac Euler step "
+                        "(default: horizon/2000 and horizon/1000)")
     p.add_argument("--check", choices=CHECKS, default="all")
     p.add_argument("--fault-kappa", type=float, default=0.0,
                    help="relative fault injected into the decay constant (diagnostic; "

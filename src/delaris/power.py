@@ -24,22 +24,20 @@ tau = int_0^A Phi(a)^2 da, and
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
 
 :func:`delaris.power_exact.growth_factors` evaluates it at the nodes of
-a uniform grid. The CLI's ``strategy``, ``simulate`` and ``verify`` use
-it, on the --dt grid (by default horizon/20000, and horizon/2000 for
-``verify``; ``simulate`` always uses horizon/20000). Sweeps and figure
-panels, and every ``solve_growth_factors`` call, march the system with
-fixed-step classical RK4 instead, recomputing varpi from the stage
-values of g. There is one march, over a leading model axis:
-each row carries its own gammas, probabilities, kappa and G2. A single
-solve is the march with one row that keeps its history;
-``initial_strategies`` marches every model sharing a grid together and
-keeps only the current rows, since a sweep point needs only the controls
-at t = 0. varpi stays inside [min gamma, max gamma], but a nearly
-risk-neutral atom's factor can overflow float64 (log g reaches about 1e7
-for gamma = 1e-4). On either route the solution then ends quietly at the
+a uniform grid: ``strategy`` and ``verify`` use it on the --dt grid (by
+default horizon/20000 and horizon/2000), and ``simulate`` on its Euler
+grid. Sweep points and figure panels read only the time-zero controls,
+so :func:`delaris.power_exact.initial_strategy` evaluates the one node
+tau = T. :func:`solve_growth_factors` marches the system with fixed-step
+classical RK4 instead, recomputing varpi from the stage values of g; it
+is the library's and the tests' reference solver, and no CLI run calls
+it. varpi stays inside [min gamma, max gamma], but a nearly risk-neutral
+atom's factor can overflow float64 (log g reaches about 1e7 for
+gamma = 1e-4). On either grid route the solution then ends quietly at the
 first node, going backward from the horizon, whose factors leave
 (0, inf): it keeps the nodes after it and is flagged as exploded instead
-of raising.
+of raising. varpi(0) itself never overflows, so the time-zero controls
+exist for such a model.
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
 
@@ -120,22 +118,15 @@ def _mean_gamma(w, gam):
     return (w[..., None, :] @ gam[..., None])[..., 0] / w.sum(axis=-1, keepdims=True)
 
 
-def _square(v):
-    """v**2 elementwise through the C library's pow, as a Python or NumPy
-    scalar squares; an array's ``**2`` is ``v*v`` and differs in the last
-    bit. v holds weighted means of gammas, so no square overflows."""
-    return np.array([x**2 for x in v.ravel().tolist()]).reshape(v.shape)
-
-
 def _rate_fn(gam, p, kappa, g2c):
-    """Right-hand side dg/dt of the factor system as a function of g, for one
-    model or for models stacked on a leading axis (gam, p of shape (m, n);
-    kappa, g2c of shape (m, 1))."""
+    """Right-hand side dg/dt of the factor system as a function of the 1-D
+    factors g; varpi is a NumPy scalar."""
     expo, lead, half, neg_kappa = gam / (1.0 - gam), (1.0 - gam) / gam, 0.5 * gam * g2c, -kappa
 
     def rate(g):
-        varpi = _mean_gamma(np.exp(expo * np.log(g)) * p, gam)
-        return lead * (neg_kappa - g2c / varpi + half / _square(varpi)) * g
+        w = np.exp(expo * np.log(g)) * p
+        varpi = (w @ gam) / w.sum()
+        return lead * (neg_kappa - g2c / varpi + half / (varpi * varpi)) * g
 
     return rate
 
@@ -162,51 +153,28 @@ def _grid(params: ModelParams, dt: float | None) -> tuple[float, int]:
     return dt, n_steps
 
 
-def _stack(models):
-    """Per-model constants of the factor system, one row per model."""
-    return (np.array([m.dist.gammas for m in models], dtype=float),
-            np.array([m.dist.probs for m in models], dtype=float),
-            np.array([[m.constants.kappa] for m in models]),
-            np.array([[_g2_const(m)] for m in models]))
-
-
-def _march(gam, p, kappa, g2c, dt, n_steps, history=None):
+def _march(params: ModelParams, dt: float, n_steps: int) -> tuple[int, np.ndarray]:
     """Classical RK4 for the factor system backward from g = 1 at node
-    n_steps (the horizon) to node 0 (t = 0), for the models stacked on the
-    leading axis (see ``_rate_fn``).
-
-    A row stops on its own at the first step that leaves (0, inf): overflow
-    or the log of a nonpositive stage poisons only that row. Returns each
-    row's last valid factors and the node it stopped at (0 when it reached
-    t = 0). Only the current rows are kept, unless ``history`` (shape
-    (n_steps+1, m, n)) is given to receive every marching row's node k as
-    history[k]."""
-    y = np.ones(gam.shape)
-    last, stop = np.empty_like(y), np.zeros(len(y), dtype=int)
-    rows, slot = np.arange(len(y)), slice(None)  # marching models; their history rows
-    rate = _rate_fn(gam, p, kappa, g2c)
-    if history is not None:
-        history[n_steps] = y
+    n_steps (the horizon) to node 0 (t = 0). The march stops at the first
+    step that leaves (0, inf): overflow, or the log of a nonpositive stage.
+    Returns the node k it stopped at (0 when it reached t = 0) and the
+    factors at nodes k, k+1, ..., n_steps."""
+    gam = np.array(params.dist.gammas, dtype=float)
+    rate = _rate_fn(gam, np.array(params.dist.probs, dtype=float),
+                    params.constants.kappa, _g2_const(params))
+    g = np.empty((n_steps + 1, len(gam)))
+    g[n_steps] = y = np.ones(len(gam))
     with np.errstate(all="ignore"):
         for k in range(n_steps, 0, -1):
             k1 = rate(y)
             k2 = rate(y - 0.5 * dt * k1)
             k3 = rate(y - 0.5 * dt * k2)
             k4 = rate(y - dt * k3)
-            y_new = y - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (y_new.min() > 0.0 and y_new.max() < np.inf):  # NaN fails both
-                ok = ((y_new > 0.0) & (y_new < np.inf)).all(axis=1)
-                last[rows[~ok]], stop[rows[~ok]] = y[~ok], k
-                rows = slot = rows[ok]
-                if not len(rows):
-                    break
-                y_new = y_new[ok]
-                rate = _rate_fn(gam[rows], p[rows], kappa[rows], g2c[rows])
-            y = y_new
-            if history is not None:
-                history[k - 1, slot] = y
-    last[rows] = y
-    return last, stop
+            y = y - dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (y.min() > 0.0 and y.max() < np.inf):  # NaN fails both
+                return k, g[k:]
+            g[k - 1] = y
+    return 0, g
 
 
 def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarray) -> OdeSolution:
@@ -237,40 +205,8 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
     dt defaults to horizon/20000 and must divide the horizon (1e-9 relative).
     """
     dt, n_steps = _grid(params, dt)
-    history = np.empty((n_steps + 1, 1, params.dist.n))
-    _, stop = _march(*_stack([params]), dt, n_steps, history)
-    k = int(stop[0])
-    return _solution(params, dt, n_steps, k, history[k:, 0])
-
-
-def initial_strategies(models, dts) -> list:
-    """Equilibrium (retention, invested amount) at t = 0 and the initial
-    state of each model, solved on the grid dts[i] (None: the default).
-
-    All models that share an atom count and a grid march together, and only
-    their current factors are kept. A model that cannot be solved (wrong
-    family, a dt that does not divide its horizon, an exploded solution)
-    gets, in place of the pair, the ParameterError or DomainError that
-    solving it alone and calling ``strategy`` would raise."""
-    out, groups = [None] * len(models), {}
-    for i, (params, dt) in enumerate(zip(models, dts)):
-        try:
-            dt, n_steps = _grid(params, dt)
-        except ParameterError as err:
-            out[i] = err
-            continue
-        groups.setdefault((params.dist.n, dt, n_steps), []).append(i)
-    for (_, dt, n_steps), idx in groups.items():
-        batch = [models[i] for i in idx]
-        last, stop = _march(*_stack(batch), dt, n_steps)
-        for i, params, g, k in zip(idx, batch, last, stop):
-            # the solution's first node is all a time-zero query reads
-            sol = _solution(params, dt, n_steps, int(k), g[None])
-            try:
-                out[i] = strategy(sol, params, 0.0, params.x0, params.m1_0)
-            except DomainError as err:
-                out[i] = err
-    return out
+    k, g = _march(params, dt, n_steps)
+    return _solution(params, dt, n_steps, k, g)
 
 
 def _check_range(sol: OdeSolution, t: float) -> float:

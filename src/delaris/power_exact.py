@@ -9,10 +9,8 @@ where A(tau) solves tau = int_0^A Phi(a)^2 da. ``growth_factors`` returns
 the same :class:`~delaris.power.OdeSolution` as ``power.solve_growth_factors``
 on the same grid, with exact values at the nodes: the integral is summed
 over Gauss-Legendre panels and one batched Newton finds A at every node.
-
-The CLI imports this module only when a run needs it. Compiling it with
-``power`` at package import would raise the peak RSS of runs that never
-call it (Monte Carlo of the exponential family, figure sweeps).
+``initial_strategy`` needs only the node tau = T: the time-zero controls
+of a sweep point read varpi(0) = Phi(A(T)) and nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .exceptions import EvaluationError
 from .model import ModelParams
-from .power import OdeSolution, _g2_const, _grid, _solution
+from .power import OdeSolution, _controls, _effective_wealth, _g2_const, _grid, _solution
 
 _GL_NODES = 12  # Gauss-Legendre nodes per panel of the varpi integral
 _PANEL_RTOL = 1e-15  # a panel whose halves integrate differently by more is split
@@ -149,3 +147,16 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
     bad = np.flatnonzero(~((g > 0.0) & (g < np.inf)).all(axis=1))
     k = int(bad[-1]) + 1 if len(bad) else 0
     return _solution(params, dt, n_steps, k, g[k:])
+
+
+def initial_strategy(params: ModelParams) -> tuple[float, float]:
+    """Equilibrium (retention, invested amount) at t = 0 and the initial
+    state: the controls at aggregate risk aversion varpi(0) = Phi(A(T)),
+    with no grid. Raises as ``power.strategy`` on a solution would for a
+    model of the wrong family or a nonpositive initial effective wealth."""
+    w = _effective_wealth(params, params.x0, params.m1_0, "strategy")
+    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
+    g2c, tau = _g2_const(params), np.array([params.horizon])
+    area = _area(tau, *_panels(params.horizon, gam, p, g2c), gam, p, g2c)
+    varpi, _ = _softmax_gamma(area, gam, p, g2c)
+    return _controls(params, w, float(varpi[0]))

@@ -9,12 +9,10 @@ and the two-point risk-aversion cases
     case I : gamma = (0.5, 0.9), p = (0.5, 0.5)
     case II: gamma = (0.5, 0.9), p = (0.8, 0.2)
 
-Sweeps rebuild every point's model first. The power points then solve
-their factor systems in one batched RK4 march that keeps only each row's
-current factors (default grid horizon/2000, an RK4 error far below the
-1e-10 shape-noise band); ``figure_data`` marches the points of all its
-sweeps together. Invalid points are reported as marked rows, never
-dropped silently.
+Sweeps rebuild every point's model first. A power point's time-zero
+controls then come from the closed-form varpi(0) = Phi(A(T)) at its one
+node tau = T (``power_exact.initial_strategy``), with no grid to choose.
+Invalid points are reported as marked rows, never dropped silently.
 
 ``FIGURE_TABLE`` is the single definition of the 29 figure panels and their
 shape claims; ``figure_data`` turns its rows into panels.
@@ -27,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exponential as expmod
-from . import power as powmod
+from . import power_exact
 from .exceptions import DelarisError
 from .model import (
     DelayParams,
@@ -51,8 +49,6 @@ SWEEP_RANGES = {
     "mu": (0.12, 0.4),
     "sigma": (0.3, 1.0),
 }
-
-POWER_SWEEP_DT_DIVISOR = 2000
 
 
 def case_points(case: str) -> tuple[tuple[float, float], ...]:
@@ -104,46 +100,23 @@ def apply_param(base: ModelParams, name: str, value: float) -> ModelParams:
     )
 
 
-def _sweep_models(base: ModelParams, param: str, points: int,
-                  lo: float | None, hi: float | None) -> tuple[np.ndarray, list]:
-    """The swept values and, for each, the rebuilt model or the error that
-    rejected it."""
-    if param not in SWEEP_RANGES:
-        raise DelarisError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_RANGES)}")
-    lo_d, hi_d = SWEEP_RANGES[param]
-    values = np.linspace(lo_d if lo is None else lo, hi_d if hi is None else hi, points)
-    models = []
-    for v in values:
-        try:
-            models.append(apply_param(base, param, float(v)))
-        except DelarisError as err:
-            models.append(err)
-    return values, models
-
-
-def _initial_controls(models: list, power_dt: float | None) -> list:
+def _initial_controls(base: ModelParams, param: str, value: float):
     """(retention, invested fraction) at time zero and the initial state of
-    each model, or the DelarisError that marks its point invalid. A slot of
-    ``models`` may already hold such an error. Every power model is solved
-    in one batched march (default grid: its horizon / 2000)."""
-    power = [m for m in models if isinstance(m, ModelParams) and m.dist.family == POWER]
-    solved = iter(powmod.initial_strategies(power, [
-        m.horizon / POWER_SWEEP_DT_DIVISOR if power_dt is None else power_dt for m in power]))
-    rows = []
-    for m in models:
-        res = m
-        if isinstance(m, ModelParams):
-            try:
-                res = next(solved) if m.dist.family == POWER else expmod.strategy(m, 0.0)
-            except DelarisError as err:
-                res = err
-        rows.append(res if isinstance(res, DelarisError) else (res[0], res[1] / m.x0))
-    return rows
+    ``base`` with ``param`` set to ``value``, or the DelarisError that marks
+    the point invalid."""
+    try:
+        m = apply_param(base, param, value)
+        q, amount = (power_exact.initial_strategy(m) if m.dist.family == POWER
+                     else expmod.strategy(m, 0.0))
+    except DelarisError as err:
+        return err
+    return q, amount / m.x0
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One-parameter sweep of the time-zero equilibrium controls."""
+    """One-parameter sweep of the time-zero equilibrium controls. An invalid
+    point has NaN controls and the error text as its reason."""
 
     param: str
     family: str
@@ -154,16 +127,6 @@ class SweepResult:
     valid: np.ndarray
     reasons: tuple[str, ...]
 
-    @classmethod
-    def from_rows(cls, param: str, family: str, case: str, values: np.ndarray, rows: list):
-        """Pack ``_initial_controls`` rows; an error row is invalid, with NaN
-        controls and the error text as its reason."""
-        valid = np.array([not isinstance(r, DelarisError) for r in rows], dtype=bool)
-        q0, pi0 = (np.array([r[j] if ok else np.nan for r, ok in zip(rows, valid)], dtype=float)
-                   for j in (0, 1))
-        reasons = tuple("" if ok else str(r) for r, ok in zip(rows, valid))
-        return cls(param, family, case, values, q0, pi0, valid, reasons)
-
 
 def run_sweep(
     base: ModelParams,
@@ -172,11 +135,17 @@ def run_sweep(
     points: int = 25,
     lo: float | None = None,
     hi: float | None = None,
-    power_dt: float | None = None,
 ) -> SweepResult:
-    values, models = _sweep_models(base, param, points, lo, hi)
-    return SweepResult.from_rows(param, base.dist.family, case, values,
-                                 _initial_controls(models, power_dt))
+    if param not in SWEEP_RANGES:
+        raise DelarisError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_RANGES)}")
+    lo_d, hi_d = SWEEP_RANGES[param]
+    values = np.linspace(lo_d if lo is None else lo, hi_d if hi is None else hi, points)
+    rows = [_initial_controls(base, param, float(v)) for v in values]
+    valid = np.array([not isinstance(r, DelarisError) for r in rows], dtype=bool)
+    q0, pi0 = (np.array([r[j] if ok else np.nan for r, ok in zip(rows, valid)], dtype=float)
+               for j in (0, 1))
+    reasons = tuple("" if ok else str(r) for r, ok in zip(rows, valid))
+    return SweepResult(param, base.dist.family, case, values, q0, pi0, valid, reasons)
 
 
 # ------------------------------------------------------------- figures
@@ -214,19 +183,14 @@ FIGURE_TABLE = (
 )
 
 
-def figure_data(points: int = 25, power_dt: float | None = None,
+def figure_data(points: int = 25,
                 families: tuple[str, ...] = (EXPONENTIAL, POWER)) -> dict[str, dict]:
     """All bundled figure panels keyed by stem: one per FIGURE_TABLE row of
-    ``families``. Each (family, param, case) sweep is built once, and all
-    their power points march together."""
+    ``families``. Each (family, param, case) sweep is run once."""
     keys = dict.fromkeys((family, param, case) for _, family, param, _, cases, _ in FIGURE_TABLE
                          if family in families for case in cases)
-    built = {key: _sweep_models(baseline_params(key[0], key[2]), key[1], points, None, None)
-             for key in keys}
-    rows = iter(_initial_controls([m for _, models in built.values() for m in models], power_dt))
-    sweep = {(family, param, case): SweepResult.from_rows(
-                 param, family, case, values, [next(rows) for _ in models])
-             for (family, param, case), (values, models) in built.items()}
+    sweep = {(family, param, case): run_sweep(baseline_params(family, case), case, param, points)
+             for family, param, case in keys}
 
     alpha_star, panels = baseline_sensitivity_threshold(), {}
     for stem, family, param, metric, cases, shape in FIGURE_TABLE:

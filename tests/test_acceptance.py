@@ -262,7 +262,7 @@ def test_criterion_8_feynman_kac(exp_case1, pow_single):
 
 
 def test_criterion_9_figure_shapes():
-    panels = sweeps.figure_data(points=15, power_dt=2e-3)
+    panels = sweeps.figure_data(points=15)
     violations = sweeps.validate_shapes(panels, band=1e-10)
     _report(9, "bundled figure data reproduces all qualitative claims",
             not violations,

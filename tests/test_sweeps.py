@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
+import pytest
 
-from delaris import sweeps
+from delaris import power_exact, sweeps
 from delaris.utility import EXPONENTIAL, POWER
 from helpers import levered
 
@@ -25,15 +24,14 @@ def test_figure_data_family_filter():
 
 
 def test_figure_data_matches_run_sweep():
-    # figure_data marches the points of all its sweeps together; each
-    # panel must still be the sweep run on its own
-    panels = sweeps.figure_data(points=3, power_dt=0.04)
+    # each panel is the sweep run on its own
+    panels = sweeps.figure_data(points=3)
     assert len(panels) == 29
     for stem, family, param, metric, cases, _ in sweeps.FIGURE_TABLE:
         panel = panels[stem]
         for case in cases:
             res = sweeps.run_sweep(sweeps.baseline_params(family, case), case, param,
-                                   points=3, power_dt=0.04)
+                                   points=3)
             col = res.q0 if metric == "q_hat_0" else res.pi0
             np.testing.assert_array_equal(panel["columns"][f"{metric}_case_{case}"], col)
             if case == cases[0]:
@@ -41,42 +39,53 @@ def test_figure_data_matches_run_sweep():
                 assert panel["valid"].all() and panel["reasons"] == res.reasons
 
 
-def _exploded(t):
-    return f"t=0.0 outside the valid range [{t}, 2.0] (solution flagged as exploded at t={t})"
+def _mpmath_varpi0(params):
+    """varpi(0) = Phi(A(T)) from a 30-digit Newton root of
+    int_0^A Phi(a)^2 da = T, started at the package's double-precision root."""
+    mpmath = pytest.importorskip("mpmath")
+    co, fin = params.coeffs, params.financial
+    gam_f, p_f = np.array(params.dist.gammas), np.array(params.dist.probs)
+    g2c_f = (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
+    start = power_exact._area(np.array([params.horizon]),
+                              *power_exact._panels(params.horizon, gam_f, p_f, g2c_f),
+                              gam_f, p_f, g2c_f)[0]
+    with mpmath.workdps(30):
+        g2c = (mpmath.mpf(fin.mu) - fin.r) ** 2 / mpmath.mpf(fin.sigma) ** 2 \
+            + (mpmath.mpf(co.a) * co.eta2) ** 2 / co.b2
+        gam, p = [mpmath.mpf(g) for g in gam_f], [mpmath.mpf(q) for q in p_f]
+
+        def phi(a):
+            e = [pi * mpmath.exp(-(gi - gam[0]) * g2c * a / 2) for gi, pi in zip(gam, p)]
+            return mpmath.fsum(gi * ei for gi, ei in zip(gam, e)) / mpmath.fsum(e)
+
+        turn = 160 / (g2c * (gam[1] - gam[0]))  # past it Phi is gamma_min to 30 digits
+
+        def f(a):
+            edge = min(a, turn)
+            tail = gam[0] ** 2 * (a - turn) if a > turn else 0
+            return mpmath.quad(lambda x: phi(x) ** 2, [edge * k / 20 for k in range(21)],
+                               method="gauss-legendre") \
+                + tail - params.horizon
+
+        a = mpmath.findroot(f, mpmath.mpf(start), solver="newton", df=lambda x: phi(x) ** 2)
+        return float(phi(a))
 
 
-def test_power_sweep_rows_mix_valid_exploded_and_rejected():
-    # one batched march holds valid and exploding rows; a point whose model
-    # is rejected never reaches it. The pinned texts and values are those of
-    # one solve per point.
+def test_power_sweep_rows_mix_valid_and_rejected():
+    # a point whose model is rejected keeps its reason; every other point is
+    # valid, including those whose factors overflow before t = 0, since the
+    # time-zero controls read only varpi(0)
     base = sweeps.baseline_params(POWER, "I")
-    res = sweeps.run_sweep(levered(base, 1e-3), "I", "mu", points=8, lo=0.05, hi=0.4)
-    assert res.reasons == (
-        "financial.mu must be finite and >= r (got mu=0.05, r=0.1)",
-        "", "", "", "",
-        _exploded(0.246), _exploded(0.7689999999999999), _exploded(1.099),
-    )
-    assert res.valid.tolist() == [False, True, True, True, True, False, False, False]
-    assert res.q0[1:5].tolist() == [0.2145616109367753, 0.21806588543409683,
-                                    0.23011754304327486, 0.25769130091617504]
-    assert res.pi0[1:5].tolist() == [0.0, 0.3365214281390384, 0.7102393303804782,
-                                     1.1930152820193287]
-    assert np.isnan(res.q0[~res.valid]).all() and np.isnan(res.pi0[~res.valid]).all()
-    res = sweeps.run_sweep(levered(base), "I", "mu", points=4, lo=0.1, hi=0.4)
-    assert res.reasons == (_exploded(1.3679999999999999), _exploded(1.589),
-                           _exploded(1.786), _exploded(1.8639999999999999))
-
-
-def test_power_sweep_memory_flat_in_dt():
-    # the sweep keeps each point's current factors only, not its history
-    base = sweeps.baseline_params(POWER, "I")
-
-    def peak(divisor):
-        tracemalloc.start()
-        try:
-            sweeps.run_sweep(base, "I", "r", points=2, power_dt=base.horizon / divisor)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(20000) <= 2 * peak(2000)
+    for model, lo, points in ((levered(base, 1e-3), 0.05, 8), (levered(base), 0.1, 4)):
+        res = sweeps.run_sweep(model, "I", "mu", points=points, lo=lo, hi=0.4)
+        rejected = lo < model.financial.r
+        assert res.reasons == (
+            ("financial.mu must be finite and >= r (got mu=0.05, r=0.1)",) if rejected else ()
+        ) + ("",) * (points - rejected)
+        assert res.valid.tolist() == [not rejected] * rejected + [True] * (points - rejected)
+        assert np.isnan(res.q0[~res.valid]).all() and np.isnan(res.pi0[~res.valid]).all()
+        for v, q in zip(res.values[res.valid], res.q0[res.valid]):
+            params = sweeps.apply_param(model, "mu", float(v))
+            co, w0 = params.coeffs, params.x0 + params.delay.beta * params.m1_0
+            varpi = co.a * co.eta2 * w0 / (co.b2 * q)
+            assert varpi == pytest.approx(_mpmath_varpi0(params), rel=1e-13, abs=0.0)
