@@ -3,10 +3,13 @@
 Three independent checks run on the case-I benchmark:
 
   1. generator residual of each per-gamma candidate on a state grid
-     (cancels to roundoff when the derived constants are right),
+     (cancels to roundoff when the derived constants are right); each
+     time is one slice evaluated as arrays over the effective wealth
+     w = x + beta*m1 of every state,
   2. pointwise optimality: sweeping the control objective over a grid
      must not beat the closed-form controls, and the argmax must land
-     on them,
+     on them (the objective separates into a retention part and an
+     investment part, so each control is swept on its own mesh),
   3. the same residual after deliberately corrupting one derived
      constant by 1 percent, which must light up by many orders of
      magnitude; otherwise the residual check would be vacuous.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -208,10 +209,15 @@ def _write_table(path: Path, values, columns: dict, valid, reasons) -> None:
 
 def cmd_strategy(args) -> int:
     params, case = resolve_params(args)
-    out = _out_dir(args)
-    t_vals = np.linspace(0.0, params.horizon, args.t_points)
     x = params.x0 if args.x is None else args.x
     m1 = params.m1_0 if args.m1 is None else args.m1
+    for flag, v in (("--x", x), ("--m1", m1)):
+        if not math.isfinite(v):
+            raise ParameterError(f"{flag} must be finite, got {v}")
+    if x == 0.0:
+        raise ParameterError("--x (default x0) must be nonzero: pi_fraction divides by it")
+    out = _out_dir(args)
+    t_vals = np.linspace(0.0, params.horizon, args.t_points)
     outputs = ["strategy.csv"]
 
     rows = []
@@ -285,7 +291,8 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_checks(params, args):
-    """Run the requested checks; returns (report dict, all_passed)."""
+    """Run the requested checks; returns the checks dict, one entry per
+    check with its measured numbers and ``passed``."""
     horizon = params.horizon
     which = args.check
     want = lambda name: which in (name, "all")

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import DomainError, EvaluationError, ParameterError
 from .model import ModelParams
 from .utility import EXPONENTIAL
@@ -103,14 +105,16 @@ def exponent_offset(params: ModelParams, gamma: float, t: float) -> float:
     return flow - drift_adjustment(params, gamma) * tau
 
 
-def ansatz(params: ModelParams, gamma: float, t: float, x: float, m1: float) -> float:
+def ansatz(params: ModelParams, gamma: float, t: float, x, m1):
     """Per-gamma expected utility of terminal effective wealth under the
-    equilibrium strategy, -(1/gamma)*exp(g1*w + g2) with w = x + beta*m1."""
+    equilibrium strategy, -(1/gamma)*exp(g1*w + g2) with w = x + beta*m1;
+    x and m1 may be arrays."""
     w = x + params.delay.beta * m1
     exponent = exponent_slope(params, gamma, t) * w + exponent_offset(params, gamma, t)
-    if exponent > _EXP_MAX:
-        raise EvaluationError(f"ansatz exponent {exponent} exceeds floating-point range")
-    return -math.exp(exponent) / gamma
+    if np.any(exponent > _EXP_MAX):
+        raise EvaluationError(
+            f"ansatz exponent {np.max(exponent)} exceeds floating-point range")
+    return -np.exp(exponent) / gamma
 
 
 def value(params: ModelParams, t: float, x: float, m1: float) -> float:

@@ -90,12 +90,13 @@ def _require_power(params: ModelParams) -> None:
         )
 
 
-def _effective_wealth(params: ModelParams, x: float, m1: float, what: str) -> float:
-    """w = x + beta*m1 for a power-family routine; w must be positive."""
+def _effective_wealth(params: ModelParams, x, m1, what: str):
+    """w = x + beta*m1 for a power-family routine (x and m1 may be arrays);
+    every w must be positive."""
     _require_power(params)
     w = x + params.delay.beta * m1
-    if w <= 0.0:
-        raise DomainError(f"power {what} requires x + beta*m1 > 0, got {w}")
+    if np.any(w <= 0.0):
+        raise DomainError(f"power {what} requires x + beta*m1 > 0, got {np.min(w)}")
     return w
 
 
@@ -325,7 +326,6 @@ def varpi_rate_residual(sol: OdeSolution, params: ModelParams, t: float) -> floa
     k = int(np.clip(np.searchsorted(sol.t, t), 1, len(sol.t) - 2))
     if k > 1 and abs(sol.t[k - 1] - t) < abs(sol.t[k] - t):
         k -= 1
-    k = int(np.clip(k, 1, len(sol.t) - 2))
     fd = (sol.varpi[k + 1] - sol.varpi[k - 1]) / (sol.t[k + 1] - sol.t[k - 1])
     return abs(fd - varpi_rate(sol, params, float(sol.t[k])))
 
@@ -341,10 +341,8 @@ def write_csv(sol: OdeSolution, path) -> None:
             + "\n"
         )
         f.write("t,varpi," + ",".join(f"g_{g!r}" for g in sol.gammas) + "\n")
-        for k in range(len(sol.t)):
-            row = [repr(float(sol.t[k])), repr(float(sol.varpi[k]))]
-            row += [repr(float(v)) for v in sol.g[k]]
-            f.write(",".join(row) + "\n")
+        for row in np.column_stack([sol.t, sol.varpi, sol.g]).tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def read_csv(path) -> OdeSolution:

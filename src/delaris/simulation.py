@@ -307,14 +307,9 @@ def write_path_csv(path: SimPath, file_path) -> None:
     """Serialize a recorded path: columns t, X, M1, M2, q, pi_amount."""
     with open(file_path, "w", encoding="utf-8") as f:
         f.write("t,X,M1,M2,q,pi_amount\n")
-        for k in range(len(path.t)):
-            f.write(
-                ",".join(
-                    repr(float(v))
-                    for v in (path.t[k], path.X[k], path.M1[k], path.M2[k], path.q[k], path.pi_x[k])
-                )
-                + "\n"
-            )
+        cols = (path.t, path.X, path.M1, path.M2, path.q, path.pi_x)
+        for row in np.column_stack(cols).tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def estimate_to_dict(est: McEstimate) -> dict:

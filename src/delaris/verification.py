@@ -18,14 +18,18 @@ working precision", and small fault injections (helper provided) must
 blow the residuals up by orders of magnitude.
 
 Every candidate, in both families, depends on the state (x, m1) only
-through the effective wealth w = x + beta*m1, so a field at one state is
-a :class:`Jet` in w (value, time derivative, first and second
+through the effective wealth w = x + beta*m1, so a field is a
+:class:`Jet` in w (value, time derivative, first and second
 w-derivatives; the m1-derivative is beta*phi_w). Each time is evaluated
-once: a per-time slice holds the family's time-only factors (exponent
-slopes and drift rates, or the interpolated growth factors, their rates
-and the certainty factor) and returns the controls, the per-gamma ansatz
-jets and the value jet at any (x, m1). The closed forms themselves stay
-in :mod:`delaris.exponential` and :mod:`delaris.power`.
+once, as arrays over the whole state grid: a slice evaluates the
+family's time-only factors (exponent slopes and drift rates, or the
+interpolated growth factors, their rates and the certainty factor) and
+returns the controls, the per-gamma ansatz jets and the value jet at
+every w of the grid. :func:`generator_terms` is affine in (x, m1, m2), so
+it applies to the whole grid at once too. The optimality objective is a
+q part plus a pi part, so each control is swept on its own mesh. The
+closed forms themselves stay in :mod:`delaris.exponential` and
+:mod:`delaris.power`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,9 +60,10 @@ FK_DT_COEFF = 0.5
 
 @dataclass(frozen=True)
 class Jet:
-    """A field at one state (t, x, m1) that depends on the state only
-    through effective wealth w = x + beta*m1: its value, time derivative
-    and first two w-derivatives. The m1-derivative is beta*phi_w."""
+    """A field that depends on the state (t, x, m1) only through effective
+    wealth w = x + beta*m1: its value, time derivative and first two
+    w-derivatives, each a float or an array over a grid of w. The
+    m1-derivative is beta*phi_w."""
 
     phi: float
     phi_t: float
@@ -77,7 +82,7 @@ def generator_terms(
 ) -> tuple[float, float, float, float]:
     """The four summands of the controlled generator applied to the field:
     time derivative, wealth drift, diffusion, and memory flow. pi_x is the
-    invested amount."""
+    invested amount. Every argument may be an array; the summands broadcast."""
     co, fin, delay, cons = params.coeffs, params.financial, params.delay, params.constants
     drift = (
         cons.A * x
@@ -95,19 +100,6 @@ def generator_terms(
 # ----------------------------------------------------------- time slices
 
 
-@dataclass(frozen=True)
-class _Slice:
-    """The closed forms of one family at one time, with every time-only
-    factor evaluated once. controls(x, m1) -> (q, pi_x); ansatz(x, m1) ->
-    one jet per gamma; value(x, m1) -> the aggregated-value jet; source is
-    the family's strategy for :class:`SimConfig`."""
-
-    controls: Callable
-    ansatz: Callable
-    value: Callable
-    source: object
-
-
 def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, float, float]:
     """(g1, dg1/dt, dg2/dt) of the exponential ansatz exponent g1*w + g2."""
     co, kappa = params.coeffs, params.constants.kappa
@@ -118,33 +110,26 @@ def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, floa
     return g1, -kappa * g1, g2_dot
 
 
-def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float) -> _Slice:
-    """Evaluate the family's closed forms at time t; power needs the solved
-    factor grid, from which it makes one factor and one rate lookup."""
-    beta = params.delay.beta
+def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w):
+    """The family's closed forms at time t and effective wealth w (a float
+    or an array): ((q, pi_x), one ansatz jet per gamma, the value jet).
+    Every time-only factor is evaluated once; power needs the solved factor
+    grid, from which it makes one factor and one rate lookup. The family
+    routines take (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
     if params.dist.family == EXPONENTIAL:
         co, fin, kappa = params.coeffs, params.financial, params.constants.kappa
         e = math.exp(kappa * (params.horizon - t))
         g_const = ((fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2) / (
             params.mean_gamma
         )
-        controls = expmod.strategy(params, t)
-        rates = [(g, *_exp_rates(params, g, t)) for g in params.dist.gammas]
-
-        def ansatz(x, m1):
-            w = x + beta * m1
-            jets = []
-            for gamma, g1, g1_dot, g2_dot in rates:
-                phi = expmod.ansatz(params, gamma, t, x, m1)
-                jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
-            return jets
-
-        def value(x, m1):
-            w = x + beta * m1
-            u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
-            return Jet(expmod.value(params, t, x, m1), u_t, e, 0.0)
-
-        return _Slice(lambda x, m1: controls, ansatz, value, EXPONENTIAL)
+        controls = tuple(np.full(np.shape(w), c) for c in expmod.strategy(params, t))
+        jets = []
+        for gamma in params.dist.gammas:
+            g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
+            phi = expmod.ansatz(params, gamma, t, w, 0.0)
+            jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
+        u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
+        return controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0)
 
     if solution is None:
         raise ParameterError("power-family verification needs the solved factor grid")
@@ -155,27 +140,24 @@ def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float) -
     gc = powmod._powers(g, gam)
     factor = float(gc @ p)  # certainty_factor(t)
     rate = float((gam / (1.0 - gam) * gc / g * g_dot) @ p)  # its time derivative
+    w = powmod._effective_wealth(params, w, 0.0, "verification")
+    jets = [
+        Jet(
+            powmod._ansatz(gi, gm, w),
+            gm * gi ** (gm - 1.0) * gi_dot * w ** (1.0 - gm) / (1.0 - gm),
+            gi**gm * w ** (-gm),
+            -gm * gi**gm * w ** (-gm - 1.0),
+        )
+        for gm, gi, gi_dot in zip(solution.gammas, g, g_dot)
+    ]
+    return powmod._controls(params, w, varpi), jets, Jet(w * factor, w * rate, factor, 0.0)
 
-    def controls(x, m1):
-        return powmod._controls(params, powmod._effective_wealth(params, x, m1, "strategy"), varpi)
 
-    def ansatz(x, m1):
-        w = powmod._effective_wealth(params, x, m1, "ansatz")
-        return [
-            Jet(
-                powmod._ansatz(gi, gm, w),
-                gm * gi ** (gm - 1.0) * gi_dot * w ** (1.0 - gm) / (1.0 - gm),
-                gi**gm * w ** (-gm),
-                -gm * gi**gm * w ** (-gm - 1.0),
-            )
-            for gm, gi, gi_dot in zip(solution.gammas, g, g_dot)
-        ]
-
-    def value(x, m1):
-        w = powmod._effective_wealth(params, x, m1, "value")
-        return Jet(w * factor, w * rate, factor, 0.0)
-
-    return _Slice(controls, ansatz, value, solution)
+def _state_grid(params: ModelParams, x_vals, m1_vals):
+    """x as a column, m1 as a row and their effective wealth w[b, c]."""
+    x = np.asarray(x_vals, dtype=float)[:, None]
+    m1 = np.asarray(m1_vals, dtype=float)
+    return x, m1, x + params.delay.beta * m1
 
 
 # ------------------------------------------------------- expectation PDE
@@ -219,25 +201,20 @@ def expectation_pde_residual(
     perturbation of the derived constants must show up at ~the perturbation
     size (see :func:`perturb_constants`)."""
     t_vals = np.asarray(t_vals, dtype=float)
-    x_vals = np.asarray(x_vals, dtype=float)
-    m1_vals = np.asarray(m1_vals, dtype=float)
-    shape = (len(params.dist.gammas), len(t_vals), len(x_vals), len(m1_vals))
+    x, m1, w = _state_grid(params, x_vals, m1_vals)
+    shape = (len(params.dist.gammas), len(t_vals), *w.shape)
     residual = np.empty(shape)
     scaled = np.empty(shape)
     for a, t in enumerate(t_vals):
-        at = _slice(params, solution, t)
-        for b, x in enumerate(x_vals):
-            for c, m1 in enumerate(m1_vals):
-                q, pi_x = at.controls(x, m1)
-                for i, jet in enumerate(at.ansatz(x, m1)):
-                    terms = generator_terms(jet, params, x, m1, m2, q, pi_x)
-                    res = abs(math.fsum(terms))
-                    residual[i, a, b, c] = res
-                    scaled[i, a, b, c] = res / max(sum(abs(v) for v in terms), _TINY)
+        (q, pi_x), jets, _ = _slice(params, solution, t, w)
+        for i, jet in enumerate(jets):
+            terms = generator_terms(jet, params, x, m1, m2, q, pi_x)
+            residual[i, a] = res = np.abs(sum(terms))
+            scaled[i, a] = res / np.maximum(sum(np.abs(v) for v in terms), _TINY)
     return ResidualGrid(
         t_vals=t_vals,
-        x_vals=x_vals,
-        m1_vals=m1_vals,
+        x_vals=x[:, 0],
+        m1_vals=m1,
         m2=m2,
         gammas=params.dist.gammas,
         residual=residual,
@@ -264,12 +241,30 @@ class OptimalityResult:
     n_nodes: int
 
 
-def _mesh(cand: float, lo: float, hi: float, w: float, n: int) -> np.ndarray:
-    """Control mesh from lo*|cand| to hi*|cand|; a zero candidate takes the
-    node's effective wealth (or 1) as its width, so the sweep never
-    collapses to a point."""
-    width = abs(cand) or abs(w) or 1.0
-    return np.linspace(lo * width, hi * width, n)
+_N_MESH = 41  # coarse mesh nodes per control
+# relative offsets of the refined nodes around the candidate
+_OFFSETS = np.array([0.0, 1e-5, -1e-5, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1])
+
+
+def _mesh(cand, lo: float, hi: float, w):
+    """Control meshes from lo*|cand| to hi*|cand| along a last axis, one per
+    node; a zero candidate takes the node's effective wealth (or 1) as its
+    width, so no sweep collapses to a point."""
+    width = np.where(cand != 0.0, np.abs(cand), np.where(w != 0.0, np.abs(w), 1.0))
+    return np.linspace(lo * width, hi * width, _N_MESH, axis=-1)
+
+
+def _sweep(cand, lo: float, hi: float, w, lin, quad):
+    """Maximize lin*c + quad*c^2 over one control c at every node, on the
+    coarse mesh plus the candidate's relative offsets: (max, distance of the
+    argmax from the candidate in coarse cells)."""
+    mesh = _mesh(cand, lo, hi, w)
+    c = np.concatenate([mesh, cand[..., None] * (1.0 + _OFFSETS)], axis=-1)
+    vals = np.asarray(lin)[..., None] * c + quad[..., None] * c**2
+    k = vals.argmax(axis=-1)[..., None]
+    star = np.take_along_axis(c, k, axis=-1)[..., 0]
+    dist = np.abs(star - cand) / (mesh[..., 1] - mesh[..., 0])
+    return np.take_along_axis(vals, k, axis=-1)[..., 0], dist
 
 
 def optimality_residual(
@@ -279,7 +274,6 @@ def optimality_residual(
     m1_vals: Sequence[float],
     m2: float = 0.6,
     solution: powmod.OdeSolution | None = None,
-    n_mesh: int = 41,
 ) -> OptimalityResult:
     """Sweep the control objective
 
@@ -288,67 +282,46 @@ def optimality_residual(
 
     over a coarse global grid q in [0, 4*q_cand], pi in [-2, 4]*pi_cand plus
     a multiplicatively refined local grid around the closed-form candidate.
-    The sup must vanish (scaled) and the argmax must land within one coarse
-    cell of the candidate."""
+    The objective is base + (q part) + (pi part), so its sup is base plus
+    the two one-control maxima. The sup must vanish (scaled) and the argmax
+    must land within one coarse cell of the candidate."""
     family, gammas, probs = params.dist.family, params.dist.gammas, params.dist.probs
     co, fin = params.coeffs, params.financial
+    x, m1, w = _state_grid(params, x_vals, m1_vals)
 
     worst_sup = -math.inf
     worst_dist = 0.0
     concave = True
-    offsets = np.array(
-        [0.0, 1e-5, -1e-5, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1]
-    )
     for t in np.asarray(t_vals, dtype=float):
-        at = _slice(params, solution, t)
-        for x in np.asarray(x_vals, dtype=float):
-            for m1 in np.asarray(m1_vals, dtype=float):
-                q_cand, pi_cand = at.controls(x, m1)
-                u = at.value(x, m1)
-                penalty = 0.0
-                for gamma, p, jet in zip(gammas, probs, at.ansatz(x, m1)):
-                    penalty += p * inverse_utility_d2(family, gamma, jet.phi) * jet.phi_w * jet.phi_w
-                quad = 0.5 * (u.phi_ww - penalty)
-                if quad >= 0.0:
-                    concave = False
-                # the generator of U with both controls at zero
-                base = sum(generator_terms(u, params, x, m1, m2, 0.0, 0.0))
-                cq = co.a * co.eta2 * u.phi_w
-                cpi = (fin.mu - fin.r) * u.phi_w
+        (q_cand, pi_cand), jets, u = _slice(params, solution, t, w)
+        penalty = 0.0
+        for gamma, p, jet in zip(gammas, probs, jets):
+            penalty += p * inverse_utility_d2(family, gamma, jet.phi) * jet.phi_w * jet.phi_w
+        quad = 0.5 * (u.phi_ww - penalty)
+        concave = concave and not np.any(quad >= 0.0)
+        # the generator of U with both controls at zero
+        base = sum(generator_terms(u, params, x, m1, m2, 0.0, 0.0))
+        cq = co.a * co.eta2 * u.phi_w
+        cpi = (fin.mu - fin.r) * u.phi_w
+        best_q, dist_q = _sweep(q_cand, 0.0, 4.0, w, cq, quad * co.b2)
+        best_pi, dist_pi = _sweep(pi_cand, -2.0, 4.0, w, cpi, quad * fin.sigma**2)
+        sup = base + best_q + best_pi
 
-                w = x + params.delay.beta * m1
-                q_grid = _mesh(q_cand, 0.0, 4.0, w, n_mesh)
-                pi_grid = _mesh(pi_cand, -2.0, 4.0, w, n_mesh)
-                cell_q = q_grid[1] - q_grid[0]
-                cell_pi = pi_grid[1] - pi_grid[0]
-                q_all = np.concatenate([q_grid, q_cand * (1.0 + offsets)])
-                pi_all = np.concatenate([pi_grid, pi_cand * (1.0 + offsets)])
-                qq, pp = np.meshgrid(q_all, pi_all, indexing="ij")
-                vals = base + cq * qq + cpi * pp + quad * (co.b2 * qq**2 + fin.sigma**2 * pp**2)
-                flat = np.argmax(vals)
-                q_star = qq.flat[flat]
-                pi_star = pp.flat[flat]
-                sup = float(vals.flat[flat])
-
-                scale = (
-                    abs(u.phi_t)
-                    + abs(base - u.phi_t)
-                    + abs(cq * q_cand)
-                    + abs(cpi * pi_cand)
-                    + abs(quad) * (co.b2 * q_cand**2 + fin.sigma**2 * pi_cand**2)
-                )
-                worst_sup = max(worst_sup, abs(sup) / max(scale, _TINY))
-                worst_dist = max(
-                    worst_dist,
-                    abs(q_star - q_cand) / cell_q,
-                    abs(pi_star - pi_cand) / cell_pi,
-                )
-    n_nodes = len(t_vals) * len(x_vals) * len(m1_vals)
+        scale = (
+            np.abs(u.phi_t)
+            + np.abs(base - u.phi_t)
+            + np.abs(cq * q_cand)
+            + np.abs(cpi * pi_cand)
+            + np.abs(quad) * (co.b2 * q_cand**2 + fin.sigma**2 * pi_cand**2)
+        )
+        scaled = np.abs(sup) / np.maximum(scale, _TINY)
+        worst_sup = max(worst_sup, np.max(scaled, initial=-math.inf))
+        worst_dist = max(worst_dist, np.max(dist_q, initial=0.0), np.max(dist_pi, initial=0.0))
     return OptimalityResult(
-        max_scaled_sup=worst_sup,
-        max_cell_distance=worst_dist,
-        concave=concave,
-        n_nodes=n_nodes,
+        max_scaled_sup=float(worst_sup),
+        max_cell_distance=float(worst_dist),
+        concave=bool(concave),
+        n_nodes=len(t_vals) * w.size,
     )
 
 
@@ -369,10 +342,9 @@ def coefficient_split_check(
     params: ModelParams,
     gamma: float,
     t: float,
-    w_pair: tuple[float, float] = (0.5, 1.5),
     g1_factor: float = 1.0,
 ) -> CoefficientSplit:
-    """Evaluate the exponent-level residual at two effective-wealth values
+    """Evaluate the exponent-level residual at effective wealth 0.5 and 1.5
     and split it into slope and intercept. Both vanish for the closed
     forms; ``g1_factor`` != 1 injects a multiplicative fault into the
     wealth-slope value (its analytic derivative stays unperturbed), which
@@ -388,7 +360,7 @@ def coefficient_split_check(
     def residual(w):
         return g1_dot * w + g2_dot + kappa * w * g1 + control_lin + control_quad
 
-    w1, w2 = w_pair
+    w1, w2 = 0.5, 1.5
     slope = (residual(w1) - residual(w2)) / (w1 - w2)
     intercept = residual(w1) - slope * w1
     slope_scale = abs(g1_dot) + abs(kappa * g1)
@@ -429,21 +401,20 @@ def feynman_kac_check(
     n_paths: int,
     seed: int,
     solution: powmod.OdeSolution | None = None,
-    dt_coeff: float = FK_DT_COEFF,
 ) -> FkReport:
     """Monte Carlo check that the per-gamma ansatz at (0, x0, m1_0) equals
     the expected terminal utility under the equilibrium strategy.
 
-    Pass criterion per gamma: |mc - ansatz| <= 3*SE + dt_coeff*dt*|ansatz|
+    Pass criterion per gamma: |mc - ansatz| <= 3*SE + FK_DT_COEFF*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
-    start = _slice(params, solution, 0.0)
-    refs = [jet.phi for jet in start.ansatz(params.x0, params.m1_0)]
-    cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=start.source)
+    _, jets, _ = _slice(params, solution, 0.0, params.x0 + params.delay.beta * params.m1_0)
+    source = EXPONENTIAL if params.dist.family == EXPONENTIAL else solution
+    cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=source)
     est = mc_reward(params, cfg)
     results = []
-    for ref, pg in zip(refs, est.per_gamma):
+    for ref, pg in zip((jet.phi for jet in jets), est.per_gamma):
         diff = abs(pg.y_mean - ref)
-        tol = 3.0 * pg.y_se + dt_coeff * dt * abs(ref)
+        tol = 3.0 * pg.y_se + FK_DT_COEFF * dt * abs(ref)
         results.append(
             FkGammaResult(
                 gamma=pg.gamma,
@@ -477,12 +448,12 @@ def aggregated_value_identity(
 ) -> tuple[float, float]:
     """(probability-weighted certainty equivalent of the per-gamma ansatz,
     closed-form aggregated value); the two must agree."""
-    at = _slice(params, solution, t)
+    _, jets, u = _slice(params, solution, t, x + params.delay.beta * m1)
     h = math.fsum(
         p * inverse_utility(params.dist.family, g, jet.phi)
-        for (g, p), jet in zip(params.dist.points, at.ansatz(x, m1))
+        for (g, p), jet in zip(params.dist.points, jets)
     )
-    return h, at.value(x, m1).phi
+    return h, u.phi
 
 
 def perturb_constants(params: ModelParams, name: str, rel: float) -> ModelParams:

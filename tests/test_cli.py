@@ -140,6 +140,13 @@ def test_verify_pass_and_fault(tmp_path, capsys):
     assert rep["passed"] is False
     assert rep["checks"]["expectation"]["max_scaled_residual"] > 1e-4
 
+    bad = tmp_path / "bad_power"
+    assert run_cli("verify", "--family", "power", "--check", "optimality",
+                   "--fault-kappa", "0.01", "--out", str(bad)) == 2
+    assert "FAIL optimality" in capsys.readouterr().out
+    rep = json.loads((bad / "verify_report.json").read_text())
+    assert rep["checks"]["optimality"]["max_scaled_sup_gap"] > 1e-4
+
 
 def test_verify_power_skips_coefficient_check(tmp_path):
     out = tmp_path / "o"
@@ -209,6 +216,19 @@ def test_nonpositive_counts_rejected(tmp_path, capsys, argv, flag):
         run_cli(*argv, "--out", str(out))
     assert exc.value.code == 1
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--x", "0"), ("--x", "nan"), ("--x", "inf"), ("--x", "-inf"),
+    ("--m1", "nan"), ("--m1", "inf"),
+])
+def test_strategy_rejects_bad_state(tmp_path, capsys, flag, value):
+    # a zero --x would divide pi_fraction by zero; a non-finite state would
+    # write NaN or inf rows
+    out = tmp_path / "o"
+    assert run_cli("strategy", f"{flag}={value}", "--out", str(out)) == 1
+    assert f"error: {flag} " in capsys.readouterr().err
     assert not out.exists()
 
 

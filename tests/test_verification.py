@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from delaris import power as powmod
+from delaris import power_exact
 from delaris import sweeps
 from delaris import verification as ver
 from delaris.exceptions import ParameterError
@@ -108,10 +109,14 @@ def test_optimality_power(pow_case1, pow_sol):
     assert res.concave
 
 
-def test_optimality_detects_wrong_candidate(exp_case1):
-    # a faulted decay constant shifts the candidate off the true argmax
-    bad = ver.perturb_constants(exp_case1, "kappa", 0.2)
-    res = ver.optimality_residual(bad, T_GRID, X_GRID, M1_GRID, m2=0.6)
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_optimality_detects_wrong_candidate(family):
+    # a faulted decay constant shifts the candidate off the true argmax; the
+    # power factors are solved from the faulted model, as verify
+    # --fault-kappa does
+    bad = ver.perturb_constants(sweeps.baseline_params(family, "I"), "kappa", 0.2)
+    sol = power_exact.growth_factors(bad, 1e-3) if family == "power" else None
+    res = ver.optimality_residual(bad, T_GRID, X_GRID, M1_GRID, m2=0.6, solution=sol)
     assert res.max_scaled_sup > 1e-6 or res.max_cell_distance > 1.0
 
 
