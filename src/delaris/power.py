@@ -341,8 +341,18 @@ def write_csv(sol: OdeSolution, path) -> None:
             + "\n"
         )
         f.write("t,varpi," + ",".join(f"g_{g!r}" for g in sol.gammas) + "\n")
-        for row in np.column_stack([sol.t, sol.varpi, sol.g]).tolist():
-            f.write(",".join(map(repr, row)) + "\n")
+        _write_rows(f, (sol.t, sol.varpi, sol.g))
+
+
+_ROWS = 256  # rows per block: a whole table as Python floats would cost ~200 B a row
+
+
+def _write_rows(f, columns) -> None:
+    """Write equal-length columns (1-D, or 2-D with one row per entry) as
+    comma-separated rows of repr floats, formatted one block at a time."""
+    for k in range(0, len(columns[0]), _ROWS):
+        block = np.column_stack([c[k:k + _ROWS] for c in columns]).tolist()
+        f.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def read_csv(path) -> OdeSolution:

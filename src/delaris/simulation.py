@@ -307,9 +307,7 @@ def write_path_csv(path: SimPath, file_path) -> None:
     """Serialize a recorded path: columns t, X, M1, M2, q, pi_amount."""
     with open(file_path, "w", encoding="utf-8") as f:
         f.write("t,X,M1,M2,q,pi_amount\n")
-        cols = (path.t, path.X, path.M1, path.M2, path.q, path.pi_x)
-        for row in np.column_stack(cols).tolist():
-            f.write(",".join(map(repr, row)) + "\n")
+        powmod._write_rows(f, (path.t, path.X, path.M1, path.M2, path.q, path.pi_x))
 
 
 def estimate_to_dict(est: McEstimate) -> dict:
