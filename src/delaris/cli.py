@@ -207,46 +207,47 @@ def _write_table(path: Path, values, columns: dict, valid, reasons) -> None:
 
 # ------------------------------------------------------------- commands
 
+def _require_finite(*flags) -> None:
+    """Reject a set (not None) float option that is NaN or infinite."""
+    for flag, v in flags:
+        if v is not None and not math.isfinite(v):
+            raise ParameterError(f"{flag} must be finite, got {v}")
+
+
 def cmd_strategy(args) -> int:
     params, case = resolve_params(args)
     x = params.x0 if args.x is None else args.x
     m1 = params.m1_0 if args.m1 is None else args.m1
-    for flag, v in (("--x", x), ("--m1", m1)):
-        if not math.isfinite(v):
-            raise ParameterError(f"{flag} must be finite, got {v}")
+    _require_finite(("--x", x), ("--m1", m1))
     if x == 0.0:
         raise ParameterError("--x (default x0) must be nonzero: pi_fraction divides by it")
     out = _out_dir(args)
     t_vals = np.linspace(0.0, params.horizon, args.t_points)
     outputs = ["strategy.csv"]
 
-    rows = []
     if params.dist.family == EXPONENTIAL:
-        for t in t_vals:
-            q, amount = expmod.strategy(params, float(t))
-            rows.append((t, q, amount, amount / x))
+        q, amount = np.array([expmod.strategy(params, float(t)) for t in t_vals]).T
     else:
-        sol = power_exact.growth_factors(params, args.dt)
-        powmod.write_csv(sol, out / "growth_factors.csv")
+        powmod.write_csv(power_exact.growth_factors(params, args.dt), out / "growth_factors.csv")
         outputs.append("growth_factors.csv")
-        for t in t_vals:
-            q, amount = powmod.strategy(sol, params, float(t), x, m1)
-            rows.append((t, q, amount, amount / x))
+        w = powmod._effective_wealth(params, x, m1, "strategy")
+        q, amount = powmod._controls(params, w, power_exact.factors(params, t_vals)[1])
 
     with (out / "strategy.csv").open("w") as f:
         f.write("t,q_hat,pi_amount,pi_fraction\n")
-        for row in rows:
+        for row in zip(t_vals, q, amount, amount / x):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
     write_manifest(out, "strategy", params, {
         "case": case, "t_points": args.t_points, "x": x, "m1": m1, "dt": args.dt,
     }, outputs)
-    print(f"wrote {out / 'strategy.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'strategy.csv'} ({len(t_vals)} rows)")
     return 0
 
 
 def cmd_sweep(args) -> int:
     params, case = resolve_params(args)
+    _require_finite(("--lo", args.lo), ("--hi", args.hi))
     out = _out_dir(args)
     result = swp.run_sweep(params, case, args.param, points=args.points, lo=args.lo, hi=args.hi)
     name = f"sweep_{args.param}.csv"
@@ -266,12 +267,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     dt = args.dt if args.dt is not None else params.horizon / 2000
     n_paths = args.n_paths if args.n_paths is not None else 10000
-
-    if params.dist.family == EXPONENTIAL:
-        strategy: sim.StrategySource = EXPONENTIAL
-    else:
-        strategy = power_exact.growth_factors(params, dt)  # the Euler steps read its nodes
-    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=strategy)
+    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=params.dist.family)
 
     outputs = ["estimate.json"]
     est = sim.mc_reward(params, cfg)
@@ -301,24 +297,13 @@ def _verify_checks(params, args):
     if args.fault_kappa:
         params = ver.perturb_constants(params, "kappa", args.fault_kappa)
 
-    solution = None
-    if power:
-        solution = power_exact.growth_factors(
-            params, args.dt if args.dt is not None else horizon / 2000)
-
     t_vals = np.linspace(0.0, horizon, 10)
-    if solution is not None:
-        # snap to solver nodes so interpolation cannot blur the residual; a
-        # time before an explosion stays put, so its lookup reports it
-        k = np.minimum(np.searchsorted(solution.t, t_vals), len(solution.t) - 1)
-        t_vals = np.where(t_vals >= solution.t[0], solution.t[k], t_vals)
     x_vals = np.linspace(0.2, 1.2, 10)
     m1_vals = np.linspace(0.3, 1.2, 10)
 
     checks = {}
     if want("expectation"):
-        grid = ver.expectation_pde_residual(params, t_vals, x_vals, m1_vals,
-                                            m2=params.x0, solution=solution)
+        grid = ver.expectation_pde_residual(params, t_vals, x_vals, m1_vals, m2=params.x0)
         checks["expectation"] = {
             "passed": bool(grid.max_scaled <= 1e-6),
             "max_scaled_residual": grid.max_scaled,
@@ -326,8 +311,7 @@ def _verify_checks(params, args):
             "tolerance": 1e-6,
         }
     if want("optimality"):
-        res = ver.optimality_residual(params, t_vals, x_vals, m1_vals,
-                                      m2=params.x0, solution=solution)
+        res = ver.optimality_residual(params, t_vals, x_vals, m1_vals, m2=params.x0)
         checks["optimality"] = {
             "passed": bool(res.max_scaled_sup <= 1e-6 and res.max_cell_distance <= 1.0
                            and res.concave),
@@ -357,8 +341,7 @@ def _verify_checks(params, args):
     if want("feynman-kac"):
         fk_dt = args.dt if args.dt is not None else horizon / 1000
         fk_n = args.n_paths if args.n_paths is not None else 20000
-        rep = ver.feynman_kac_check(params, dt=fk_dt, n_paths=fk_n,
-                                    seed=args.seed, solution=solution)
+        rep = ver.feynman_kac_check(params, dt=fk_dt, n_paths=fk_n, seed=args.seed)
         checks["feynman-kac"] = {
             "passed": rep.passed,
             "dt": rep.dt,
@@ -387,6 +370,7 @@ def _verify_checks(params, args):
 
 def cmd_verify(args) -> int:
     params, case = resolve_params(args)
+    _require_finite(("--fault-kappa", args.fault_kappa))
     out = _out_dir(args)
     checks = _verify_checks(params, args)
     all_passed = all(c["passed"] for c in checks.values())
@@ -465,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strategy", parents=[common],
                        help="tabulate equilibrium controls over time")
     p.add_argument("--dt", type=float, default=None,
-                   help="power factor grid step (default: horizon/20000)")
+                   help="grid step of the power growth_factors.csv (default: horizon/20000)")
     p.add_argument("--t-points", type=_count(1), default=101, help="grid size (default: 101)")
     p.add_argument("--x", type=float, default=None, help="wealth for fractions (default: x0)")
     p.add_argument("--m1", type=float, default=None,
@@ -483,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="Monte Carlo estimate of the expected certainty equivalent")
     p.add_argument("--dt", type=float, default=None,
-                   help="Euler step, also the power factor grid (default: horizon/2000)")
+                   help="Euler step; power factors are read at its times (default: horizon/2000)")
     p.add_argument("--paths-csv", type=_count(0), default=0,
                    help="also write this many individual path files")
     p.set_defaults(func=cmd_simulate)
@@ -491,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="check the analytic solution against its defining equations")
     p.add_argument("--dt", type=float, default=None,
-                   help="power factor grid and Feynman-Kac Euler step "
-                        "(default: horizon/2000 and horizon/1000)")
+                   help="Feynman-Kac Euler step (default: horizon/1000)")
     p.add_argument("--check", choices=CHECKS, default="all")
     p.add_argument("--fault-kappa", type=float, default=0.0,
                    help="relative fault injected into the decay constant (diagnostic; "

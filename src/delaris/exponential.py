@@ -88,11 +88,8 @@ def exponent_slope(params: ModelParams, gamma: float, t: float) -> float:
 def drift_adjustment(params: ModelParams, gamma: float) -> float:
     """Time-linear drift constant in the ansatz exponent offset."""
     _require_exponential(params)
-    co, fin = params.coeffs, params.financial
-    f1 = (fin.mu - fin.r) ** 2 / fin.sigma**2
-    f2 = (co.a * co.eta2) ** 2 / co.b2
-    e_gamma = params.mean_gamma
-    return gamma * (f1 + f2) / e_gamma - 0.5 * gamma**2 * (f1 + f2) / e_gamma**2
+    g2, e_gamma = params.g2, params.mean_gamma
+    return gamma * g2 / e_gamma - 0.5 * gamma**2 * g2 / e_gamma**2
 
 
 def exponent_offset(params: ModelParams, gamma: float, t: float) -> float:
@@ -127,11 +124,10 @@ def value(params: ModelParams, t: float, x: float, m1: float) -> float:
     """
     _require_exponential(params)
     t = _check_time(params, t)
-    co, fin = params.coeffs, params.financial
+    co = params.coeffs
     tau = params.horizon - t
     kappa = params.constants.kappa
-    e_gamma = params.mean_gamma
-    g = ((fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2) / e_gamma
+    g = params.g2 / params.mean_gamma
     w = x + params.delay.beta * m1
     return w * math.exp(kappa * tau) + co.a * co.eta * _expm1_over(kappa, tau) + 0.5 * g * tau
 

@@ -310,3 +310,9 @@ class ModelParams:
     @property
     def mean_gamma(self) -> float:
         return mean_gamma(self.dist)
+
+    @property
+    def g2(self) -> float:
+        """G2 = (mu-r)^2/sigma^2 + (a*eta2)^2/b^2, read by both families."""
+        co, fin = self.coeffs, self.financial
+        return (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2

@@ -23,21 +23,24 @@ tau = int_0^A Phi(a)^2 da, and
 
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
 
-:func:`delaris.power_exact.growth_factors` evaluates it at the nodes of
-a uniform grid: ``strategy`` and ``verify`` use it on the --dt grid (by
-default horizon/20000 and horizon/2000), and ``simulate`` on its Euler
-grid. Sweep points and figure panels read only the time-zero controls,
-so :func:`delaris.power_exact.initial_strategy` evaluates the one node
-tau = T. :func:`solve_growth_factors` marches the system with fixed-step
-classical RK4 instead, recomputing varpi from the stage values of g; it
-is the library's and the tests' reference solver, and no CLI run calls
-it. varpi stays inside [min gamma, max gamma], but a nearly risk-neutral
-atom's factor can overflow float64 (log g reaches about 1e7 for
-gamma = 1e-4). On either grid route the solution then ends quietly at the
-first node, going backward from the horizon, whose factors leave
-(0, inf): it keeps the nodes after it and is flagged as exploded instead
-of raising. varpi(0) itself never overflows, so the time-zero controls
-exist for such a model.
+:func:`delaris.power_exact.factors` evaluates it at exactly the times a
+run reads: ``strategy`` at its --t-points times and ``verify`` at its
+slice times. :func:`delaris.power_exact.growth_factors` evaluates it at
+the nodes of a uniform grid, for the ``growth_factors.csv`` artifact (the
+--dt grid of ``strategy``, by default horizon/20000) and for the Euler
+grid of ``simulate``. Sweep points and figure panels read only the
+time-zero controls, so :func:`delaris.power_exact.initial_strategy`
+evaluates the one node tau = T. :func:`solve_growth_factors` marches the
+system with fixed-step classical RK4 instead, recomputing varpi from the
+stage values of g; it is the library's and the tests' reference solver,
+and no CLI run calls it. varpi stays inside [min gamma, max gamma], but a
+nearly risk-neutral atom's factor can overflow float64 (log g reaches
+about 1e7 for gamma = 1e-4). On either grid route the solution then ends
+quietly at the first node, going backward from the horizon, whose
+factors leave (0, inf): it keeps the nodes after it and is flagged as
+exploded instead of raising; ``factors`` raises at such a time.
+varpi(0) itself never overflows, so the time-zero controls exist for
+such a model.
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
 
@@ -92,17 +95,12 @@ def _require_power(params: ModelParams) -> None:
 
 def _effective_wealth(params: ModelParams, x, m1, what: str):
     """w = x + beta*m1 for a power-family routine (x and m1 may be arrays);
-    every w must be positive."""
+    every w must be positive (a NaN is not)."""
     _require_power(params)
     w = x + params.delay.beta * m1
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise DomainError(f"power {what} requires x + beta*m1 > 0, got {np.min(w)}")
     return w
-
-
-def _g2_const(params: ModelParams) -> float:
-    co, fin = params.coeffs, params.financial
-    return (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
 
 
 def _powers(g, gam):
@@ -162,7 +160,7 @@ def _march(params: ModelParams, dt: float, n_steps: int) -> tuple[int, np.ndarra
     factors at nodes k, k+1, ..., n_steps."""
     gam = np.array(params.dist.gammas, dtype=float)
     rate = _rate_fn(gam, np.array(params.dist.probs, dtype=float),
-                    params.constants.kappa, _g2_const(params))
+                    params.constants.kappa, params.g2)
     g = np.empty((n_steps + 1, len(gam)))
     g[n_steps] = y = np.ones(len(gam))
     with np.errstate(all="ignore"):
@@ -287,7 +285,7 @@ def single_gamma_growth(params: ModelParams, gamma: float, t: float) -> float:
     exp((1-gamma)/gamma * (kappa + 0.5*G2/gamma) * (T - t))."""
     _require_power(params)
     tau = params.horizon - float(t)
-    rate = params.constants.kappa + 0.5 * _g2_const(params) / gamma
+    rate = params.constants.kappa + 0.5 * params.g2 / gamma
     return math.exp((1.0 - gamma) / gamma * rate * tau)
 
 
@@ -295,16 +293,8 @@ def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1
     """Closed-form value for a one-point distribution:
     w * exp((kappa + 0.5*G2/gamma)*(T - t))."""
     w = _effective_wealth(params, x, m1, "value")
-    rate = params.constants.kappa + 0.5 * _g2_const(params) / gamma
+    rate = params.constants.kappa + 0.5 * params.g2 / gamma
     return w * math.exp(rate * (params.horizon - float(t)))
-
-
-def growth_rate(sol: OdeSolution, params: ModelParams, t: float) -> np.ndarray:
-    """ODE right-hand side dg/dt evaluated on the interpolated factors."""
-    _require_power(params)
-    rate = _rate_fn(np.asarray(sol.gammas), np.asarray(sol.probs),
-                    params.constants.kappa, _g2_const(params))
-    return rate(g_at(sol, t))
 
 
 def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
@@ -314,7 +304,7 @@ def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
     gam = np.asarray(sol.gammas)
     w = _powers(g_at(sol, t), gam) * np.asarray(sol.probs)
     varpi, second = (float(_mean_gamma(w, m)[0]) for m in (gam, gam * gam))
-    return 0.5 * _g2_const(params) / varpi**2 * (second - varpi**2)
+    return 0.5 * params.g2 / varpi**2 * (second - varpi**2)
 
 
 def varpi_rate_residual(sol: OdeSolution, params: ModelParams, t: float) -> float:

@@ -5,12 +5,13 @@ tau = T - t (see that module's docstring):
 
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2],
 
-where A(tau) solves tau = int_0^A Phi(a)^2 da. ``growth_factors`` returns
-the same :class:`~delaris.power.OdeSolution` as ``power.solve_growth_factors``
-on the same grid, with exact values at the nodes: the integral is summed
-over Gauss-Legendre panels and one batched Newton finds A at every node.
-``initial_strategy`` needs only the node tau = T: the time-zero controls
-of a sweep point read varpi(0) = Phi(A(T)) and nothing else.
+where A(tau) solves tau = int_0^A Phi(a)^2 da: the integral is summed over
+Gauss-Legendre panels and one batched Newton finds A at every tau.
+``factors`` evaluates it at any times, with no grid; ``growth_factors``
+returns the same :class:`~delaris.power.OdeSolution` as
+``power.solve_growth_factors`` on the same grid, exact at the nodes.
+``initial_strategy`` needs only tau = T: the time-zero controls of a
+sweep point read varpi(0) = Phi(A(T)) and nothing else.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 
 import numpy as np
 
-from .exceptions import EvaluationError
+from .exceptions import DomainError, EvaluationError
 from .model import ModelParams
-from .power import OdeSolution, _controls, _effective_wealth, _g2_const, _grid, _solution
+from .power import OdeSolution, _controls, _effective_wealth, _grid, _require_power, _solution
 
 _GL_NODES = 12  # Gauss-Legendre nodes per panel of the varpi integral
 _PANEL_RTOL = 1e-15  # a panel whose halves integrate differently by more is split
@@ -118,6 +119,27 @@ def _area(tau, edges, f_edges, gam, p, g2c):
     raise EvaluationError(f"varpi integral did not converge in {_NEWTON_MAX} Newton steps")
 
 
+def _evaluate(params: ModelParams, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Fill row j of g with the factors at tau[j] >= 0 (1 at tau = 0, inf
+    where one overflows) and return varpi = Phi(A(tau)). The panels reach
+    max(tau), or the horizon if that is 0; tau is evaluated in blocks
+    written straight into g, so the temporaries stay small."""
+    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
+    g2c, kappa = params.g2, params.constants.kappa
+    edges, f_edges = _panels(tau.max() or params.horizon, gam, p, g2c)
+    varpi = np.empty(len(tau))
+    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
+    for s in range(0, len(tau), block):
+        rows = slice(s, s + block)
+        area = _area(tau[rows], edges, f_edges, gam, p, g2c)
+        varpi[rows], log_m = _softmax_gamma(area, gam, p, g2c)
+        bracket = (kappa * tau[rows] - 2.0 * log_m)[:, None] - 0.5 * g2c * area[:, None] * gam
+        with np.errstate(over="ignore"):
+            g[rows] = np.exp((1.0 - gam) / gam * bracket)
+    g[tau == 0.0] = 1.0
+    return varpi
+
+
 def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
     """The factor system evaluated in closed form at the nodes of the grid
     ``power.solve_growth_factors`` marches (dt defaults to horizon/20000):
@@ -127,26 +149,31 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
     with tau = T - t and A = A(tau) (see the module docstring). g(T) = 1 and
     t[0] = 0 exactly. A node whose factors leave (0, inf) ends the solution
     as an exploding march ends there: the solution keeps the nodes after the
-    last such node and is flagged as exploded. The nodes are evaluated in
-    blocks straight into the factor array, so the temporaries stay small."""
+    last such node and is flagged as exploded."""
     dt, n_steps = _grid(params, dt)
-    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
-    g2c = _g2_const(params)
-    kappa = params.constants.kappa
-    edges, f_edges = _panels(dt * n_steps, gam, p, g2c)
-    g = np.empty((n_steps + 1, len(gam)), order="F")  # the layout OdeSolution keeps
-    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
-    for s in range(0, n_steps + 1, block):
-        tau = dt * np.arange(s, min(s + block, n_steps + 1), dtype=float)  # nodes n_steps - s, ...
-        area = _area(tau, edges, f_edges, gam, p, g2c)
-        _, log_m = _softmax_gamma(area, gam, p, g2c)
-        bracket = (kappa * tau - 2.0 * log_m)[:, None] - 0.5 * g2c * area[:, None] * gam
-        with np.errstate(over="ignore"):
-            g[n_steps + 1 - s - len(tau):n_steps + 1 - s] = np.exp((1.0 - gam) / gam * bracket)[::-1]
-    g[-1] = 1.0
+    g = np.empty((n_steps + 1, params.dist.n), order="F")  # the layout OdeSolution keeps
+    _evaluate(params, dt * np.arange(n_steps + 1, dtype=float), g[::-1])  # ascending tau
     bad = np.flatnonzero(~((g > 0.0) & (g < np.inf)).all(axis=1))
     k = int(bad[-1]) + 1 if len(bad) else 0
     return _solution(params, dt, n_steps, k, g[k:])
+
+
+def factors(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """(g, varpi) at the times t in [0, T] (a float or an array), with no
+    grid: g[..., i] = g_i(t) and varpi = Phi(A(T - t)). Raises DomainError
+    where a factor leaves (0, inf), as an exploded solution's lookup does."""
+    _require_power(params)
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= 0.0) & (t <= params.horizon))
+    if outside.any():
+        raise DomainError(f"t={t[outside][0]} outside [0, {params.horizon}]")
+    g = np.empty((t.size, params.dist.n), order="F")
+    varpi = _evaluate(params, params.horizon - t.ravel(), g)
+    bad = ~((g > 0.0) & (g < np.inf)).all(axis=1)
+    if bad.any():
+        raise DomainError(f"power growth factors exploded at t={t.ravel()[bad].max()}: "
+                          "a factor leaves (0, inf) there")
+    return g.reshape(t.shape + (params.dist.n,)), varpi.reshape(t.shape)
 
 
 def initial_strategy(params: ModelParams) -> tuple[float, float]:
@@ -156,7 +183,7 @@ def initial_strategy(params: ModelParams) -> tuple[float, float]:
     model of the wrong family or a nonpositive initial effective wealth."""
     w = _effective_wealth(params, params.x0, params.m1_0, "strategy")
     gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
-    g2c, tau = _g2_const(params), np.array([params.horizon])
+    g2c, tau = params.g2, np.array([params.horizon])
     area = _area(tau, *_panels(params.horizon, gam, p, g2c), gam, p, g2c)
     varpi, _ = _softmax_gamma(area, gam, p, g2c)
     return _controls(params, w, float(varpi[0]))

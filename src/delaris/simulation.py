@@ -40,6 +40,7 @@ import numpy as np
 
 from . import exponential as expmod
 from . import power as powmod
+from . import power_exact
 from .exceptions import DomainError, ParameterError
 from .model import ModelParams
 from .utility import (
@@ -59,11 +60,11 @@ _CHUNK_BYTES = 256 * 2**20  # noise (2 per step), plus lag ring (n_lag) if recor
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls. ``strategy`` is either the string
-    "exponential" (closed-form equilibrium schedule), a power
-    :class:`~delaris.power.OdeSolution` (wealth-proportional equilibrium), or
-    a callable ``(t, w) -> (q, pi_amount)`` operating on arrays of effective
-    wealth."""
+    """Simulation controls. ``strategy`` is a family name, "exponential"
+    (closed-form schedule) or "power" (wealth-proportional controls, the
+    factors in closed form at the step times); a power
+    :class:`~delaris.power.OdeSolution`, read by interpolation; or a
+    callable ``(t, w) -> (q, pi_amount)`` on arrays of effective wealth."""
 
     dt: float
     n_paths: int
@@ -124,6 +125,8 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
         q_s, pi_s = np.array(
             [expmod.strategy(params, min(k * dt, params.horizon)) for k in range(n_steps + 1)]).T
         return lambda k, w: (q_s[k], pi_s[k]), False
+    if strat == POWER:
+        strat = power_exact.growth_factors(params, dt)  # the closed form at the step times
     if isinstance(strat, powmod.OdeSolution):
         if params.dist.family != POWER:
             raise ParameterError("power strategy supplied for a non-power distribution")

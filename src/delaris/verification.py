@@ -23,9 +23,9 @@ through the effective wealth w = x + beta*m1, so a field is a
 w-derivatives; the m1-derivative is beta*phi_w). Each time is evaluated
 once, as arrays over the whole state grid: a slice evaluates the
 family's time-only factors (exponent slopes and drift rates, or the
-interpolated growth factors, their rates and the certainty factor) and
-returns the controls, the per-gamma ansatz jets and the value jet at
-every w of the grid. :func:`generator_terms` is affine in (x, m1, m2), so
+closed-form growth factors at that time, their rates and the certainty
+factor) and returns the controls, the per-gamma ansatz jets and the
+value jet at every w of the grid. :func:`generator_terms` is affine in (x, m1, m2), so
 it applies to the whole grid at once too. The optimality objective is a
 q part plus a pi part, so each control is swept on its own mesh. The
 closed forms themselves stay in :mod:`delaris.exponential` and
@@ -43,6 +43,7 @@ import numpy as np
 
 from . import exponential as expmod
 from . import power as powmod
+from . import power_exact
 from .exceptions import ParameterError
 from .model import ModelParams
 from .simulation import SimConfig, mc_reward
@@ -113,15 +114,14 @@ def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, floa
 def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w):
     """The family's closed forms at time t and effective wealth w (a float
     or an array): ((q, pi_x), one ansatz jet per gamma, the value jet).
-    Every time-only factor is evaluated once; power needs the solved factor
-    grid, from which it makes one factor and one rate lookup. The family
-    routines take (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
+    Every time-only factor is evaluated once: power reads its factors in
+    closed form at t (interpolated from ``solution`` if one is given) and
+    dg/dt from the factor system at them. The family routines take (x, m1)
+    and see only x + beta*m1, so w enters as (w, 0)."""
     if params.dist.family == EXPONENTIAL:
-        co, fin, kappa = params.coeffs, params.financial, params.constants.kappa
+        co, kappa = params.coeffs, params.constants.kappa
         e = math.exp(kappa * (params.horizon - t))
-        g_const = ((fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2) / (
-            params.mean_gamma
-        )
+        g_const = params.g2 / params.mean_gamma
         controls = tuple(np.full(np.shape(w), c) for c in expmod.strategy(params, t))
         jets = []
         for gamma in params.dist.gammas:
@@ -131,12 +131,13 @@ def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w
         u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
         return controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0)
 
+    gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
     if solution is None:
-        raise ParameterError("power-family verification needs the solved factor grid")
-    gam, p = np.asarray(solution.gammas), np.asarray(solution.probs)
-    g = powmod.g_at(solution, t)
-    g_dot = powmod.growth_rate(solution, params, t)
-    varpi = powmod.aggregate_gamma(g, solution.gammas, solution.probs)  # varpi_at(t)
+        g, varpi = power_exact.factors(params, t)
+    else:
+        g = powmod.g_at(solution, t)
+        varpi = powmod.aggregate_gamma(g, solution.gammas, solution.probs)  # varpi_at(t)
+    g_dot = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)(g)
     gc = powmod._powers(g, gam)
     factor = float(gc @ p)  # certainty_factor(t)
     rate = float((gam / (1.0 - gam) * gc / g * g_dot) @ p)  # its time derivative
@@ -148,7 +149,7 @@ def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w
             gi**gm * w ** (-gm),
             -gm * gi**gm * w ** (-gm - 1.0),
         )
-        for gm, gi, gi_dot in zip(solution.gammas, g, g_dot)
+        for gm, gi, gi_dot in zip(params.dist.gammas, g, g_dot)
     ]
     return powmod._controls(params, w, varpi), jets, Jet(w * factor, w * rate, factor, 0.0)
 
@@ -403,12 +404,13 @@ def feynman_kac_check(
     solution: powmod.OdeSolution | None = None,
 ) -> FkReport:
     """Monte Carlo check that the per-gamma ansatz at (0, x0, m1_0) equals
-    the expected terminal utility under the equilibrium strategy.
+    the expected terminal utility under the equilibrium strategy (power:
+    both from ``solution`` if one is given, else from the closed form).
 
     Pass criterion per gamma: |mc - ansatz| <= 3*SE + FK_DT_COEFF*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
     _, jets, _ = _slice(params, solution, 0.0, params.x0 + params.delay.beta * params.m1_0)
-    source = EXPONENTIAL if params.dist.family == EXPONENTIAL else solution
+    source = params.dist.family if solution is None else solution
     cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=source)
     est = mc_reward(params, cfg)
     results = []

@@ -7,6 +7,7 @@ import pytest
 
 from delaris import cli
 from delaris import power as powmod
+from delaris import power_exact
 from delaris import sweeps
 from delaris.exceptions import ParameterError
 
@@ -57,6 +58,21 @@ def test_strategy_power_factors_match_rk4(tmp_path):
     assert not written.exploded and np.array_equal(written.t, rk4.t)
     np.testing.assert_allclose(written.g, rk4.g, rtol=5e-14, atol=0.0)
     np.testing.assert_allclose(written.varpi, rk4.varpi, rtol=5e-14, atol=0.0)
+
+
+def test_strategy_power_rows_are_the_closed_form_at_their_times(tmp_path):
+    # 7 rows fall between the nodes of the default factor grid: they are the
+    # closed form at exactly those times, not an interpolation of the grid
+    out = tmp_path / "o"
+    assert run_cli("strategy", "--family", "power", "--t-points", "7", "--out", str(out)) == 0
+    rows = np.loadtxt(out / "strategy.csv", delimiter=",", skiprows=1)
+    params = sweeps.baseline_params("power", "I")
+    np.testing.assert_array_equal(rows[:, 0], np.linspace(0.0, params.horizon, 7))
+    _, varpi = power_exact.factors(params, rows[:, 0])
+    w = params.x0 + params.delay.beta * params.m1_0
+    want = np.column_stack(powmod._controls(params, w, varpi))
+    np.testing.assert_allclose(rows[:, 1:3], want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(rows[:, 3], want[:, 1] / params.x0, rtol=1e-14, atol=0.0)
 
 
 def test_config_round_trip(tmp_path):
@@ -229,6 +245,23 @@ def test_strategy_rejects_bad_state(tmp_path, capsys, flag, value):
     out = tmp_path / "o"
     assert run_cli("strategy", f"{flag}={value}", "--out", str(out)) == 1
     assert f"error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--check", "expectation", "--fault-kappa", "nan"), "--fault-kappa"),
+    (("verify", "--check", "expectation", "--fault-kappa", "inf"), "--fault-kappa"),
+    (("sweep", "--param", "alpha", "--lo", "nan"), "--lo"),
+    (("sweep", "--param", "alpha", "--lo=-inf"), "--lo"),
+    (("sweep", "--param", "alpha", "--hi", "nan"), "--hi"),
+    (("sweep", "--param", "alpha", "--hi", "inf"), "--hi"),
+])
+def test_nonfinite_float_options_rejected(tmp_path, capsys, argv, flag):
+    # a NaN fault would fail verification as if it had found a fault, and a
+    # NaN sweep bound would write a table of NaN rows
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

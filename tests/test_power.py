@@ -98,13 +98,6 @@ def test_terminal_value_and_ansatz(sol1, pow_case1):
     assert powmod.certainty_factor(sol1, 2.0) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_growth_rate_matches_finite_difference(sol1, pow_case1):
-    eps = 1e-5
-    for t in (0.3, 1.0, 1.7):
-        fd = (powmod.g_at(sol1, t + eps) - powmod.g_at(sol1, t - eps)) / (2 * eps)
-        np.testing.assert_allclose(powmod.growth_rate(sol1, pow_case1, t), fd, rtol=1e-5)
-
-
 def test_varpi_rate_residual_small(pow_case1):
     sol = powmod.solve_growth_factors(pow_case1, dt=1e-3)
     assert powmod.varpi_rate_residual(sol, pow_case1, 1.0) < 1e-8
@@ -170,7 +163,7 @@ def _reference_march(params, dt):
     """A plain one-model RK4 on ``_reference_rate``. Returns the last valid
     factors and their node index."""
     gam, p = np.array(params.dist.gammas), np.array(params.dist.probs)
-    kappa, g2c = params.constants.kappa, powmod._g2_const(params)
+    kappa, g2c = params.constants.kappa, params.g2
 
     def rate(g):
         return _reference_rate(g, gam, p, kappa, g2c)
@@ -366,6 +359,54 @@ def test_closed_form_explosion_flagged(pow_case1, model, dt):
         powmod.g_at(sol, 0.5 * sol.explosion_time)
     assert np.all(np.isfinite(powmod.g_at(sol, float(sol.t[len(sol.t) // 2]))))
     assert np.all(np.isfinite(sol.g)) and np.all(sol.g > 0.0)
+
+
+@pytest.mark.parametrize("model", [_tiny_gamma_model, levered])
+def test_factors_raise_exploded_before_the_explosion(pow_case1, model):
+    # the grid solution is valid from its explosion time on; the factors at
+    # exactly the times asked for agree with its nodes there and raise before
+    params = model(pow_case1)
+    sol = power_exact.growth_factors(params, dt=1e-3)
+    for t in (0.0, 0.5 * sol.explosion_time, sol.explosion_time - 1e-3):
+        with pytest.raises(DomainError, match="exploded"):
+            power_exact.factors(params, t)
+    with pytest.raises(DomainError, match="exploded"):
+        power_exact.factors(params, np.linspace(0.0, params.horizon, 11))
+    g, varpi = power_exact.factors(params, sol.t)
+    # log g reaches 709 here, so compare it rather than g; tau = T - t is
+    # rounded to ulp(T) and d(log g)/d(tau) is about 1.7e3
+    np.testing.assert_allclose(np.log(g), np.log(sol.g), rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(varpi, sol.varpi, rtol=1e-14, atol=0.0)
+
+
+def test_factors_at_any_times(pow_case1, pow_case2):
+    # the closed form with no grid: the grid's nodes, the times between
+    # them, g = 1 at the horizon, and a time outside [0, T] rejected
+    for params in (pow_case1, pow_case2):
+        grid = power_exact.growth_factors(params, dt=1e-3)
+        g, varpi = power_exact.factors(params, grid.t)
+        np.testing.assert_allclose(g, grid.g, rtol=2e-15, atol=0.0)
+        np.testing.assert_allclose(varpi, grid.varpi, rtol=2e-15, atol=0.0)
+        mid = 0.5 * (grid.t[:-1] + grid.t[1:])
+        fine = power_exact.growth_factors(params, dt=5e-4)
+        np.testing.assert_allclose(power_exact.factors(params, mid)[0], fine.g[1::2],
+                                   rtol=2e-15, atol=0.0)
+        g_t, varpi_t = power_exact.factors(params, params.horizon)
+        assert g_t.shape == (2,) and varpi_t.shape == ()
+        np.testing.assert_array_equal(g_t, 1.0)
+        assert varpi_t == pytest.approx(params.mean_gamma, rel=1e-15)
+        for t in (-1e-9, params.horizon + 1e-9, np.nan):
+            with pytest.raises(DomainError, match="outside"):
+                power_exact.factors(params, [0.5, t])
+
+
+@pytest.mark.parametrize("routine", ["strategy", "value", "ansatz"])
+@pytest.mark.parametrize("x, m1", [(np.nan, 0.5), (0.6, np.nan)])
+def test_nan_state_rejected(sol1, pow_case1, routine, x, m1):
+    # NaN <= 0 is false, so only "not w > 0" rejects a NaN effective wealth
+    args = (0,) if routine == "ansatz" else ()
+    with pytest.raises(DomainError, match="x \\+ beta\\*m1 > 0"):
+        getattr(powmod, routine)(sol1, pow_case1, *args, 0.0, x, m1)
 
 
 def test_area_matches_mpmath_on_extreme_spread():

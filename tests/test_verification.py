@@ -61,9 +61,21 @@ def test_expectation_residual_power(pow_case1, pow_sol):
     assert grid.max_scaled < 1e-12
 
 
-def test_power_requires_solution(pow_case1):
-    with pytest.raises(ParameterError, match="factor grid"):
-        ver.expectation_pde_residual(pow_case1, T_GRID, X_GRID, M1_GRID, m2=0.6)
+def test_power_closed_form_route(pow_case1, pow_sol):
+    # with no solution a slice reads the closed-form factors at exactly its
+    # time; at the nodes of the RK4 solution the two routes agree
+    grid = ver.expectation_pde_residual(pow_case1, T_GRID, X_GRID, M1_GRID, m2=0.6)
+    assert grid.max_scaled < 1e-12
+    opt = ver.optimality_residual(pow_case1, T_GRID, X_GRID, M1_GRID, m2=0.6)
+    assert opt.max_scaled_sup < 1e-12 and opt.max_cell_distance <= 1.0 and opt.concave
+    w = np.linspace(0.3, 1.5, 5)
+    for t in pow_sol.t[::250]:
+        (q, pi_x), jets, u = ver._slice(pow_case1, None, t, w)
+        (q_rk, pi_rk), jets_rk, u_rk = ver._slice(pow_case1, pow_sol, t, w)
+        np.testing.assert_allclose([q, pi_x], [q_rk, pi_rk], rtol=1e-13, atol=0.0)
+        for jet, jet_rk in zip([*jets, u], [*jets_rk, u_rk]):
+            for field, field_rk in zip(dataclasses.astuple(jet), dataclasses.astuple(jet_rk)):
+                np.testing.assert_allclose(field, field_rk, rtol=1e-12, atol=0.0)
 
 
 def test_fault_injection_lifts_residual(exp_case1):
