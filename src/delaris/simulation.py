@@ -14,10 +14,25 @@ from the Euler step of the effective wealth w = X + beta*M1:
 where pi_k is the invested amount and Z1, Z2 are independent standard
 normals; the scheme is weak order one. Every control is a function of (t, w),
 so w is the one state of a Monte Carlo path and memory does not depend on h.
-A recorded path (``simulate_path``) also steps M1 with an h/dt-row ring of
-its last h units of X = w - beta*M1 (pre-filled with x0): X, M1 and M2 exist
-only for recorded paths. Paths run in chunks of at most 2048, fewer when a
-chunk's noise (and ring) would exceed ``_CHUNK_BYTES``, so memory is bounded
+
+Under the exponential strategy the controls are deterministic, so the chain
+is linear-Gaussian and its terminal value is an affine map of the path's
+noise (``_exp_affine``): with lam = 1 + (A + beta)*dt,
+
+    w_N = mean_N + Z.ravel() @ weights,
+    mean_N = lam^N w_0 + dt sum_k lam^(N-1-k) (a*eta + a*eta2*q_k + pi_k*(mu - r)),
+    weights[k] = sqrt(dt) lam^(N-1-k) (b*q_k, sigma*pi_k),
+
+for the path's (N, 2) draw Z. An unrecorded exponential run builds the
+weights once and draws each path into one reused (N, 2) buffer: it holds one
+buffer whatever n_paths is, and takes no step loop.
+
+Every other run steps the chain: recorded paths (``simulate_path``), the
+power strategy (a family name or an ``OdeSolution``) and callables. A
+recorded path also steps M1 with an h/dt-row ring of its last h units of
+X = w - beta*M1 (pre-filled with x0): X, M1 and M2 exist only for recorded
+paths. Stepped paths run in chunks of at most 2048, fewer when a chunk's
+noise (and ring) would exceed ``_CHUNK_BYTES``, so memory is bounded
 whatever n_paths and dt are. Under a power-family strategy a path whose w
 stops being positive exits the domain: its exit time is recorded and its
 state is NaN from then on.
@@ -61,10 +76,12 @@ _CHUNK_BYTES = 256 * 2**20  # noise (2 per step), plus lag ring (n_lag) if recor
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls. ``strategy`` is a family name, "exponential"
-    (closed-form schedule) or "power" (wealth-proportional controls, the
-    factors in closed form at the step times); a power
+    (closed-form schedule; an unrecorded run evaluates terminal wealth as an
+    affine map of each path's noise) or "power" (wealth-proportional
+    controls, the factors in closed form at the step times); a power
     :class:`~delaris.power.OdeSolution`, read by interpolation; or a
-    callable ``(t, w) -> (q, pi_amount)`` on arrays of effective wealth."""
+    callable ``(t, w) -> (q, pi_amount)`` on arrays of effective wealth.
+    Every source but an unrecorded exponential run steps the Euler chain."""
 
     dt: float
     n_paths: int
@@ -116,14 +133,42 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(path_index))))
 
 
+def _growth(params: ModelParams) -> float:
+    """Growth rate of w's drift. A + beta rather than constants.kappa: fault
+    injection perturbs kappa alone, and that must move only the analytic
+    reference."""
+    return params.constants.A + params.delay.beta
+
+
+def _exp_schedule(params: ModelParams, dt: float, n_steps: int):
+    """Exponential controls (q_k, pi_k) at the step times k*dt, k = 0..n_steps."""
+    return np.array(
+        [expmod.strategy(params, min(k * dt, params.horizon)) for k in range(n_steps + 1)]).T
+
+
+def _exp_affine(params: ModelParams, dt: float, n_steps: int):
+    """Terminal effective wealth of the exponential Euler chain as an affine
+    map of a path's (n_steps, 2) noise Z: returns (mean_N, weights) with
+    w_N = mean_N + Z.ravel() @ weights (see the module docstring)."""
+    q, pi = _exp_schedule(params, dt, n_steps - 1)  # the controls at t_N act on no step
+    co, fin = params.coeffs, params.financial
+    lam = 1.0 + _growth(params) * dt
+    decay = lam ** np.arange(n_steps - 1, -1, -1)  # lam^(N-1-k)
+    drift = co.a * co.eta + co.a * co.eta2 * q + pi * (fin.mu - fin.r)
+    mean = lam**n_steps * (params.x0 + params.delay.beta * params.m1_0) + dt * (decay @ drift)
+    weights = np.empty((n_steps, 2))
+    weights[:, 0], weights[:, 1] = co.b * q, fin.sigma * pi
+    weights *= (math.sqrt(dt) * decay)[:, None]
+    return float(mean), weights.ravel()
+
+
 def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
     """Normalize the strategy source to a per-step callable (k, w) -> (q, pi)
     broadcastable to w, and say whether the power domain w > 0 applies."""
     strat = cfg.strategy
     dt = cfg.dt
     if strat == EXPONENTIAL:
-        q_s, pi_s = np.array(
-            [expmod.strategy(params, min(k * dt, params.horizon)) for k in range(n_steps + 1)]).T
+        q_s, pi_s = _exp_schedule(params, dt, n_steps)
         return lambda k, w: (q_s[k], pi_s[k]), False
     if strat == POWER:
         strat = power_exact.growth_factors(params, dt)  # the closed form at the step times
@@ -138,22 +183,32 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
 
 
 def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = False):
-    """Simulate the given path indices (vectorized elementwise, so results do
-    not depend on the batching) in chunks sized by ``_CHUNK_BYTES``. Returns
-    terminal effective wealth, exit times (NaN if none), and optionally the
-    full per-step records; a path is NaN from its domain exit on."""
+    """Simulate the given path indices; each path's result depends only on
+    its own index, never on the batching. Returns terminal effective wealth,
+    exit times (NaN if none), and optionally the full per-step records; a
+    path is NaN from its domain exit on.
+
+    An unrecorded exponential run reads each path's terminal wealth off its
+    noise through ``_exp_affine``, one reused (n_steps, 2) buffer for all
+    paths. Every other run steps the Euler chain, vectorized elementwise
+    over chunks of paths sized by ``_CHUNK_BYTES``."""
     n_steps, n_lag = _grid_steps(params, cfg)
+    n = len(indices)
+    w_term = np.empty(n)
+    exit_time = np.full(n, np.nan)
+    if cfg.strategy == EXPONENTIAL and not record:
+        mean, weights = _exp_affine(params, cfg.dt, n_steps)
+        noise = np.empty((n_steps, 2))
+        for j, idx in enumerate(indices):
+            path_rng(cfg.seed, idx).standard_normal(out=noise)
+            w_term[j] = mean + noise.ravel() @ weights
+        return w_term, exit_time, None
     step_strategy, power_domain = _make_step_strategy(params, cfg, n_steps)
     dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
     co, fin, delay = params.coeffs, params.financial, params.delay
     beta = delay.beta
-    # A + beta rather than constants.kappa: fault injection perturbs kappa
-    # alone, and that must move only the analytic reference
-    growth = params.constants.A + beta
+    growth = _growth(params)
     a_eta, a_eta2, mu_r = co.a * co.eta, co.a * co.eta2, fin.mu - fin.r
-    n = len(indices)
-    w_term = np.empty(n)
-    exit_time = np.full(n, np.nan)
     fields = ("X", "M1", "M2", "q", "pi")
     rec = {name: np.full((n_steps + 1, n), np.nan) for name in fields} if record else None
 

@@ -204,7 +204,12 @@ def test_domain_exit_propagates_nan():
 @pytest.mark.parametrize("family", ["exponential", "power"])
 def test_chunking_is_invisible(monkeypatch, exp_case1, family):
     if family == "exponential":
-        params, strategy, dt = exp_case1, "exponential", 1e-2
+        # the exponential schedule as a callable: the "exponential" source
+        # itself takes no chunks (test_exponential_mc_memory_flat_in_paths)
+        def strategy(t, w):
+            return expmod.strategy(exp_case1, min(t, exp_case1.horizon))
+
+        params, dt = exp_case1, 1e-2
     else:
         params = _levered_power()
         strategy, dt = powmod.solve_growth_factors(params, dt=0.01), 0.2
@@ -216,20 +221,101 @@ def test_chunking_is_invisible(monkeypatch, exp_case1, family):
     assert sim.estimate_to_dict(sim.mc_reward(params, cfg)) == whole
 
 
-def test_chunk_budget_bounds_memory(monkeypatch, exp_case1):
-    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy="exponential")
+def test_chunk_budget_bounds_memory(monkeypatch):
+    # a power solution still steps the chain in chunks
+    params = _levered_power()
+    sol = powmod.solve_growth_factors(params, dt=0.01)
+    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy=sol)
 
     def traced_peak():
         tracemalloc.start()
         try:
-            sim.mc_reward(exp_case1, cfg)
+            sim.mc_reward(params, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    traced_peak()  # the first call also allocates one-time caches
     whole = traced_peak()  # one chunk of 40 paths: about 40 * 3.2 kB of noise
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * 200)
     assert traced_peak() < whole / 4
+
+
+def test_exponential_mc_memory_flat_in_paths(exp_case1):
+    # an unrecorded exponential run holds one (n_steps, 2) noise buffer for
+    # all its paths: beyond the arrays it returns (8 B per path each), its
+    # peak does not grow with the path count
+    def working_peak(n_paths):
+        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy="exponential")
+        tracemalloc.start()
+        try:
+            result = sim._run_paths(exp_case1, cfg, range(n_paths))  # held: ``current`` counts it
+            current, peak = tracemalloc.get_traced_memory()
+            return peak - current
+        finally:
+            tracemalloc.stop()
+
+    working_peak(40)  # the first call also allocates one-time caches
+    assert working_peak(4000) <= 1.1 * working_peak(40)
+
+
+def test_exponential_noise_contract(monkeypatch, exp_case1):
+    # Monte Carlo terminal wealth is path i's own draw through the affine
+    # map, bit for bit whatever the order and subset, from exactly one
+    # path_rng call per path (perfbench counts the calls through this global)
+    cfg = sim.SimConfig(dt=1e-2, n_paths=12, seed=4, strategy="exponential")
+    run_paths, real_rng = sim._run_paths, sim.path_rng
+    seen, calls = [], []
+
+    def spy(*args, **kwargs):
+        out = run_paths(*args, **kwargs)
+        seen.append(out[0])
+        return out
+
+    def counting_rng(seed, path_index):
+        calls.append((seed, path_index))
+        return real_rng(seed, path_index)
+
+    monkeypatch.setattr(sim, "_run_paths", spy)
+    monkeypatch.setattr(sim, "path_rng", counting_rng)
+    sim.mc_reward(exp_case1, cfg)
+    assert calls == [(4, i) for i in range(12)]
+    (w_term,) = seen
+    mean, weights = sim._exp_affine(exp_case1, cfg.dt, 200)
+    for i in range(12):
+        np.testing.assert_array_equal(run_paths(exp_case1, cfg, [i])[0], w_term[i])
+        assert w_term[i] == mean + real_rng(4, i).standard_normal((200, 2)).ravel() @ weights
+    for subset in ([7, 2, 11, 0, 5], [11, 10, 3], list(range(12))[::-1]):
+        np.testing.assert_array_equal(run_paths(exp_case1, cfg, subset)[0], w_term[subset])
+
+
+def _exp_discrete_utility(params, gamma, dt):
+    """E[-exp(-gamma*w_N)/gamma] of the exponential Euler chain: w_N is
+    exactly normal with the kernel's mean_N and variance weights @ weights."""
+    mean, weights = sim._exp_affine(params, dt, round(params.horizon / dt))
+    return -math.exp(-gamma * mean + 0.5 * gamma**2 * (weights @ weights)) / gamma
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_exponential_mc_matches_exact_discrete_value(case):
+    # no discretization allowance: the band is three standard errors
+    params = sweeps.baseline_params("exponential", case)
+    cfg = sim.SimConfig(dt=2e-3, n_paths=4000, seed=7, strategy="exponential")
+    for pg in sim.mc_reward(params, cfg).per_gamma:
+        assert abs(pg.y_mean - _exp_discrete_utility(params, pg.gamma, cfg.dt)) < 3 * pg.y_se
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_exponential_discrete_value_is_weak_order_one(case):
+    # (discrete - ansatz)/(|ansatz|*dt) settles to one coefficient as dt
+    # halves (about -0.0045 and -0.0019 on case I), which pins the weights
+    # against the continuous closed form without any Monte Carlo
+    params = sweeps.baseline_params("exponential", case)
+    for gamma in params.dist.gammas:
+        ref = expmod.ansatz(params, gamma, 0.0, params.x0, params.m1_0)
+        coeff = [(_exp_discrete_utility(params, gamma, dt) - ref) / (abs(ref) * dt)
+                 for dt in (1e-2, 5e-3)]
+        assert coeff[1] == pytest.approx(coeff[0], rel=0.01)
 
 
 def test_mc_memory_flat_in_h(exp_case1):
