@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -47,9 +48,9 @@ from .utility import EXPONENTIAL, FAMILIES
 CHECKS = ("expectation", "optimality", "coefficients", "feynman-kac", "monotonicity", "all")
 
 _CONFIG_SECTIONS = {
-    "insurance": ("lambda1", "mu1", "mu2", "eta1", "eta2"),
-    "financial": ("r", "mu", "sigma"),
-    "delay": ("alpha", "beta", "h"),
+    "insurance": InsuranceParams,
+    "financial": FinancialParams,
+    "delay": DelayParams,
 }
 
 
@@ -81,7 +82,8 @@ def load_config(path: str) -> ModelParams:
         raise ParameterError(f"missing config fields: {', '.join(missing)}")
 
     sections = {}
-    for name, keys in _CONFIG_SECTIONS.items():
+    for name, cls in _CONFIG_SECTIONS.items():
+        keys = [f.name for f in dataclasses.fields(cls)]
         block = raw[name]
         if not isinstance(block, dict):
             raise ParameterError(f"config field {name} must be an object")
@@ -125,9 +127,7 @@ def load_config(path: str) -> ModelParams:
         ))
 
     return ModelParams.build(
-        insurance=InsuranceParams(**sections["insurance"]),
-        financial=FinancialParams(**sections["financial"]),
-        delay=DelayParams(**sections["delay"]),
+        **{name: cls(**sections[name]) for name, cls in _CONFIG_SECTIONS.items()},
         dist=RiskAversionDist(family=family, points=tuple(points)),
         horizon=_number(raw["horizon"], "horizon"),
         x0=_number(raw["x0"], "x0"),
@@ -136,12 +136,8 @@ def load_config(path: str) -> ModelParams:
 
 def config_dict(params: ModelParams) -> dict:
     """The JSON-config form of a resolved model (round-trips via load_config)."""
-    ins, fin, d = params.insurance, params.financial, params.delay
     return {
-        "insurance": {"lambda1": ins.lambda1, "mu1": ins.mu1, "mu2": ins.mu2,
-                      "eta1": ins.eta1, "eta2": ins.eta2},
-        "financial": {"r": fin.r, "mu": fin.mu, "sigma": fin.sigma},
-        "delay": {"alpha": d.alpha, "beta": d.beta, "h": d.h},
+        **{name: dataclasses.asdict(getattr(params, name)) for name in _CONFIG_SECTIONS},
         "risk_aversion": {
             "family": params.dist.family,
             "points": [[g, p] for g, p in params.dist.points],
@@ -221,22 +217,26 @@ def cmd_strategy(args) -> int:
     _require_finite(("--x", x), ("--m1", m1))
     if x == 0.0:
         raise ParameterError("--x (default x0) must be nonzero: pi_fraction divides by it")
-    out = _out_dir(args)
     t_vals = np.linspace(0.0, params.horizon, args.t_points)
     outputs = ["strategy.csv"]
 
+    # everything is computed before --out exists: an exploding power model
+    # raises in factors and leaves no file behind
+    sol = None
     if params.dist.family == EXPONENTIAL:
         q, amount = np.array([expmod.strategy(params, float(t)) for t in t_vals]).T
     else:
-        powmod.write_csv(power_exact.growth_factors(params, args.dt), out / "growth_factors.csv")
-        outputs.append("growth_factors.csv")
+        sol = power_exact.growth_factors(params, args.dt)
         w = powmod._effective_wealth(params, x, m1, "strategy")
         q, amount = powmod._controls(params, w, power_exact.factors(params, t_vals)[1])
+    out = _out_dir(args)
+    if sol is not None:
+        powmod.write_csv(sol, out / "growth_factors.csv")
+        outputs.append("growth_factors.csv")
 
     with (out / "strategy.csv").open("w") as f:
         f.write("t,q_hat,pi_amount,pi_fraction\n")
-        for row in zip(t_vals, q, amount, amount / x):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        powmod._write_rows(f, (t_vals, q, amount, amount / x))
 
     write_manifest(out, "strategy", params, {
         "case": case, "t_points": args.t_points, "x": x, "m1": m1, "dt": args.dt,
@@ -264,13 +264,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     params, case = resolve_params(args)
-    out = _out_dir(args)
     dt = args.dt if args.dt is not None else params.horizon / 2000
     n_paths = args.n_paths if args.n_paths is not None else 10000
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=params.dist.family)
 
     outputs = ["estimate.json"]
     est = sim.mc_reward(params, cfg)
+    out = _out_dir(args)
     sim.write_estimate_json(est, out / "estimate.json")
     for i in range(args.paths_csv):
         path = sim.simulate_path(params, cfg, path_index=i)
@@ -347,12 +347,7 @@ def _verify_checks(params, args):
             "dt": rep.dt,
             "n_paths": rep.n_paths,
             "excluded_paths": rep.excluded_paths,
-            "per_gamma": [
-                {"gamma": r.gamma, "mc_mean": r.mc_mean, "mc_se": r.mc_se,
-                 "reference": r.reference, "abs_diff": r.abs_diff,
-                 "tolerance": r.tolerance, "passed": r.passed}
-                for r in rep.results
-            ],
+            "per_gamma": [dataclasses.asdict(r) for r in rep.results],
         }
     if want("monotonicity"):
         # the bundled baseline panels, whatever the configured model
@@ -371,8 +366,8 @@ def _verify_checks(params, args):
 def cmd_verify(args) -> int:
     params, case = resolve_params(args)
     _require_finite(("--fault-kappa", args.fault_kappa))
-    out = _out_dir(args)
     checks = _verify_checks(params, args)
+    out = _out_dir(args)
     all_passed = all(c["passed"] for c in checks.values())
     report = {
         "family": params.dist.family,

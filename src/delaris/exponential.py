@@ -29,6 +29,7 @@ from .model import ModelParams
 from .utility import EXPONENTIAL
 
 _EXP_MAX = 709.0  # log of the largest double, minus safety
+_X_FLOOR = 1e-8  # smallest |wealth| pi_fraction divides by
 
 
 def _require_exponential(params: ModelParams) -> None:
@@ -68,11 +69,11 @@ def strategy(params: ModelParams, t: float) -> tuple[float, float]:
     return q, pi_x
 
 
-def pi_fraction(params: ModelParams, t: float, x: float, x_floor: float = 1e-8) -> float:
-    """Invested fraction of wealth, pi_x(t)/x. Guards |x| < x_floor."""
-    if abs(x) < x_floor:
+def pi_fraction(params: ModelParams, t: float, x: float) -> float:
+    """Invested fraction of wealth, pi_x(t)/x. Guards |x| < 1e-8."""
+    if abs(x) < _X_FLOOR:
         raise EvaluationError(
-            f"wealth {x} too close to zero for a fraction (floor {x_floor})"
+            f"wealth {x} too close to zero for a fraction (floor {_X_FLOOR})"
         )
     _, pi_x = strategy(params, t)
     return pi_x / x

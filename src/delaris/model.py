@@ -24,6 +24,17 @@ from .utility import EXPONENTIAL, FAMILIES, POWER
 
 # identity tolerance for the solved delay constants, relative
 _IDENTITY_RTOL = 1e-12
+_GRID_RTOL = 1e-9  # a step must divide its span to this relative tolerance
+_GAMMA_MIN_EXP = 1e-3  # lower cutoff for exponential gammas
+_GAMMA_MAX_POW = 1.0 - 1e-6  # upper cutoff for power gammas
+
+
+def grid_steps(span: float, dt: float, name: str) -> int:
+    """Number of steps dt in span; dt must divide it (1e-9 relative)."""
+    n = int(round(span / dt))
+    if n < 1 or abs(n * dt - span) > _GRID_RTOL * max(1.0, span):
+        raise ParameterError(f"dt={dt} must divide {name}={span}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -173,18 +184,17 @@ def solve_delay_constants(fin: FinancialParams, delay: DelayParams) -> DerivedDe
 class RiskAversionDist:
     """Finite discrete risk-aversion distribution: points (gamma_i, p_i).
 
-    family: "exponential" or "power"
-    gamma_min_exp: lower cutoff for exponential gammas (default 1e-3)
-    gamma_max_pow: upper cutoff for power gammas (default 1 - 1e-6)
+    family: "exponential" (every gamma >= 1e-3) or "power" (every gamma
+            in (0, 1 - 1e-6])
 
-    Probabilities must sum to 1 within 1e-9; they are then renormalized
-    exactly. Larger deviations are rejected, and so is a repeated gamma.
+    Probabilities must sum to 1 within 1e-9; they are then divided by their
+    sum, unless it is within one ulp of 1 (as a divided set's is), so a
+    distribution rebuilt from its own points is equal to it. Larger
+    deviations are rejected, and so is a repeated gamma.
     """
 
     family: str
     points: tuple[tuple[float, float], ...]
-    gamma_min_exp: float = 1e-3
-    gamma_max_pow: float = 1.0 - 1e-6
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -199,19 +209,21 @@ class RiskAversionDist:
             raise ParameterError(
                 f"risk_aversion probabilities must sum to 1 within 1e-9, got {total!r}"
             )
+        if abs(total - 1.0) <= math.ulp(1.0):
+            total = 1.0  # normalized up to rounding: kept, so renormalizing is idempotent
         normed = []
         for g, p in pts:
             if not math.isfinite(g) or not math.isfinite(p):
                 raise ParameterError("risk_aversion points must be finite")
             if p <= 0.0:
                 raise ParameterError(f"risk_aversion probabilities must be positive, got {p}")
-            if self.family == EXPONENTIAL and g < self.gamma_min_exp:
+            if self.family == EXPONENTIAL and g < _GAMMA_MIN_EXP:
                 raise ParameterError(
-                    f"exponential gamma must be >= {self.gamma_min_exp}, got {g}"
+                    f"exponential gamma must be >= {_GAMMA_MIN_EXP}, got {g}"
                 )
-            if self.family == POWER and not (0.0 < g <= self.gamma_max_pow):
+            if self.family == POWER and not (0.0 < g <= _GAMMA_MAX_POW):
                 raise ParameterError(
-                    f"power gamma must lie in (0, {self.gamma_max_pow}], got {g}"
+                    f"power gamma must lie in (0, {_GAMMA_MAX_POW}], got {g}"
                 )
             if any(g == seen for seen, _ in normed):
                 raise ParameterError(f"risk_aversion.points repeats gamma {g!r}")
@@ -267,7 +279,7 @@ class ModelParams:
                     f"(eta1 == eta2), got eta1={self.insurance.eta1}, "
                     f"eta2={self.insurance.eta2}"
                 )
-            if self.x0 + self.delay.beta * self.m1_0 <= 0.0:
+            if self.w0 <= 0.0:
                 raise ParameterError(
                     "power utility requires positive initial effective wealth "
                     "x0 + beta*m1_0"
@@ -301,6 +313,11 @@ class ModelParams:
         if self.delay.alpha > 0.0:
             return self.x0 * (1.0 - math.exp(-self.delay.alpha * self.delay.h)) / self.delay.alpha
         return self.x0 * self.delay.h
+
+    @property
+    def w0(self) -> float:
+        """Initial effective wealth x0 + beta*m1_0."""
+        return self.x0 + self.delay.beta * self.m1_0
 
     @property
     def m2_0(self) -> float:

@@ -24,13 +24,14 @@ tau = int_0^A Phi(a)^2 da, and
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
 
 :func:`delaris.power_exact.factors` evaluates it at exactly the times a
-run reads: ``strategy`` at its --t-points times and ``verify`` at its
-slice times. :func:`delaris.power_exact.growth_factors` evaluates it at
-the nodes of a uniform grid, for the ``growth_factors.csv`` artifact (the
---dt grid of ``strategy``, by default horizon/20000) and for the Euler
-grid of ``simulate``. Sweep points and figure panels read only the
-time-zero controls, so :func:`delaris.power_exact.initial_strategy`
-evaluates the one node tau = T. :func:`solve_growth_factors` marches the
+run reads: ``strategy`` at its --t-points times, ``verify`` at its slice
+times and ``simulate`` at its Euler step times.
+:func:`delaris.power_exact.growth_factors` evaluates it at the nodes of a
+uniform grid, only for the ``growth_factors.csv`` artifact (the --dt grid
+of ``strategy``, by default horizon/20000). Sweep points and figure
+panels read only the time-zero controls, so
+:func:`delaris.power_exact.initial_strategy` evaluates the one node
+tau = T. :func:`solve_growth_factors` marches the
 system with fixed-step classical RK4 instead, recomputing varpi from the
 stage values of g; it is the library's and the tests' reference solver,
 and no CLI run calls it. varpi stays inside [min gamma, max gamma], but a
@@ -55,10 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, grid_steps
 from .utility import POWER
-
-_GRID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,7 @@ def _grid(params: ModelParams, dt: float | None) -> tuple[float, int]:
         dt = horizon / 20000.0
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ParameterError(f"dt must be positive and finite, got {dt}")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > _GRID_RTOL * max(1.0, horizon):
-        raise ParameterError(f"dt={dt} does not divide the horizon {horizon}")
-    return dt, n_steps
+    return dt, grid_steps(horizon, dt, "horizon")
 
 
 def _march(params: ModelParams, dt: float, n_steps: int) -> tuple[int, np.ndarray]:

@@ -29,13 +29,14 @@ buffer whatever n_paths is, and takes no step loop.
 
 Every other run steps the chain: recorded paths (``simulate_path``), the
 power strategy (a family name or an ``OdeSolution``) and callables. A
-recorded path also steps M1 with an h/dt-row ring of its last h units of
-X = w - beta*M1 (pre-filled with x0): X, M1 and M2 exist only for recorded
-paths. Stepped paths run in chunks of at most 2048, fewer when a chunk's
-noise (and ring) would exceed ``_CHUNK_BYTES``, so memory is bounded
-whatever n_paths and dt are. Under a power-family strategy a path whose w
-stops being positive exits the domain: its exit time is recorded and its
-state is NaN from then on.
+recorded path also records X = w - beta*M1 and steps M1, reading the
+lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before the
+memory window fills): X, M1 and M2 exist only for recorded paths. Stepped
+paths run in chunks of at most 2048, fewer when a chunk's noise would
+exceed ``_CHUNK_BYTES``, so memory is bounded whatever n_paths and dt
+are. Under a power-family strategy a path whose w stops being positive
+exits the domain: its exit time is recorded and its state is NaN from
+then on.
 
 Reproducibility: path j draws its noise from ``numpy`` PCG64 seeded with
 ``SeedSequence((seed, j))``, the documented per-path derivation; Z1 and Z2
@@ -46,6 +47,7 @@ paths are batched, and Monte Carlo aggregation reduces in path-index order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -57,7 +59,7 @@ from . import exponential as expmod
 from . import power as powmod
 from . import power_exact
 from .exceptions import DomainError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, grid_steps
 from .utility import (
     EXPONENTIAL,
     POWER,
@@ -70,7 +72,7 @@ from .utility import (
 StrategySource = Union[str, powmod.OdeSolution, Callable]
 
 _CHUNK = 2048  # paths per chunk, unless the chunk would exceed _CHUNK_BYTES
-_CHUNK_BYTES = 256 * 2**20  # noise (2 per step), plus lag ring (n_lag) if recorded, 8 B each
+_CHUNK_BYTES = 256 * 2**20  # noise: 2 draws per step, 8 B each
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,9 @@ class SimConfig:
     """Simulation controls. ``strategy`` is a family name, "exponential"
     (closed-form schedule; an unrecorded run evaluates terminal wealth as an
     affine map of each path's noise) or "power" (wealth-proportional
-    controls, the factors in closed form at the step times); a power
-    :class:`~delaris.power.OdeSolution`, read by interpolation; or a
-    callable ``(t, w) -> (q, pi_amount)`` on arrays of effective wealth.
+    controls at the varpi that ``power_exact.factors`` gives at the step
+    times); a power :class:`~delaris.power.OdeSolution`, read by
+    interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on arrays of effective wealth.
     Every source but an unrecorded exponential run steps the Euler chain."""
 
     dt: float
@@ -119,13 +121,8 @@ class SimPath:
 def _grid_steps(params: ModelParams, cfg: SimConfig) -> tuple[int, int]:
     """Number of steps over the horizon and over the memory window h.
     Both must be integral multiples of dt."""
-    out = []
-    for name, span in (("horizon", params.horizon), ("delay.h", params.delay.h)):
-        n = int(round(span / cfg.dt))
-        if n < 1 or abs(n * cfg.dt - span) > 1e-9 * max(1.0, span):
-            raise ParameterError(f"sim.dt={cfg.dt} must divide {name}={span}")
-        out.append(n)
-    return out[0], out[1]
+    return (grid_steps(params.horizon, cfg.dt, "horizon"),
+            grid_steps(params.delay.h, cfg.dt, "delay.h"))
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -155,7 +152,7 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
     lam = 1.0 + _growth(params) * dt
     decay = lam ** np.arange(n_steps - 1, -1, -1)  # lam^(N-1-k)
     drift = co.a * co.eta + co.a * co.eta2 * q + pi * (fin.mu - fin.r)
-    mean = lam**n_steps * (params.x0 + params.delay.beta * params.m1_0) + dt * (decay @ drift)
+    mean = lam**n_steps * params.w0 + dt * (decay @ drift)
     weights = np.empty((n_steps, 2))
     weights[:, 0], weights[:, 1] = co.b * q, fin.sigma * pi
     weights *= (math.sqrt(dt) * decay)[:, None]
@@ -170,16 +167,18 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
     if strat == EXPONENTIAL:
         q_s, pi_s = _exp_schedule(params, dt, n_steps)
         return lambda k, w: (q_s[k], pi_s[k]), False
-    if strat == POWER:
-        strat = power_exact.growth_factors(params, dt)  # the closed form at the step times
-    if isinstance(strat, powmod.OdeSolution):
-        if params.dist.family != POWER:
-            raise ParameterError("power strategy supplied for a non-power distribution")
-        varpi_s = powmod.varpi_on(strat, np.minimum(np.arange(n_steps + 1) * dt, params.horizon))
-        return lambda k, w: powmod._controls(params, w, varpi_s[k]), True
     if callable(strat):
         return lambda k, w: strat(k * dt, w), False
-    raise ParameterError(f"unrecognized strategy source {strat!r}")
+    t = np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
+    if strat == POWER:
+        varpi_s = power_exact.factors(params, t)[1]
+    elif isinstance(strat, powmod.OdeSolution):
+        if params.dist.family != POWER:
+            raise ParameterError("power strategy supplied for a non-power distribution")
+        varpi_s = powmod.varpi_on(strat, t)
+    else:
+        raise ParameterError(f"unrecognized strategy source {strat!r}")
+    return lambda k, w: powmod._controls(params, w, varpi_s[k]), True
 
 
 def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = False):
@@ -213,16 +212,15 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
     rec = {name: np.full((n_steps + 1, n), np.nan) for name in fields} if record else None
 
     def run_chunk(lo, hi):
-        # noise and ring are local, so they are freed before the next chunk allocates
+        # the noise is local, so it is freed before the next chunk allocates
         noise = np.empty((hi - lo, n_steps, 2))  # path-major: each path draws in place
         for j, idx in enumerate(indices[lo:hi]):
             path_rng(cfg.seed, idx).standard_normal(out=noise[j])
-        w = np.full(hi - lo, params.x0 + beta * params.m1_0)
+        w = np.full(hi - lo, params.w0)
         exit_t = exit_time[lo:hi]
         if record:
             m1 = np.full(hi - lo, float(params.m1_0))
             e_ah = math.exp(-delay.alpha * delay.h)
-            ring = np.full((n_lag, hi - lo), float(params.x0))  # slot k % n_lag holds X(t_k - h)
         for k in range(n_steps + 1):
             if power_domain:
                 exited_now = ~(w > 0.0) & np.isnan(exit_t)
@@ -233,20 +231,20 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
             if np.any(np.asarray(q) < 0.0):
                 raise DomainError("strategy returned a negative retention q (inadmissible)")
             if record:
-                x, m2, alive = w - beta * m1, ring[k % n_lag], np.isnan(exit_t)
+                x, alive = w - beta * m1, np.isnan(exit_t)
+                m2 = rec["X"][k - n_lag, lo:hi] if k >= n_lag else params.x0
                 rec["X"][k, lo:hi] = x
                 rec["M1"][k, lo:hi] = np.where(alive, m1, np.nan)
                 rec["M2"][k, lo:hi] = np.where(alive, m2, np.nan)
                 rec["q"][k, lo:hi], rec["pi"][k, lo:hi] = q, pi
                 m1 = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
-                m2[:] = x
             if k == n_steps:
                 break
             drift = growth * w + a_eta + a_eta2 * q + pi * mu_r
             w = w + drift * dt + co.b * q * sq_dt * noise[:, k, 0] + fin.sigma * pi * sq_dt * noise[:, k, 1]
         w_term[lo:hi] = w
 
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * (2 * n_steps + (n_lag if record else 0)))))
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n_steps)))
     for lo in range(0, n, chunk):
         run_chunk(lo, min(lo + chunk, n))
     return w_term, exit_time, rec
@@ -370,23 +368,7 @@ def write_path_csv(path: SimPath, file_path) -> None:
 
 def estimate_to_dict(est: McEstimate) -> dict:
     """JSON-ready view of an estimate."""
-    return {
-        "mean": est.mean,
-        "se": est.se,
-        "n_paths": est.n_paths,
-        "excluded_paths": est.excluded_paths,
-        "per_gamma": [
-            {
-                "gamma": pg.gamma,
-                "p": pg.p,
-                "y_mean": pg.y_mean,
-                "y_se": pg.y_se,
-                "ce": pg.ce,
-                "ce_se": pg.ce_se,
-            }
-            for pg in est.per_gamma
-        ],
-    }
+    return dataclasses.asdict(est)
 
 
 def write_estimate_json(est: McEstimate, file_path) -> None:

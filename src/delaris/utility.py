@@ -35,6 +35,20 @@ def _check_gamma(family: str, gamma: float) -> None:
         raise DomainError("power utility is undefined at gamma = 1")
 
 
+def _inverse_arg(family: str, gamma: float, y):
+    """y as an array, after the family, gamma and domain checks that
+    u^{-1} and its derivatives share."""
+    _check_family(family)
+    _check_gamma(family, gamma)
+    y = np.asarray(y, dtype=float)
+    if family == EXPONENTIAL:
+        if np.any(y >= 0.0):
+            raise DomainError("exponential inverse utility requires y < 0")
+    elif np.any((1.0 - gamma) * y <= 0.0):
+        raise DomainError("power inverse utility requires (1-gamma)*y > 0")
+    return y
+
+
 def utility(family: str, gamma: float, w):
     """Evaluate u(w) for one member of the family.
 
@@ -57,50 +71,29 @@ def inverse_utility(family: str, gamma: float, y):
 
     Domains: y < 0 for exponential; (1-gamma)*y > 0 for power.
     """
-    _check_family(family)
-    _check_gamma(family, gamma)
-    y = np.asarray(y, dtype=float)
+    y = _inverse_arg(family, gamma, y)
     if family == EXPONENTIAL:
-        if np.any(y >= 0.0):
-            raise DomainError("exponential inverse utility requires y < 0")
         out = -np.log(-gamma * y) / gamma
     else:
-        z = (1.0 - gamma) * y
-        if np.any(z <= 0.0):
-            raise DomainError("power inverse utility requires (1-gamma)*y > 0")
-        out = z ** (1.0 / (1.0 - gamma))
+        out = ((1.0 - gamma) * y) ** (1.0 / (1.0 - gamma))
     return out if out.ndim else float(out)
 
 
 def inverse_utility_d1(family: str, gamma: float, y):
     """First derivative of u^{-1} at y (same domains as :func:`inverse_utility`)."""
-    _check_family(family)
-    _check_gamma(family, gamma)
-    y = np.asarray(y, dtype=float)
+    y = _inverse_arg(family, gamma, y)
     if family == EXPONENTIAL:
-        if np.any(y >= 0.0):
-            raise DomainError("exponential inverse utility requires y < 0")
         out = -1.0 / (gamma * y)
     else:
-        z = (1.0 - gamma) * y
-        if np.any(z <= 0.0):
-            raise DomainError("power inverse utility requires (1-gamma)*y > 0")
-        out = z ** (gamma / (1.0 - gamma))
+        out = ((1.0 - gamma) * y) ** (gamma / (1.0 - gamma))
     return out if out.ndim else float(out)
 
 
 def inverse_utility_d2(family: str, gamma: float, y):
     """Second derivative of u^{-1} at y (same domains as :func:`inverse_utility`)."""
-    _check_family(family)
-    _check_gamma(family, gamma)
-    y = np.asarray(y, dtype=float)
+    y = _inverse_arg(family, gamma, y)
     if family == EXPONENTIAL:
-        if np.any(y >= 0.0):
-            raise DomainError("exponential inverse utility requires y < 0")
         out = 1.0 / (gamma * y * y)
     else:
-        z = (1.0 - gamma) * y
-        if np.any(z <= 0.0):
-            raise DomainError("power inverse utility requires (1-gamma)*y > 0")
-        out = gamma * z ** (gamma / (1.0 - gamma) - 1.0)
+        out = gamma * ((1.0 - gamma) * y) ** (gamma / (1.0 - gamma) - 1.0)
     return out if out.ndim else float(out)

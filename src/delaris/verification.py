@@ -409,7 +409,7 @@ def feynman_kac_check(
 
     Pass criterion per gamma: |mc - ansatz| <= 3*SE + FK_DT_COEFF*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
-    _, jets, _ = _slice(params, solution, 0.0, params.x0 + params.delay.beta * params.m1_0)
+    _, jets, _ = _slice(params, solution, 0.0, params.w0)
     source = params.dist.family if solution is None else solution
     cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=source)
     est = mc_reward(params, cfg)

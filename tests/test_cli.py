@@ -1,15 +1,25 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaris import cli
 from delaris import power as powmod
 from delaris import power_exact
 from delaris import sweeps
 from delaris.exceptions import ParameterError
+from delaris.model import (
+    DelayParams,
+    FinancialParams,
+    InsuranceParams,
+    ModelParams,
+    RiskAversionDist,
+)
 
 
 def run_cli(*argv):
@@ -81,6 +91,38 @@ def test_config_round_trip(tmp_path):
     cfg_path.write_text(json.dumps(cli.config_dict(params)))
     loaded = cli.load_config(str(cfg_path))
     assert loaded == params
+
+
+@st.composite
+def _models(draw):
+    """A random valid model of either family."""
+    num = lambda lo, hi: draw(st.floats(lo, hi))
+    family = draw(st.sampled_from(["exponential", "power"]))
+    eta1 = num(0.01, 2.0)
+    eta2 = eta1 if family == "power" else num(eta1, 3.0)
+    r = num(0.001, 0.5)
+    lo, hi = (1e-3, 10.0) if family == "exponential" else (1e-4, 0.99)
+    gammas = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4, unique=True))
+    weights = [num(0.01, 1.0) for _ in gammas]
+    total = math.fsum(weights)
+    return ModelParams.build(
+        insurance=InsuranceParams(lambda1=num(0.01, 10.0), mu1=num(0.01, 10.0),
+                                  mu2=num(0.01, 10.0), eta1=eta1, eta2=eta2),
+        financial=FinancialParams(r=r, mu=num(r, 2.0), sigma=num(0.01, 2.0)),
+        delay=DelayParams(alpha=num(0.0, 5.0), beta=num(0.0, 2.0), h=num(0.01, 5.0)),
+        dist=RiskAversionDist(family, tuple((g, w / total) for g, w in zip(gammas, weights))),
+        horizon=num(0.1, 5.0),
+        x0=num(0.01, 5.0) if family == "power" else num(-5.0, 5.0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=_models())
+def test_config_round_trip_property(tmp_path_factory, params):
+    # the manifest's resolved_config rebuilds the model it records, bit for bit
+    path = tmp_path_factory.mktemp("config") / "model.json"
+    path.write_text(json.dumps(cli.config_dict(params)))
+    assert cli.load_config(str(path)) == params
 
 
 def test_config_errors(tmp_path):
@@ -183,6 +225,21 @@ def test_verify_reports_exploded_power_solution(tmp_path, capsys, check):
     assert run_cli("verify", "--config", str(path), "--check", check,
                    "--out", str(tmp_path / "o")) == 1
     assert "exploded" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [("strategy",), ("simulate", "--n-paths", "10")])
+def test_exploded_power_model_writes_nothing(tmp_path, capsys, argv):
+    # the same exploding model: strategy and simulate reject it before
+    # --out exists, so no growth_factors.csv or estimate is left behind
+    cfg = cli.config_dict(sweeps.baseline_params("power", "I"))
+    cfg["risk_aversion"]["points"] = [[1e-4, 0.5], [0.9, 0.5]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--config", str(path), "--out", str(out)) == 1
+    assert "exploded" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_monotonicity_with_custom_horizon(tmp_path):

@@ -136,6 +136,14 @@ def test_probability_renormalization_is_exact():
     assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_renormalized_points_rebuild_to_themselves():
+    # the points of a renormalized (1, 2/7) pair: they sum to 1 only up to
+    # rounding, and dividing by that sum again moved one by an ulp, so a
+    # model read back from its manifest was not the model that wrote it
+    pts = ((0.1, 0.7777777777777777), (0.2, 0.22222222222222218))
+    assert RiskAversionDist(family="exponential", points=pts).points == pts
+
+
 def test_power_requires_equal_loadings():
     with pytest.raises(ParameterError, match="equal"):
         ModelParams.build(

@@ -7,6 +7,7 @@ import pytest
 
 from delaris import exponential as expmod
 from delaris import power as powmod
+from delaris import power_exact
 from delaris import simulation as sim
 from delaris import sweeps
 from delaris import verification as ver
@@ -347,6 +348,8 @@ def _oracle_case(name, exp_case1, pow_case1):
         return ver.perturb_constants(exp_case1, "kappa", 0.5), "exponential", 1e-2, 40
     if name == "power":
         return pow_case1, powmod.solve_growth_factors(pow_case1, dt=1e-2), 1e-2, 40
+    if name == "power-closed-form":
+        return pow_case1, "power", 1e-2, 40
     params = _levered_power()
     sol = powmod.solve_growth_factors(params, dt=0.01)
     if name == "levered-dt0.2":
@@ -360,13 +363,13 @@ def _oracle_controls(params, source, dt):
     if source == "exponential":
         sched = [expmod.strategy(params, float(tk)) for tk in t]
         return lambda k, w: sched[k]
-    varpi = powmod.varpi_on(source, t)
+    varpi = power_exact.factors(params, t)[1] if source == "power" else powmod.varpi_on(source, t)
     return lambda k, w: powmod._controls(params, w, varpi[k])
 
 
 @pytest.mark.parametrize(
     "case", ["exponential", "exponential-h0.3", "exponential-kappa-fault", "power",
-             "levered-dt0.2", "levered-dt0.01"])
+             "power-closed-form", "levered-dt0.2", "levered-dt0.01"])
 def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1, case):
     # the delay cancels from the step of w only through the identities
     # C = beta*e^{-alpha*h} and B = beta*(alpha + A + beta), so w matches the
