@@ -27,16 +27,30 @@ for the path's (N, 2) draw Z. An unrecorded exponential run builds the
 weights once and draws each path into one reused (N, 2) buffer: it holds one
 buffer whatever n_paths is, and takes no step loop.
 
-Every other run steps the chain: recorded paths (``simulate_path``), the
-power strategy (a family name or an ``OdeSolution``) and callables. A
-recorded path also records X = w - beta*M1 and steps M1, reading the
-lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before the
-memory window fills): X, M1 and M2 exist only for recorded paths. Stepped
-paths run in chunks of at most 2048, fewer when a chunk's noise would
-exceed ``_CHUNK_BYTES``, so memory is bounded whatever n_paths and dt
-are. Under a power-family strategy a path whose w stops being positive
-exits the domain: its exit time is recorded and its state is NaN from
-then on.
+Under a power source (the family name or an ``OdeSolution``) the controls
+are proportional to w, q_k = cq*w_k/varpi_k and pi_k = cpi*w_k/varpi_k with
+cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2. A step is then an affine map
+whose factor is linear in the step's noise, with G2 = a*eta2*cq +
+(mu - r)*cpi (``ModelParams.g2``) and coefficients built once per run by
+``_power_factors``:
+
+    w_{k+1} = w_k*F_k + a*eta*dt,    F_k = f0_k + f1_k*Z1 + f2_k*Z2,
+    f0_k = 1 + dt*(A + beta + G2/varpi_k),
+    f1_k = sqrt(dt)*b*cq/varpi_k,    f2_k = sqrt(dt)*sigma*cpi/varpi_k.
+
+An unrecorded power run folds each path's draw into that path's row of one
+path-major (paths, N) factor array, 8 B per path-step, and then steps the
+whole chunk with one multiply and one add per step. A path whose w stops
+being positive exits the domain: its exit time is recorded and its state is
+NaN from then on.
+
+Recorded paths (``simulate_path``) and callables step the Euler chain
+itself. A recorded path also records X = w - beta*M1 and steps M1, reading
+the lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before
+the memory window fills): X, M1 and M2 exist only for recorded paths.
+Power and stepped runs go in chunks of at most 2048 paths, fewer when a
+chunk's noise would exceed ``_CHUNK_BYTES``, so memory is bounded whatever
+n_paths and dt are.
 
 Reproducibility: path j draws its noise from ``numpy`` PCG64 seeded with
 ``SeedSequence((seed, j))``, the documented per-path derivation; Z1 and Z2
@@ -50,6 +64,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -72,7 +87,9 @@ from .utility import (
 StrategySource = Union[str, powmod.OdeSolution, Callable]
 
 _CHUNK = 2048  # paths per chunk, unless the chunk would exceed _CHUNK_BYTES
-_CHUNK_BYTES = 256 * 2**20  # noise: 2 draws per step, 8 B each
+# a chunk's noise at 2 draws of 8 B per step; the power route holds half of
+# that, one 8 B factor per path-step
+_CHUNK_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -82,8 +99,10 @@ class SimConfig:
     affine map of each path's noise) or "power" (wealth-proportional
     controls at the varpi that ``power_exact.factors`` gives at the step
     times); a power :class:`~delaris.power.OdeSolution`, read by
-    interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on arrays of effective wealth.
-    Every source but an unrecorded exponential run steps the Euler chain."""
+    interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on arrays of
+    effective wealth. An unrecorded power run steps w by one multiply-add
+    per path-step; recorded paths and callables step the Euler chain.
+    ``n_paths`` and ``seed`` must be integers or finite whole reals."""
 
     dt: float
     n_paths: int
@@ -93,12 +112,14 @@ class SimConfig:
     def __post_init__(self):
         if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise ParameterError(f"sim.dt must be positive and finite, got {self.dt}")
-        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
-            raise ParameterError(f"sim.n_paths must be a positive integer, got {self.n_paths}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ParameterError(f"sim.seed must be a nonnegative integer, got {self.seed}")
-        object.__setattr__(self, "n_paths", int(self.n_paths))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, lowest, kind in (("n_paths", 1, "a positive"), ("seed", 0, "a nonnegative")):
+            value = getattr(self, name)
+            # float(nan).is_integer() and float(inf).is_integer() are False
+            whole = isinstance(value, numbers.Integral) or (
+                isinstance(value, numbers.Real) and float(value).is_integer())
+            if not (whole and value >= lowest):
+                raise ParameterError(f"sim.{name} must be {kind} integer, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -159,6 +180,19 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
     return float(mean), weights.ravel()
 
 
+def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
+    """varpi at the step times min(k*dt, T), k = 0..n_steps, under a power
+    source: "power" reads ``power_exact.factors``, an ``OdeSolution`` is
+    interpolated. None for any other source."""
+    strat = cfg.strategy
+    if not (isinstance(strat, powmod.OdeSolution) or strat == POWER):
+        return None
+    if params.dist.family != POWER:
+        raise ParameterError("power strategy supplied for a non-power distribution")
+    t = np.minimum(np.arange(n_steps + 1) * cfg.dt, params.horizon)
+    return power_exact.factors(params, t)[1] if strat == POWER else powmod.varpi_on(strat, t)
+
+
 def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
     """Normalize the strategy source to a per-step callable (k, w) -> (q, pi)
     broadcastable to w, and say whether the power domain w > 0 applies."""
@@ -169,16 +203,72 @@ def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
         return lambda k, w: (q_s[k], pi_s[k]), False
     if callable(strat):
         return lambda k, w: strat(k * dt, w), False
-    t = np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
-    if strat == POWER:
-        varpi_s = power_exact.factors(params, t)[1]
-    elif isinstance(strat, powmod.OdeSolution):
-        if params.dist.family != POWER:
-            raise ParameterError("power strategy supplied for a non-power distribution")
-        varpi_s = powmod.varpi_on(strat, t)
-    else:
+    varpi_s = _power_varpi(params, cfg, n_steps)
+    if varpi_s is None:
         raise ParameterError(f"unrecognized strategy source {strat!r}")
     return lambda k, w: powmod._controls(params, w, varpi_s[k]), True
+
+
+def _chunk_paths(n_steps: int) -> int:
+    """Paths per chunk of a stepped or power run: at most _CHUNK, and no
+    more than fit _CHUNK_BYTES of noise at 16 B per path-step."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n_steps)))
+
+
+def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
+    """The power Euler step as w_{k+1} = w_k*F_k + a*eta*dt with
+    F_k = f0[k] + f12[k] @ (Z1, Z2) (see the module docstring): returns
+    (f0, f12) under a power source, None under any other."""
+    varpi = _power_varpi(params, cfg, n_steps)
+    if varpi is None:
+        return None
+    varpi = varpi[:-1]  # varpi at t_N acts on no step
+    co, fin = params.coeffs, params.financial
+    cq, cpi = co.a * co.eta2 / co.b2, (fin.mu - fin.r) / fin.sigma**2
+    f0 = params.g2 / varpi
+    f0 += _growth(params)
+    f0 *= cfg.dt
+    f0 += 1.0
+    f12 = np.empty((n_steps, 2))
+    f12[:, 0], f12[:, 1] = co.b * cq, fin.sigma * cpi
+    f12 *= (math.sqrt(cfg.dt) / varpi)[:, None]
+    return f0, f12
+
+
+def _power_paths(params: ModelParams, cfg: SimConfig, indices, f0, f12, w_term, exit_time):
+    """Fill the terminal effective wealth and exit times of unrecorded power
+    paths from the step coefficients of ``_power_factors``. Each chunk folds
+    every path's (n_steps, 2) draw into its row of one path-major factor
+    array, then steps all its paths at once."""
+    n_steps, n = len(f0), len(indices)
+    c = params.coeffs.a * params.coeffs.eta * cfg.dt
+    chunk = _chunk_paths(n_steps)
+    noise = np.empty((n_steps, 2))
+    factors = np.empty((min(chunk, n), n_steps))  # 8 B per path-step, reused by every chunk
+    for lo in range(0, n, chunk):
+        rows = factors[: min(chunk, n - lo)]
+        for row, idx in zip(rows, indices[lo:lo + chunk]):
+            path_rng(cfg.seed, idx).standard_normal(out=noise)
+            noise *= f12
+            np.add(noise[:, 0], noise[:, 1], out=row)
+            row += f0
+        w = np.full(len(rows), params.w0)
+        exit_t = exit_time[lo:lo + len(rows)]
+        positive = np.empty(len(rows), dtype=bool)
+        n_positive = len(rows)
+        for k in range(n_steps + 1):
+            # a path exits where w stops being positive: bookkeeping only
+            # when the count of positive w changes
+            if (count := np.count_nonzero(np.greater(w, 0.0, out=positive))) != n_positive:
+                exited_now = ~positive & np.isnan(exit_t)
+                exit_t[exited_now] = k * cfg.dt
+                w[exited_now] = np.nan
+                n_positive = count
+            if k == n_steps:
+                break
+            w *= rows[:, k]
+            w += c
+        w_term[lo:lo + len(rows)] = w
 
 
 def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = False):
@@ -189,8 +279,10 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
 
     An unrecorded exponential run reads each path's terminal wealth off its
     noise through ``_exp_affine``, one reused (n_steps, 2) buffer for all
-    paths. Every other run steps the Euler chain, vectorized elementwise
-    over chunks of paths sized by ``_CHUNK_BYTES``."""
+    paths. An unrecorded power run folds each path's noise into a factor
+    row through ``_power_factors`` and ``_power_paths``. Recorded paths and
+    callables step the Euler chain, vectorized elementwise over chunks of
+    paths sized by ``_CHUNK_BYTES``."""
     n_steps, n_lag = _grid_steps(params, cfg)
     n = len(indices)
     w_term = np.empty(n)
@@ -201,6 +293,10 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
         for j, idx in enumerate(indices):
             path_rng(cfg.seed, idx).standard_normal(out=noise)
             w_term[j] = mean + noise.ravel() @ weights
+        return w_term, exit_time, None
+    coeffs = None if record else _power_factors(params, cfg, n_steps)
+    if coeffs is not None:
+        _power_paths(params, cfg, indices, *coeffs, w_term, exit_time)
         return w_term, exit_time, None
     step_strategy, power_domain = _make_step_strategy(params, cfg, n_steps)
     dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
@@ -244,7 +340,7 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = Fals
             w = w + drift * dt + co.b * q * sq_dt * noise[:, k, 0] + fin.sigma * pi * sq_dt * noise[:, k, 1]
         w_term[lo:hi] = w
 
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n_steps)))
+    chunk = _chunk_paths(n_steps)
     for lo in range(0, n, chunk):
         run_chunk(lo, min(lo + chunk, n))
     return w_term, exit_time, rec

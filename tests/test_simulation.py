@@ -48,6 +48,18 @@ def test_config_validation(exp_case1):
         sim.simulate_path(exp_case1, cfg)
 
 
+@pytest.mark.parametrize("field, value", [("n_paths", math.nan), ("n_paths", math.inf),
+                                          ("n_paths", 2.5), ("seed", math.nan),
+                                          ("seed", -math.inf)])
+def test_config_rejects_non_whole_counts(field, value):
+    # NaN and inf are not whole numbers: a ParameterError naming the field,
+    # never numpy's or int()'s own ValueError or OverflowError
+    kwargs = dict(dt=1e-2, n_paths=10, seed=0, strategy="power")
+    kwargs[field] = value
+    with pytest.raises(ParameterError, match=f"sim.{field} must be"):
+        sim.SimConfig(**kwargs)
+
+
 def test_dt_must_divide_delay_window():
     params = _quiet_params()
     bad = ModelParams.build(
@@ -288,6 +300,78 @@ def test_exponential_noise_contract(monkeypatch, exp_case1):
         assert w_term[i] == mean + real_rng(4, i).standard_normal((200, 2)).ravel() @ weights
     for subset in ([7, 2, 11, 0, 5], [11, 10, 3], list(range(12))[::-1]):
         np.testing.assert_array_equal(run_paths(exp_case1, cfg, subset)[0], w_term[subset])
+
+
+def _power_chain(params, cfg, f0, f12, index):
+    """(terminal w, exit time) of one power path, stepped one scalar at a time
+    from the path's own draw folded as the kernel folds it."""
+    z = sim.path_rng(cfg.seed, index).standard_normal((len(f0), 2)) * f12
+    factor = z[:, 0] + z[:, 1] + f0
+    w, c = params.w0, params.coeffs.a * params.coeffs.eta * cfg.dt
+    for k in range(len(f0) + 1):
+        if not w > 0.0:
+            return math.nan, k * cfg.dt
+        if k == len(f0):
+            return w, math.nan
+        w = w * factor[k] + c
+
+
+@pytest.mark.parametrize("source", ["power", "solution"])
+def test_power_noise_contract(monkeypatch, source):
+    # Monte Carlo terminal wealth and exit times are path i's own draw
+    # through its factor row, bit for bit whatever the order and subset,
+    # from exactly one path_rng call per path; most of these paths exit
+    params = _levered_power()
+    strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
+    cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
+    run_paths, real_rng = sim._run_paths, sim.path_rng
+    seen, calls = [], []
+
+    def spy(*args, **kwargs):
+        out = run_paths(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    def counting_rng(seed, path_index):
+        calls.append((seed, path_index))
+        return real_rng(seed, path_index)
+
+    monkeypatch.setattr(sim, "_run_paths", spy)
+    monkeypatch.setattr(sim, "path_rng", counting_rng)
+    est = sim.mc_reward(params, cfg)
+    assert calls == [(4, i) for i in range(40)]
+    monkeypatch.setattr(sim, "path_rng", real_rng)
+    ((w_term, exit_t, _),) = seen
+    assert 0 < np.isfinite(exit_t).sum() < 40
+    assert est.excluded_paths == np.isfinite(exit_t).sum()
+    f0, f12 = sim._power_factors(params, cfg, 10)
+    for i in range(40):
+        w_i, exit_i, _ = run_paths(params, cfg, [i])
+        np.testing.assert_array_equal(w_i, w_term[i])
+        np.testing.assert_array_equal(exit_i, exit_t[i])
+        np.testing.assert_array_equal(_power_chain(params, cfg, f0, f12, i), (w_term[i], exit_t[i]))
+    for subset in ([7, 2, 31, 0, 5], [39, 10, 3], list(range(40))[::-1]):
+        w_s, exit_s, _ = run_paths(params, cfg, subset)
+        np.testing.assert_array_equal(w_s, w_term[subset])
+        np.testing.assert_array_equal(exit_s, exit_t[subset])
+
+
+def test_power_mc_memory_per_path_step(pow_case1):
+    # an unrecorded power run holds one 8 B factor per path-step of its
+    # chunk, where the stepped chain held 16 B of noise: beyond the arrays
+    # it returns, the peak of a one-chunk run grows by under 12 B per path-step
+    def working_peak(n_paths):
+        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy="power")
+        tracemalloc.start()
+        try:
+            result = sim._run_paths(pow_case1, cfg, range(n_paths))  # held: ``current`` counts it
+            current, peak = tracemalloc.get_traced_memory()
+            return peak - current
+        finally:
+            tracemalloc.stop()
+
+    working_peak(40)  # the first call also allocates one-time caches
+    assert working_peak(400) - working_peak(40) < 12 * 360 * 200
 
 
 def _exp_discrete_utility(params, gamma, dt):
