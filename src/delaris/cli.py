@@ -269,11 +269,12 @@ def cmd_simulate(args) -> int:
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=params.dist.family)
 
     outputs = ["estimate.json"]
+    # only recorded paths read the memory window, so only they need dt | h
+    paths = sim.simulate_paths(params, cfg, range(args.paths_csv)) if args.paths_csv else ()
     est = sim.mc_reward(params, cfg)
     out = _out_dir(args)
     sim.write_estimate_json(est, out / "estimate.json")
-    for i in range(args.paths_csv):
-        path = sim.simulate_path(params, cfg, path_index=i)
+    for i, path in enumerate(paths):
         sim.write_path_csv(path, out / f"path_{i}.csv")
         outputs.append(f"path_{i}.csv")
 

@@ -44,17 +44,22 @@ whole chunk with one multiply and one add per step. A path whose w stops
 being positive exits the domain: its exit time is recorded and its state is
 NaN from then on.
 
-Recorded paths (``simulate_path``) and callables step the Euler chain
-itself. A recorded path also records X = w - beta*M1 and steps M1, reading
-the lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before
-the memory window fills): X, M1 and M2 exist only for recorded paths.
-Power and stepped runs go in chunks of at most 2048 paths, fewer when a
-chunk's noise would exceed ``_CHUNK_BYTES``, so memory is bounded whatever
-n_paths and dt are.
+Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
+the Euler chain itself, one path at a time on Python floats
+(``_path_chain``), which round as numpy's elementwise float64 operations
+do. A recorded path also records X = w - beta*M1 and steps M1, reading the
+lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before the
+memory window fills): X, M1 and M2 exist only for recorded paths, and only
+they need dt to divide h. Power runs go in chunks of at most 2048 paths,
+fewer when a chunk's noise would exceed ``_CHUNK_BYTES``, so memory is
+bounded whatever n_paths and dt are.
 
 Reproducibility: path j draws its noise from ``numpy`` PCG64 seeded with
-``SeedSequence((seed, j))``, the documented per-path derivation; Z1 and Z2
-are the two columns of a single (K, 2) standard-normal draw. Results are
+``SeedSequence((seed, j))``; ``path_rng`` is that definition. Z1 and Z2 are
+the two columns of a single (K, 2) standard-normal draw. Runs build no
+generator per path: ``seeding.path_rngs`` sets each path's state on one
+reused generator, from SeedSequence's mixing run for a block of paths at
+once, and the tests pin it to ``path_rng`` bit for bit. Results are
 bit-identical for a fixed (params, config, path index) regardless of how
 paths are batched, and Monte Carlo aggregation reduces in path-index order.
 """
@@ -66,7 +71,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -75,6 +80,7 @@ from . import power as powmod
 from . import power_exact
 from .exceptions import DomainError, ParameterError
 from .model import ModelParams, grid_steps
+from .seeding import path_rngs
 from .utility import (
     EXPONENTIAL,
     POWER,
@@ -83,10 +89,10 @@ from .utility import (
     utility,
 )
 
-# strategy callbacks take (t, w_array) and return (q, pi_amount)
+# strategy callbacks take (t, w), both floats, and return (q, pi_amount)
 StrategySource = Union[str, powmod.OdeSolution, Callable]
 
-_CHUNK = 2048  # paths per chunk, unless the chunk would exceed _CHUNK_BYTES
+_CHUNK = 2048  # power paths per chunk, unless the chunk would exceed _CHUNK_BYTES
 # a chunk's noise at 2 draws of 8 B per step; the power route holds half of
 # that, one 8 B factor per path-step
 _CHUNK_BYTES = 256 * 2**20
@@ -99,10 +105,12 @@ class SimConfig:
     affine map of each path's noise) or "power" (wealth-proportional
     controls at the varpi that ``power_exact.factors`` gives at the step
     times); a power :class:`~delaris.power.OdeSolution`, read by
-    interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on arrays of
-    effective wealth. An unrecorded power run steps w by one multiply-add
-    per path-step; recorded paths and callables step the Euler chain.
-    ``n_paths`` and ``seed`` must be integers or finite whole reals."""
+    interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on a float
+    effective wealth w, called once per path-step. An unrecorded power run
+    steps w by one multiply-add per path-step; recorded paths and callables
+    step the Euler chain one path at a time, and no run steps paths in
+    chunks elementwise. ``n_paths`` and ``seed`` must be integers or finite
+    whole reals."""
 
     dt: float
     n_paths: int
@@ -147,7 +155,9 @@ def _grid_steps(params: ModelParams, cfg: SimConfig) -> tuple[int, int]:
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """The documented per-path generator: PCG64(SeedSequence((seed, index)))."""
+    """The documented per-path generator: PCG64(SeedSequence((seed, index))).
+    Runs never call it: ``seeding.path_rngs`` reaches the same states for a
+    block of paths at once, and the tests pin the two together."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(path_index))))
 
 
@@ -193,25 +203,9 @@ def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
     return power_exact.factors(params, t)[1] if strat == POWER else powmod.varpi_on(strat, t)
 
 
-def _make_step_strategy(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """Normalize the strategy source to a per-step callable (k, w) -> (q, pi)
-    broadcastable to w, and say whether the power domain w > 0 applies."""
-    strat = cfg.strategy
-    dt = cfg.dt
-    if strat == EXPONENTIAL:
-        q_s, pi_s = _exp_schedule(params, dt, n_steps)
-        return lambda k, w: (q_s[k], pi_s[k]), False
-    if callable(strat):
-        return lambda k, w: strat(k * dt, w), False
-    varpi_s = _power_varpi(params, cfg, n_steps)
-    if varpi_s is None:
-        raise ParameterError(f"unrecognized strategy source {strat!r}")
-    return lambda k, w: powmod._controls(params, w, varpi_s[k]), True
-
-
 def _chunk_paths(n_steps: int) -> int:
-    """Paths per chunk of a stepped or power run: at most _CHUNK, and no
-    more than fit _CHUNK_BYTES of noise at 16 B per path-step."""
+    """Paths per chunk of a power run: at most _CHUNK, and no more than fit
+    _CHUNK_BYTES of noise at 16 B per path-step."""
     return max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n_steps)))
 
 
@@ -247,8 +241,8 @@ def _power_paths(params: ModelParams, cfg: SimConfig, indices, f0, f12, w_term, 
     factors = np.empty((min(chunk, n), n_steps))  # 8 B per path-step, reused by every chunk
     for lo in range(0, n, chunk):
         rows = factors[: min(chunk, n - lo)]
-        for row, idx in zip(rows, indices[lo:lo + chunk]):
-            path_rng(cfg.seed, idx).standard_normal(out=noise)
+        for row, rng in zip(rows, path_rngs(cfg.seed, indices[lo:lo + chunk])):
+            rng.standard_normal(out=noise)
             noise *= f12
             np.add(noise[:, 0], noise[:, 1], out=row)
             row += f0
@@ -271,99 +265,124 @@ def _power_paths(params: ModelParams, cfg: SimConfig, indices, f0, f12, w_term, 
         w_term[lo:lo + len(rows)] = w
 
 
-def _run_paths(params: ModelParams, cfg: SimConfig, indices, record: bool = False):
-    """Simulate the given path indices; each path's result depends only on
-    its own index, never on the batching. Returns terminal effective wealth,
-    exit times (NaN if none), and optionally the full per-step records; a
-    path is NaN from its domain exit on.
+def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
+    """Normalize the strategy source to a per-step function (k, w) -> (q, pi)
+    on a float w. Under a power source it gives None where w is not
+    positive: the path exits the domain there."""
+    strat = cfg.strategy
+    if strat == EXPONENTIAL:
+        q_s, pi_s = _exp_schedule(params, cfg.dt, n_steps).tolist()
+        return lambda k, w: (q_s[k], pi_s[k])
+    if callable(strat):
+        return lambda k, w: strat(k * cfg.dt, w)
+    varpi_s = _power_varpi(params, cfg, n_steps)
+    if varpi_s is None:
+        raise ParameterError(f"unrecognized strategy source {strat!r}")
+    varpi_s = varpi_s.tolist()
+    return lambda k, w: powmod._controls(params, w, varpi_s[k]) if w > 0.0 else None
 
-    An unrecorded exponential run reads each path's terminal wealth off its
-    noise through ``_exp_affine``, one reused (n_steps, 2) buffer for all
-    paths. An unrecorded power run folds each path's noise into a factor
-    row through ``_power_factors`` and ``_power_paths``. Recorded paths and
-    callables step the Euler chain, vectorized elementwise over chunks of
-    paths sized by ``_CHUNK_BYTES``."""
-    n_steps, n_lag = _grid_steps(params, cfg)
+
+def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, n_lag: int = 0):
+    """Step one path's Euler chain on Python floats from its rows of noise
+    (Z1, Z2) under ``controls`` of ``_path_controls``; returns terminal
+    effective wealth and exit time (NaN if none). With ``rec``, five
+    NaN-filled lists X, M1, M2, q, pi, the path also records X = w - beta*M1
+    and steps M1, reading M2 from X n_lag rows back; rows from a domain exit
+    on stay NaN. The operations and their order are those of the Euler
+    step in the module docstring, so a float loop rounds as numpy does."""
+    dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
+    co, fin, delay = params.coeffs, params.financial, params.delay
+    beta, alpha, growth = delay.beta, delay.alpha, _growth(params)
+    a_eta, a_eta2, mu_r = co.a * co.eta, co.a * co.eta2, fin.mu - fin.r
+    n_steps = len(noise)
+    w = params.w0
+    if rec is not None:
+        X, M1, M2, Q, PI = rec
+        m1, e_ah = float(params.m1_0), math.exp(-alpha * delay.h)
+    for k in range(n_steps + 1):
+        if (step := controls(k, w)) is None:
+            return math.nan, k * dt
+        q, pi = step
+        if q < 0.0:
+            raise DomainError("strategy returned a negative retention q (inadmissible)")
+        if rec is not None:
+            x = w - beta * m1
+            m2 = X[k - n_lag] if k >= n_lag else params.x0
+            X[k], M1[k], M2[k], Q[k], PI[k] = x, m1, m2, q, pi
+            m1 = m1 + (x - alpha * m1 - e_ah * m2) * dt
+        if k == n_steps:
+            break
+        z1, z2 = noise[k]
+        drift = growth * w + a_eta + a_eta2 * q + pi * mu_r
+        w = w + drift * dt + co.b * q * sq_dt * z1 + fin.sigma * pi * sq_dt * z2
+    return w, math.nan
+
+
+def _run_paths(params: ModelParams, cfg: SimConfig, indices):
+    """Simulate the given path indices unrecorded; each path's result
+    depends only on its own index, never on the batching. Returns terminal
+    effective wealth and exit times (NaN if none); a path is NaN from its
+    domain exit on.
+
+    An exponential run reads each path's terminal wealth off its noise
+    through ``_exp_affine``, one reused (n_steps, 2) buffer for all paths. A
+    power run folds each path's noise into a factor row through
+    ``_power_factors`` and ``_power_paths``. A callable steps one path at a
+    time through ``_path_chain``. No run reads the memory window, so dt
+    need only divide the horizon."""
+    n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
     n = len(indices)
     w_term = np.empty(n)
     exit_time = np.full(n, np.nan)
-    if cfg.strategy == EXPONENTIAL and not record:
+    if cfg.strategy == EXPONENTIAL:
         mean, weights = _exp_affine(params, cfg.dt, n_steps)
         noise = np.empty((n_steps, 2))
-        for j, idx in enumerate(indices):
-            path_rng(cfg.seed, idx).standard_normal(out=noise)
+        for j, rng in enumerate(path_rngs(cfg.seed, indices)):
+            rng.standard_normal(out=noise)
             w_term[j] = mean + noise.ravel() @ weights
-        return w_term, exit_time, None
-    coeffs = None if record else _power_factors(params, cfg, n_steps)
+        return w_term, exit_time
+    coeffs = _power_factors(params, cfg, n_steps)
     if coeffs is not None:
         _power_paths(params, cfg, indices, *coeffs, w_term, exit_time)
-        return w_term, exit_time, None
-    step_strategy, power_domain = _make_step_strategy(params, cfg, n_steps)
-    dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
-    co, fin, delay = params.coeffs, params.financial, params.delay
-    beta = delay.beta
-    growth = _growth(params)
-    a_eta, a_eta2, mu_r = co.a * co.eta, co.a * co.eta2, fin.mu - fin.r
-    fields = ("X", "M1", "M2", "q", "pi")
-    rec = {name: np.full((n_steps + 1, n), np.nan) for name in fields} if record else None
+        return w_term, exit_time
+    controls = _path_controls(params, cfg, n_steps)
+    noise = np.empty((n_steps, 2))
+    for j, rng in enumerate(path_rngs(cfg.seed, indices)):
+        rng.standard_normal(out=noise)
+        w_term[j], exit_time[j] = _path_chain(params, cfg, noise.tolist(), controls)
+    return w_term, exit_time
 
-    def run_chunk(lo, hi):
-        # the noise is local, so it is freed before the next chunk allocates
-        noise = np.empty((hi - lo, n_steps, 2))  # path-major: each path draws in place
-        for j, idx in enumerate(indices[lo:hi]):
-            path_rng(cfg.seed, idx).standard_normal(out=noise[j])
-        w = np.full(hi - lo, params.w0)
-        exit_t = exit_time[lo:hi]
-        if record:
-            m1 = np.full(hi - lo, float(params.m1_0))
-            e_ah = math.exp(-delay.alpha * delay.h)
-        for k in range(n_steps + 1):
-            if power_domain:
-                exited_now = ~(w > 0.0) & np.isnan(exit_t)
-                if exited_now.any():
-                    exit_t[exited_now] = k * dt
-                    w[exited_now] = np.nan
-            q, pi = step_strategy(k, w)
-            if np.any(np.asarray(q) < 0.0):
-                raise DomainError("strategy returned a negative retention q (inadmissible)")
-            if record:
-                x, alive = w - beta * m1, np.isnan(exit_t)
-                m2 = rec["X"][k - n_lag, lo:hi] if k >= n_lag else params.x0
-                rec["X"][k, lo:hi] = x
-                rec["M1"][k, lo:hi] = np.where(alive, m1, np.nan)
-                rec["M2"][k, lo:hi] = np.where(alive, m2, np.nan)
-                rec["q"][k, lo:hi], rec["pi"][k, lo:hi] = q, pi
-                m1 = m1 + (x - delay.alpha * m1 - e_ah * m2) * dt
-            if k == n_steps:
-                break
-            drift = growth * w + a_eta + a_eta2 * q + pi * mu_r
-            w = w + drift * dt + co.b * q * sq_dt * noise[:, k, 0] + fin.sigma * pi * sq_dt * noise[:, k, 1]
-        w_term[lo:hi] = w
 
-    chunk = _chunk_paths(n_steps)
-    for lo in range(0, n, chunk):
-        run_chunk(lo, min(lo + chunk, n))
-    return w_term, exit_time, rec
+def simulate_paths(params: ModelParams, cfg: SimConfig, indices) -> Iterator[SimPath]:
+    """Simulate and fully record the given paths from one control schedule.
+    Checks that dt divides the horizon and h at the call; then records each
+    path only when the next is asked for, so memory holds one path whatever
+    len(indices) is. Noise is derived from (cfg.seed, path index) per the
+    documented scheme."""
+    n_steps, n_lag = _grid_steps(params, cfg)
+    controls = _path_controls(params, cfg, n_steps)
+
+    def record():
+        noise = np.empty((n_steps, 2))
+        for idx, rng in zip(indices, path_rngs(cfg.seed, indices)):
+            rng.standard_normal(out=noise)
+            rec = [[math.nan] * (n_steps + 1) for _ in range(5)]
+            w, exit_t = _path_chain(params, cfg, noise.tolist(), controls, rec, n_lag)
+            X, M1, M2, q, pi = (np.array(r) for r in rec)
+            exited = not math.isnan(exit_t)
+            yield SimPath(
+                t=np.arange(n_steps + 1) * cfg.dt, X=X, M1=M1, M2=M2, q=q, pi_x=pi,
+                seed=cfg.seed, path_index=int(idx), domain_exit=exited,
+                exit_time=exit_t if exited else None, terminal_effective_wealth=w,
+            )
+
+    return record()
 
 
 def simulate_path(params: ModelParams, cfg: SimConfig, path_index: int = 0) -> SimPath:
     """Simulate and fully record a single path (noise derived from
     (cfg.seed, path_index) per the documented scheme)."""
-    w_term, exit_time, rec = _run_paths(params, cfg, [int(path_index)], record=True)
-    exited = bool(np.isfinite(exit_time[0]))
-    return SimPath(
-        t=np.arange(len(rec["X"])) * cfg.dt,
-        X=rec["X"][:, 0].copy(),
-        M1=rec["M1"][:, 0].copy(),
-        M2=rec["M2"][:, 0].copy(),
-        q=rec["q"][:, 0].copy(),
-        pi_x=rec["pi"][:, 0].copy(),
-        seed=cfg.seed,
-        path_index=int(path_index),
-        domain_exit=exited,
-        exit_time=float(exit_time[0]) if exited else None,
-        terminal_effective_wealth=float(w_term[0]),
-    )
+    return next(simulate_paths(params, cfg, [int(path_index)]))
 
 
 def m1_quadrature(params: ModelParams, path: SimPath, k: int) -> float:
@@ -415,7 +434,7 @@ def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
     family: w <= 0 or an earlier domain exit) are excluded and counted,
     never clamped."""
     family = params.dist.family
-    w_all, _, _ = _run_paths(params, cfg, range(cfg.n_paths))
+    w_all, _ = _run_paths(params, cfg, range(cfg.n_paths))
     valid = np.isfinite(w_all)
     if family == POWER:
         valid &= w_all > 0.0

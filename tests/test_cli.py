@@ -181,6 +181,24 @@ def test_simulate_writes_estimate_and_paths(tmp_path):
     assert manifest["options"]["seed"] == 5
 
 
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_unrecorded_runs_need_no_delay_grid(tmp_path, capsys, family):
+    # h = 1/3 is no multiple of the default dt: the Monte Carlo and the
+    # Feynman-Kac check never read the memory window, a recorded path does
+    cfg = cli.config_dict(sweeps.baseline_params(family, "I"))
+    cfg["delay"]["h"] = 1.0 / 3.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    common = ("--config", str(path), "--n-paths", "200")
+    assert run_cli("simulate", *common, "--out", str(tmp_path / "s")) == 0
+    assert run_cli("verify", "--check", "feynman-kac", *common, "--out", str(tmp_path / "v")) == 0
+    capsys.readouterr()
+    out = tmp_path / "p"
+    assert run_cli("simulate", *common, "--paths-csv", "1", "--out", str(out)) == 1
+    assert "must divide delay.h" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_pass_and_fault(tmp_path, capsys):
     out = tmp_path / "ok"
     assert run_cli("verify", "--check", "coefficients", "--out", str(out)) == 0

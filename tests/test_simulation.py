@@ -8,6 +8,7 @@ import pytest
 from delaris import exponential as expmod
 from delaris import power as powmod
 from delaris import power_exact
+from delaris import seeding
 from delaris import simulation as sim
 from delaris import sweeps
 from delaris import verification as ver
@@ -217,8 +218,8 @@ def test_domain_exit_propagates_nan():
 @pytest.mark.parametrize("family", ["exponential", "power"])
 def test_chunking_is_invisible(monkeypatch, exp_case1, family):
     if family == "exponential":
-        # the exponential schedule as a callable: the "exponential" source
-        # itself takes no chunks (test_exponential_mc_memory_flat_in_paths)
+        # the exponential schedule as a callable, which steps one path at a
+        # time: the budget must leave it untouched
         def strategy(t, w):
             return expmod.strategy(exp_case1, min(t, exp_case1.horizon))
 
@@ -254,6 +255,29 @@ def test_chunk_budget_bounds_memory(monkeypatch):
     assert traced_peak() < whole / 4
 
 
+def test_chunked_power_memory_flat_in_paths(monkeypatch):
+    # under a budget of three paths a power run holds one chunk of factor
+    # rows whatever n_paths is: beyond the arrays it returns, its peak grows
+    # by less than one chunk's rows (8 B per path-step) from 40 to 400
+    # paths, where a run in one chunk grows by 360 paths' rows
+    params = _levered_power()
+    sol = powmod.solve_growth_factors(params, dt=0.01)
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * 200)
+
+    def working_peak(n_paths):
+        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy=sol)
+        tracemalloc.start()
+        try:
+            result = sim._run_paths(params, cfg, range(n_paths))  # held: ``current`` counts it
+            current, peak = tracemalloc.get_traced_memory()
+            return peak - current
+        finally:
+            tracemalloc.stop()
+
+    working_peak(40)  # the first call also allocates one-time caches
+    assert working_peak(400) - working_peak(40) < 8 * 3 * 200
+
+
 def test_exponential_mc_memory_flat_in_paths(exp_case1):
     # an unrecorded exponential run holds one (n_steps, 2) noise buffer for
     # all its paths: beyond the arrays it returns (8 B per path each), its
@@ -272,27 +296,35 @@ def test_exponential_mc_memory_flat_in_paths(exp_case1):
     assert working_peak(4000) <= 1.1 * working_peak(40)
 
 
+def _recording_rngs(states):
+    """``sim.path_rngs`` appending the state each path starts its draw in."""
+    path_rngs = sim.path_rngs
+
+    def recording(seed, indices):
+        for rng in path_rngs(seed, indices):
+            states.append(rng.bit_generator.state)
+            yield rng
+
+    return recording
+
+
 def test_exponential_noise_contract(monkeypatch, exp_case1):
     # Monte Carlo terminal wealth is path i's own draw through the affine
-    # map, bit for bit whatever the order and subset, from exactly one
-    # path_rng call per path (perfbench counts the calls through this global)
+    # map, bit for bit whatever the order and subset, and path i draws from
+    # the state path_rng(seed, i) starts in
     cfg = sim.SimConfig(dt=1e-2, n_paths=12, seed=4, strategy="exponential")
     run_paths, real_rng = sim._run_paths, sim.path_rng
-    seen, calls = [], []
+    seen, states = [], []
 
     def spy(*args, **kwargs):
         out = run_paths(*args, **kwargs)
         seen.append(out[0])
         return out
 
-    def counting_rng(seed, path_index):
-        calls.append((seed, path_index))
-        return real_rng(seed, path_index)
-
     monkeypatch.setattr(sim, "_run_paths", spy)
-    monkeypatch.setattr(sim, "path_rng", counting_rng)
+    monkeypatch.setattr(sim, "path_rngs", _recording_rngs(states))
     sim.mc_reward(exp_case1, cfg)
-    assert calls == [(4, i) for i in range(12)]
+    assert states == [real_rng(4, i).bit_generator.state for i in range(12)]
     (w_term,) = seen
     mean, weights = sim._exp_affine(exp_case1, cfg.dt, 200)
     for i in range(12):
@@ -300,6 +332,24 @@ def test_exponential_noise_contract(monkeypatch, exp_case1):
         assert w_term[i] == mean + real_rng(4, i).standard_normal((200, 2)).ravel() @ weights
     for subset in ([7, 2, 11, 0, 5], [11, 10, 3], list(range(12))[::-1]):
         np.testing.assert_array_equal(run_paths(exp_case1, cfg, subset)[0], w_term[subset])
+
+
+@pytest.mark.parametrize("seed", [4, 2**33 + 1, 2**159 - 2**70 + 12345],
+                         ids=["1-word", "2-words", "5-words"])
+def test_path_seeding_is_path_rng(seed):
+    # seeds of one, two and five 32-bit words; an index of 2**32 or more
+    # adds an entropy word, and 46 indices cross a seeding block. The fast
+    # route restates numpy's SeedSequence mixing and PCG64 seeding, so a
+    # change to either in numpy fails here
+    indices = [0, 2**31 - 1, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, *range(1, 40)]
+    words = seeding.seed_words(seed, indices)
+    for j, i in enumerate(indices):
+        want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(words[:, j], want)
+    for rng, i in zip(sim.path_rngs(seed, indices), indices, strict=True):
+        ref = sim.path_rng(seed, i)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
 def _power_chain(params, cfg, f0, f12, index):
@@ -319,39 +369,36 @@ def _power_chain(params, cfg, f0, f12, index):
 @pytest.mark.parametrize("source", ["power", "solution"])
 def test_power_noise_contract(monkeypatch, source):
     # Monte Carlo terminal wealth and exit times are path i's own draw
-    # through its factor row, bit for bit whatever the order and subset,
-    # from exactly one path_rng call per path; most of these paths exit
+    # through its factor row, bit for bit whatever the order and subset, and
+    # path i draws from the state path_rng(seed, i) starts in; most of these
+    # paths exit
     params = _levered_power()
     strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
     cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
-    run_paths, real_rng = sim._run_paths, sim.path_rng
-    seen, calls = [], []
+    run_paths, path_rngs = sim._run_paths, sim.path_rngs
+    seen, states = [], []
 
     def spy(*args, **kwargs):
         out = run_paths(*args, **kwargs)
         seen.append(out)
         return out
 
-    def counting_rng(seed, path_index):
-        calls.append((seed, path_index))
-        return real_rng(seed, path_index)
-
     monkeypatch.setattr(sim, "_run_paths", spy)
-    monkeypatch.setattr(sim, "path_rng", counting_rng)
+    monkeypatch.setattr(sim, "path_rngs", _recording_rngs(states))
     est = sim.mc_reward(params, cfg)
-    assert calls == [(4, i) for i in range(40)]
-    monkeypatch.setattr(sim, "path_rng", real_rng)
-    ((w_term, exit_t, _),) = seen
+    assert states == [sim.path_rng(4, i).bit_generator.state for i in range(40)]
+    monkeypatch.setattr(sim, "path_rngs", path_rngs)
+    ((w_term, exit_t),) = seen
     assert 0 < np.isfinite(exit_t).sum() < 40
     assert est.excluded_paths == np.isfinite(exit_t).sum()
     f0, f12 = sim._power_factors(params, cfg, 10)
     for i in range(40):
-        w_i, exit_i, _ = run_paths(params, cfg, [i])
+        w_i, exit_i = run_paths(params, cfg, [i])
         np.testing.assert_array_equal(w_i, w_term[i])
         np.testing.assert_array_equal(exit_i, exit_t[i])
         np.testing.assert_array_equal(_power_chain(params, cfg, f0, f12, i), (w_term[i], exit_t[i]))
     for subset in ([7, 2, 31, 0, 5], [39, 10, 3], list(range(40))[::-1]):
-        w_s, exit_s, _ = run_paths(params, cfg, subset)
+        w_s, exit_s = run_paths(params, cfg, subset)
         np.testing.assert_array_equal(w_s, w_term[subset])
         np.testing.assert_array_equal(exit_s, exit_t[subset])
 
@@ -463,7 +510,7 @@ def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1,
     power_domain = source != "exponential"
     X, M1, M2, exit_ref = three_state_euler(
         params, dt, cfg.seed, range(n_paths), _oracle_controls(params, source, dt), power_domain)
-    w_term, exit_t, _ = sim._run_paths(params, cfg, range(n_paths))
+    w_term, exit_t = sim._run_paths(params, cfg, range(n_paths))
     np.testing.assert_array_equal(exit_t, exit_ref)
     if case.startswith("levered"):
         assert 0 < np.isfinite(exit_ref).sum() < n_paths
