@@ -27,6 +27,13 @@ _IDENTITY_RTOL = 1e-12
 _GRID_RTOL = 1e-9  # a step must divide its span to this relative tolerance
 _GAMMA_MIN_EXP = 1e-3  # lower cutoff for exponential gammas
 _GAMMA_MAX_POW = 1.0 - 1e-6  # upper cutoff for power gammas
+# the two terms of G2 and the fields each is built from
+_G2_TERMS = (
+    ("financial.mu, financial.r and financial.sigma",
+     lambda co, fin: (fin.mu - fin.r) ** 2 / fin.sigma**2),
+    ("insurance.lambda1, insurance.mu1, insurance.mu2 and insurance.eta2",
+     lambda co, fin: (co.a * co.eta2) ** 2 / co.b2),
+)
 
 
 def grid_steps(span: float, dt: float, name: str) -> int:
@@ -284,6 +291,16 @@ class ModelParams:
                     "power utility requires positive initial effective wealth "
                     "x0 + beta*m1_0"
                 )
+        for fields, term in _G2_TERMS:
+            try:  # ** raises OverflowError past the float range, / ZeroDivisionError at 0
+                finite = math.isfinite(term(self.coeffs, self.financial))
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                raise ParameterError(f"G2 is not finite in its term of {fields}")
+        if not math.isfinite(self.g2):
+            raise ParameterError(
+                f"G2 is not finite: its terms of {_G2_TERMS[0][0]} and of {_G2_TERMS[1][0]} overflow in sum")
 
     @classmethod
     def build(
@@ -330,6 +347,7 @@ class ModelParams:
 
     @property
     def g2(self) -> float:
-        """G2 = (mu-r)^2/sigma^2 + (a*eta2)^2/b^2, read by both families."""
-        co, fin = self.coeffs, self.financial
-        return (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
+        """G2 = (mu-r)^2/sigma^2 + (a*eta2)^2/b^2, read by both families;
+        finite for every built model."""
+        market, insurance = (term(self.coeffs, self.financial) for _, term in _G2_TERMS)
+        return market + insurance

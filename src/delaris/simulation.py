@@ -23,26 +23,28 @@ noise (``_exp_affine``): with lam = 1 + (A + beta)*dt,
     mean_N = lam^N w_0 + dt sum_k lam^(N-1-k) (a*eta + a*eta2*q_k + pi_k*(mu - r)),
     weights[k] = sqrt(dt) lam^(N-1-k) (b*q_k, sigma*pi_k),
 
-for the path's (N, 2) draw Z. An unrecorded exponential run builds the
-weights once and draws each path into one reused (N, 2) buffer: it holds one
-buffer whatever n_paths is, and takes no step loop.
+for the path's (N, 2) draw Z, so an unrecorded exponential path takes no
+step loop.
 
 Under a power source (the family name or an ``OdeSolution``) the controls
 are proportional to w, q_k = cq*w_k/varpi_k and pi_k = cpi*w_k/varpi_k with
-cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2. A step is then an affine map
-whose factor is linear in the step's noise, with G2 = a*eta2*cq +
-(mu - r)*cpi (``ModelParams.g2``) and coefficients built once per run by
+cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2, and the power family has
+eta1 = eta2, so the net loading eta is 0. A step then multiplies w by a
+factor linear in the step's noise, with G2 = a*eta2*cq + (mu - r)*cpi
+(``ModelParams.g2``) and coefficients built once per run by
 ``_power_factors``:
 
-    w_{k+1} = w_k*F_k + a*eta*dt,    F_k = f0_k + f1_k*Z1 + f2_k*Z2,
+    w_N = w_0*F_0*...*F_{N-1},    F_k = f0_k + f1_k*Z1 + f2_k*Z2,
     f0_k = 1 + dt*(A + beta + G2/varpi_k),
     f1_k = sqrt(dt)*b*cq/varpi_k,    f2_k = sqrt(dt)*sigma*cpi/varpi_k.
 
-An unrecorded power run folds each path's draw into that path's row of one
-path-major (paths, N) factor array, 8 B per path-step, and then steps the
-whole chunk with one multiply and one add per step. A path whose w stops
-being positive exits the domain: its exit time is recorded and its state is
-NaN from then on.
+An unrecorded power path takes the running product of its factors
+(``np.multiply.accumulate``, a left fold that rounds as stepping w does) and
+exits the domain at the first w_k that is not positive: its exit time is
+k*dt and its terminal w is NaN. An unrecorded run (``_run_paths``) draws
+each path into one reused (N, 2) buffer for the source's per-path kernel
+(``_path_kernel``), so it holds one path's draw and products: memory flat in
+n_paths and linear in N.
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
 the Euler chain itself, one path at a time on Python floats
@@ -50,9 +52,7 @@ the Euler chain itself, one path at a time on Python floats
 do. A recorded path also records X = w - beta*M1 and steps M1, reading the
 lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before the
 memory window fills): X, M1 and M2 exist only for recorded paths, and only
-they need dt to divide h. Power runs go in chunks of at most 2048 paths,
-fewer when a chunk's noise would exceed ``_CHUNK_BYTES``, so memory is
-bounded whatever n_paths and dt are.
+they need dt to divide h.
 
 Reproducibility: path j draws its noise from ``numpy`` PCG64 seeded with
 ``SeedSequence((seed, j))``; ``path_rng`` is that definition. Z1 and Z2 are
@@ -92,11 +92,6 @@ from .utility import (
 # strategy callbacks take (t, w), both floats, and return (q, pi_amount)
 StrategySource = Union[str, powmod.OdeSolution, Callable]
 
-_CHUNK = 2048  # power paths per chunk, unless the chunk would exceed _CHUNK_BYTES
-# a chunk's noise at 2 draws of 8 B per step; the power route holds half of
-# that, one 8 B factor per path-step
-_CHUNK_BYTES = 256 * 2**20
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -106,11 +101,9 @@ class SimConfig:
     controls at the varpi that ``power_exact.factors`` gives at the step
     times); a power :class:`~delaris.power.OdeSolution`, read by
     interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on a float
-    effective wealth w, called once per path-step. An unrecorded power run
-    steps w by one multiply-add per path-step; recorded paths and callables
-    step the Euler chain one path at a time, and no run steps paths in
-    chunks elementwise. ``n_paths`` and ``seed`` must be integers or finite
-    whole reals."""
+    effective wealth w, called once per path-step. Every run takes one path
+    at a time. ``n_paths`` and ``seed`` must be integers or finite whole
+    reals."""
 
     dt: float
     n_paths: int
@@ -147,13 +140,6 @@ class SimPath:
     terminal_effective_wealth: float
 
 
-def _grid_steps(params: ModelParams, cfg: SimConfig) -> tuple[int, int]:
-    """Number of steps over the horizon and over the memory window h.
-    Both must be integral multiples of dt."""
-    return (grid_steps(params.horizon, cfg.dt, "horizon"),
-            grid_steps(params.delay.h, cfg.dt, "delay.h"))
-
-
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """The documented per-path generator: PCG64(SeedSequence((seed, index))).
     Runs never call it: ``seeding.path_rngs`` reaches the same states for a
@@ -184,9 +170,7 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
     decay = lam ** np.arange(n_steps - 1, -1, -1)  # lam^(N-1-k)
     drift = co.a * co.eta + co.a * co.eta2 * q + pi * (fin.mu - fin.r)
     mean = lam**n_steps * params.w0 + dt * (decay @ drift)
-    weights = np.empty((n_steps, 2))
-    weights[:, 0], weights[:, 1] = co.b * q, fin.sigma * pi
-    weights *= (math.sqrt(dt) * decay)[:, None]
+    weights = np.column_stack((co.b * q, fin.sigma * pi)) * (math.sqrt(dt) * decay)[:, None]
     return float(mean), weights.ravel()
 
 
@@ -203,14 +187,8 @@ def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
     return power_exact.factors(params, t)[1] if strat == POWER else powmod.varpi_on(strat, t)
 
 
-def _chunk_paths(n_steps: int) -> int:
-    """Paths per chunk of a power run: at most _CHUNK, and no more than fit
-    _CHUNK_BYTES of noise at 16 B per path-step."""
-    return max(1, min(_CHUNK, _CHUNK_BYTES // (16 * n_steps)))
-
-
 def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """The power Euler step as w_{k+1} = w_k*F_k + a*eta*dt with
+    """The power Euler step as w_{k+1} = w_k*F_k with
     F_k = f0[k] + f12[k] @ (Z1, Z2) (see the module docstring): returns
     (f0, f12) under a power source, None under any other."""
     varpi = _power_varpi(params, cfg, n_steps)
@@ -219,50 +197,8 @@ def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
     varpi = varpi[:-1]  # varpi at t_N acts on no step
     co, fin = params.coeffs, params.financial
     cq, cpi = co.a * co.eta2 / co.b2, (fin.mu - fin.r) / fin.sigma**2
-    f0 = params.g2 / varpi
-    f0 += _growth(params)
-    f0 *= cfg.dt
-    f0 += 1.0
-    f12 = np.empty((n_steps, 2))
-    f12[:, 0], f12[:, 1] = co.b * cq, fin.sigma * cpi
-    f12 *= (math.sqrt(cfg.dt) / varpi)[:, None]
-    return f0, f12
-
-
-def _power_paths(params: ModelParams, cfg: SimConfig, indices, f0, f12, w_term, exit_time):
-    """Fill the terminal effective wealth and exit times of unrecorded power
-    paths from the step coefficients of ``_power_factors``. Each chunk folds
-    every path's (n_steps, 2) draw into its row of one path-major factor
-    array, then steps all its paths at once."""
-    n_steps, n = len(f0), len(indices)
-    c = params.coeffs.a * params.coeffs.eta * cfg.dt
-    chunk = _chunk_paths(n_steps)
-    noise = np.empty((n_steps, 2))
-    factors = np.empty((min(chunk, n), n_steps))  # 8 B per path-step, reused by every chunk
-    for lo in range(0, n, chunk):
-        rows = factors[: min(chunk, n - lo)]
-        for row, rng in zip(rows, path_rngs(cfg.seed, indices[lo:lo + chunk])):
-            rng.standard_normal(out=noise)
-            noise *= f12
-            np.add(noise[:, 0], noise[:, 1], out=row)
-            row += f0
-        w = np.full(len(rows), params.w0)
-        exit_t = exit_time[lo:lo + len(rows)]
-        positive = np.empty(len(rows), dtype=bool)
-        n_positive = len(rows)
-        for k in range(n_steps + 1):
-            # a path exits where w stops being positive: bookkeeping only
-            # when the count of positive w changes
-            if (count := np.count_nonzero(np.greater(w, 0.0, out=positive))) != n_positive:
-                exited_now = ~positive & np.isnan(exit_t)
-                exit_t[exited_now] = k * cfg.dt
-                w[exited_now] = np.nan
-                n_positive = count
-            if k == n_steps:
-                break
-            w *= rows[:, k]
-            w += c
-        w_term[lo:lo + len(rows)] = w
+    f0 = (params.g2 / varpi + _growth(params)) * cfg.dt + 1.0
+    return f0, np.outer(math.sqrt(cfg.dt) / varpi, (co.b * cq, fin.sigma * cpi))
 
 
 def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
@@ -318,38 +254,49 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, 
     return w, math.nan
 
 
-def _run_paths(params: ModelParams, cfg: SimConfig, indices):
-    """Simulate the given path indices unrecorded; each path's result
-    depends only on its own index, never on the batching. Returns terminal
-    effective wealth and exit times (NaN if none); a path is NaN from its
-    domain exit on.
-
-    An exponential run reads each path's terminal wealth off its noise
-    through ``_exp_affine``, one reused (n_steps, 2) buffer for all paths. A
-    power run folds each path's noise into a factor row through
-    ``_power_factors`` and ``_power_paths``. A callable steps one path at a
-    time through ``_path_chain``. No run reads the memory window, so dt
-    need only divide the horizon."""
-    n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
-    n = len(indices)
-    w_term = np.empty(n)
-    exit_time = np.full(n, np.nan)
+def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
+    """The strategy source as a function of one path's (n_steps, 2) draw,
+    which it may overwrite, to (terminal effective wealth, exit time), NaN
+    where there is none."""
     if cfg.strategy == EXPONENTIAL:
         mean, weights = _exp_affine(params, cfg.dt, n_steps)
-        noise = np.empty((n_steps, 2))
-        for j, rng in enumerate(path_rngs(cfg.seed, indices)):
-            rng.standard_normal(out=noise)
-            w_term[j] = mean + noise.ravel() @ weights
-        return w_term, exit_time
-    coeffs = _power_factors(params, cfg, n_steps)
-    if coeffs is not None:
-        _power_paths(params, cfg, indices, *coeffs, w_term, exit_time)
-        return w_term, exit_time
-    controls = _path_controls(params, cfg, n_steps)
-    noise = np.empty((n_steps, 2))
-    for j, rng in enumerate(path_rngs(cfg.seed, indices)):
-        rng.standard_normal(out=noise)
-        w_term[j], exit_time[j] = _path_chain(params, cfg, noise.tolist(), controls)
+        return lambda z: (mean + z.ravel() @ weights, math.nan)
+    if (coeffs := _power_factors(params, cfg, n_steps)) is None:
+        controls = _path_controls(params, cfg, n_steps)
+        return lambda z: _path_chain(params, cfg, z.tolist(), controls)
+    f0, f12 = coeffs
+    w = np.empty(n_steps + 1)  # w[k] = w0*F_0*...*F_{k-1}
+    w[0] = params.w0
+
+    def power(z):
+        z *= f12
+        np.add(z[:, 0], z[:, 1], out=w[1:])
+        w[1:] += f0
+        np.multiply.accumulate(w, out=w)
+        k = int(np.argmin(w > 0.0))  # the first w[k] <= 0 (or NaN); 0 if none, as w0 > 0
+        return (w[-1], math.nan) if k == 0 else (math.nan, k * cfg.dt)
+
+    return power
+
+
+def _draws(seed: int, indices, n_steps: int):
+    """Yield each path's (n_steps, 2) standard-normal draw in one reused buffer."""
+    z = np.empty((n_steps, 2))
+    for rng in path_rngs(seed, indices):
+        rng.standard_normal(out=z)
+        yield z
+
+
+def _run_paths(params: ModelParams, cfg: SimConfig, indices):
+    """Terminal effective wealth (NaN after a domain exit) and exit times
+    (NaN if none) of the given path indices, unrecorded, one path at a time
+    through ``_path_kernel``; a path's result depends only on its index. No
+    run reads the memory window, so dt need only divide the horizon."""
+    n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
+    kernel = _path_kernel(params, cfg, n_steps)
+    w_term, exit_time = np.empty(len(indices)), np.empty(len(indices))
+    for j, z in enumerate(_draws(cfg.seed, indices, n_steps)):
+        w_term[j], exit_time[j] = kernel(z)
     return w_term, exit_time
 
 
@@ -359,15 +306,14 @@ def simulate_paths(params: ModelParams, cfg: SimConfig, indices) -> Iterator[Sim
     path only when the next is asked for, so memory holds one path whatever
     len(indices) is. Noise is derived from (cfg.seed, path index) per the
     documented scheme."""
-    n_steps, n_lag = _grid_steps(params, cfg)
+    n_steps, n_lag = (grid_steps(params.horizon, cfg.dt, "horizon"),
+                      grid_steps(params.delay.h, cfg.dt, "delay.h"))
     controls = _path_controls(params, cfg, n_steps)
 
     def record():
-        noise = np.empty((n_steps, 2))
-        for idx, rng in zip(indices, path_rngs(cfg.seed, indices)):
-            rng.standard_normal(out=noise)
+        for idx, z in zip(indices, _draws(cfg.seed, indices, n_steps)):
             rec = [[math.nan] * (n_steps + 1) for _ in range(5)]
-            w, exit_t = _path_chain(params, cfg, noise.tolist(), controls, rec, n_lag)
+            w, exit_t = _path_chain(params, cfg, z.tolist(), controls, rec, n_lag)
             X, M1, M2, q, pi = (np.array(r) for r in rec)
             exited = not math.isnan(exit_t)
             yield SimPath(

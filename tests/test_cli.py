@@ -168,6 +168,27 @@ def test_sweep_marks_invalid_rows(tmp_path):
     assert bad[1] == "" and "financial.mu" in bad[4]
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("--param", "sigma", "--lo", "1e-300", "--points", "3"), "financial.sigma"),
+    (("--family", "power", "--param", "mu1", "--lo", "1e300", "--hi", "1e300", "--points", "1"),
+     "insurance.mu1"),
+    (("--family", "power", "--param", "mu2", "--lo", "1e-320", "--hi", "1e-320", "--points", "1"),
+     "insurance.mu2"),
+], ids=["sigma", "mu1", "mu2"])
+def test_nonfinite_g2_sweep_point_is_invalid(tmp_path, capsys, argv, field):
+    out = tmp_path / "o"
+    assert run_cli("sweep", *argv, "--out", str(out)) == 0
+    param = argv[argv.index("--param") + 1]
+    first = (out / f"sweep_{param}.csv").read_text().splitlines()[1].split(",", 4)
+    assert first[3] == "false" and "G2 is not finite" in first[4] and field in first[4]
+    cfg = cli.config_dict(sweeps.baseline_params())
+    cfg["financial"]["sigma"] = 1e-300
+    (tmp_path / "m.json").write_text(json.dumps(cfg))
+    assert run_cli("strategy", "--config", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "c")) == 1
+    assert "financial.sigma" in capsys.readouterr().err
+
+
 def test_simulate_writes_estimate_and_paths(tmp_path):
     out = tmp_path / "o"
     code = run_cli("simulate", "--n-paths", "300", "--dt", "0.01",

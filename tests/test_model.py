@@ -156,6 +156,31 @@ def test_power_requires_equal_loadings():
         )
 
 
+@pytest.mark.parametrize("insurance, financial, fields", [
+    ({}, {"sigma": 1e-300}, "financial.sigma"),  # sigma^2 underflows to 0
+    ({}, {"mu": 1e300}, "financial.mu"),  # (mu - r)^2 overflows
+    ({"mu1": 1e300}, {}, "insurance.mu1"),  # (a*eta2)^2 overflows
+    ({"mu2": 1e-320}, {}, "insurance.mu2"),  # b^2 is subnormal: the term is inf
+    ({"lambda1": 1e-200, "mu2": 1e-200}, {}, "insurance.mu2"),  # b^2 underflows to 0
+    ({"mu1": 1.2e154, "mu2": 1.0, "eta1": 1.0, "eta2": 1.0},
+     {"r": 1.0, "mu": 1.2e154 + 1.0, "sigma": 1.0}, "overflow in sum"),
+], ids=["sigma", "mu", "mu1", "mu2", "b-zero", "sum"])
+def test_nonfinite_g2_rejected(insurance, financial, fields):
+    ins = dict(lambda1=1.0, mu1=0.1, mu2=0.2, eta1=0.3, eta2=0.3) | insurance
+    fin = dict(r=0.1, mu=0.2, sigma=0.6) | financial
+    for family in ("exponential", "power"):
+        with pytest.raises(ParameterError, match=f"G2 is not finite.*{fields}"):
+            ModelParams.build(insurance=InsuranceParams(**ins), financial=FinancialParams(**fin),
+                              delay=BASE_DELAY, dist=RiskAversionDist(family, ((0.5, 1.0),)),
+                              horizon=2.0, x0=0.6)
+
+
+def test_g2_is_its_closed_form(exp_case1, pow_case2):
+    for params in (exp_case1, pow_case2):
+        co, fin = params.coeffs, params.financial
+        assert params.g2 == (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
+
+
 def test_frozen_dataclasses(exp_case1):
     with pytest.raises(dataclasses.FrozenInstanceError):
         exp_case1.insurance.mu1 = 0.5

@@ -21,6 +21,7 @@ from delaris.model import (
     RiskAversionDist,
 )
 from helpers import three_state_euler
+from test_power import _random_power_models
 
 
 def _zero_strategy(t, w):
@@ -215,57 +216,17 @@ def test_domain_exit_propagates_nan():
     assert sim.mc_reward(params, cfg).excluded_paths == len(exited)
 
 
-@pytest.mark.parametrize("family", ["exponential", "power"])
-def test_chunking_is_invisible(monkeypatch, exp_case1, family):
-    if family == "exponential":
-        # the exponential schedule as a callable, which steps one path at a
-        # time: the budget must leave it untouched
-        def strategy(t, w):
-            return expmod.strategy(exp_case1, min(t, exp_case1.horizon))
-
-        params, dt = exp_case1, 1e-2
-    else:
-        params = _levered_power()
-        strategy, dt = powmod.solve_growth_factors(params, dt=0.01), 0.2
-    cfg = sim.SimConfig(dt=dt, n_paths=40, seed=4, strategy=strategy)
-    whole = sim.estimate_to_dict(sim.mc_reward(params, cfg))
-    n_steps, _ = sim._grid_steps(params, cfg)
-    # a budget of three paths' noise: thirteen chunks of 3 and one of 1
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * n_steps)
-    assert sim.estimate_to_dict(sim.mc_reward(params, cfg)) == whole
-
-
-def test_chunk_budget_bounds_memory(monkeypatch):
-    # a power solution still steps the chain in chunks
+@pytest.mark.parametrize("source", ["power", "solution"])
+def test_power_mc_memory_flat_in_paths(source):
+    # a power run holds one path's draw and products whatever n_paths is:
+    # beyond the arrays it returns, its peak grows by less than three paths'
+    # factors (8 B per path-step) from 40 to 400 paths, where a run holding
+    # every path's factors at once grows by 360 paths' worth
     params = _levered_power()
-    sol = powmod.solve_growth_factors(params, dt=0.01)
-    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy=sol)
-
-    def traced_peak():
-        tracemalloc.start()
-        try:
-            sim.mc_reward(params, cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    traced_peak()  # the first call also allocates one-time caches
-    whole = traced_peak()  # one chunk of 40 paths: about 40 * 3.2 kB of noise
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * 200)
-    assert traced_peak() < whole / 4
-
-
-def test_chunked_power_memory_flat_in_paths(monkeypatch):
-    # under a budget of three paths a power run holds one chunk of factor
-    # rows whatever n_paths is: beyond the arrays it returns, its peak grows
-    # by less than one chunk's rows (8 B per path-step) from 40 to 400
-    # paths, where a run in one chunk grows by 360 paths' rows
-    params = _levered_power()
-    sol = powmod.solve_growth_factors(params, dt=0.01)
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 2 * 200)
+    strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
 
     def working_peak(n_paths):
-        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy=sol)
+        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy=strategy)
         tracemalloc.start()
         try:
             result = sim._run_paths(params, cfg, range(n_paths))  # held: ``current`` counts it
@@ -367,11 +328,11 @@ def _power_chain(params, cfg, f0, f12, index):
 
 
 @pytest.mark.parametrize("source", ["power", "solution"])
-def test_power_noise_contract(monkeypatch, source):
+def test_power_noise_contract(monkeypatch, pow_case1, source):
     # Monte Carlo terminal wealth and exit times are path i's own draw
-    # through its factor row, bit for bit whatever the order and subset, and
+    # through its factors, bit for bit whatever the order and subset, and
     # path i draws from the state path_rng(seed, i) starts in; most of these
-    # paths exit
+    # paths exit, and so do some on random power models
     params = _levered_power()
     strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
     cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
@@ -401,24 +362,17 @@ def test_power_noise_contract(monkeypatch, source):
         w_s, exit_s = run_paths(params, cfg, subset)
         np.testing.assert_array_equal(w_s, w_term[subset])
         np.testing.assert_array_equal(exit_s, exit_t[subset])
-
-
-def test_power_mc_memory_per_path_step(pow_case1):
-    # an unrecorded power run holds one 8 B factor per path-step of its
-    # chunk, where the stepped chain held 16 B of noise: beyond the arrays
-    # it returns, the peak of a one-chunk run grows by under 12 B per path-step
-    def working_peak(n_paths):
-        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy="power")
-        tracemalloc.start()
-        try:
-            result = sim._run_paths(pow_case1, cfg, range(n_paths))  # held: ``current`` counts it
-            current, peak = tracemalloc.get_traced_memory()
-            return peak - current
-        finally:
-            tracemalloc.stop()
-
-    working_peak(40)  # the first call also allocates one-time caches
-    assert working_peak(400) - working_peak(40) < 12 * 360 * 200
+    exits = 0
+    for params in _random_power_models(10, seed=4242, base=pow_case1):
+        if source == "solution":
+            strategy = powmod.solve_growth_factors(params, dt=0.01)
+        cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
+        f0, f12 = sim._power_factors(params, cfg, 10)
+        w_term, exit_t = run_paths(params, cfg, range(40))
+        for i in range(40):
+            np.testing.assert_array_equal(_power_chain(params, cfg, f0, f12, i), (w_term[i], exit_t[i]))
+        exits += np.isfinite(exit_t).sum()
+    assert exits > 0
 
 
 def _exp_discrete_utility(params, gamma, dt):
