@@ -224,7 +224,7 @@ def cmd_strategy(args) -> int:
     # raises in factors and leaves no file behind
     sol = None
     if params.dist.family == EXPONENTIAL:
-        q, amount = np.array([expmod.strategy(params, float(t)) for t in t_vals]).T
+        q, amount = expmod.schedule(params, t_vals)
     else:
         sol = power_exact.growth_factors(params, args.dt)
         w = powmod._effective_wealth(params, x, m1, "strategy")

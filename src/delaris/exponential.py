@@ -53,20 +53,30 @@ def _expm1_over(kappa: float, tau: float) -> float:
     return math.expm1(kappa * tau) / kappa
 
 
+def schedule(params: ModelParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrium retention and invested amount at each of ``times``, as
+    two arrays. The factors that do not depend on time are formed once; each
+    decay exp(-kappa*(T - t)) is ``math.exp`` of its own time, so every
+    entry is the one-point value bit for bit."""
+    _require_exponential(params)
+    co, fin = params.coeffs, params.financial
+    e_gamma = params.mean_gamma
+    q_max = co.a * co.eta2 / (co.b2 * e_gamma)
+    pi_max = (fin.mu - fin.r) / (fin.sigma**2 * e_gamma)
+    kappa, horizon = params.constants.kappa, params.horizon
+    decay = np.array([math.exp(-kappa * (horizon - _check_time(params, t))) for t in times])
+    return q_max * decay, pi_max * decay
+
+
 def strategy(params: ModelParams, t: float) -> tuple[float, float]:
-    """Equilibrium (retention, invested amount) at time t.
+    """Equilibrium (retention, invested amount) at time t: ``schedule`` at
+    one time.
 
     Both components are deterministic: the invested amount is independent of
     current wealth and memory.
     """
-    _require_exponential(params)
-    t = _check_time(params, t)
-    co, fin = params.coeffs, params.financial
-    decay = math.exp(-params.constants.kappa * (params.horizon - t))
-    e_gamma = params.mean_gamma
-    q = co.a * co.eta2 / (co.b2 * e_gamma) * decay
-    pi_x = (fin.mu - fin.r) / (fin.sigma**2 * e_gamma) * decay
-    return q, pi_x
+    (q,), (pi_x,) = schedule(params, (t,))
+    return float(q), float(pi_x)
 
 
 def pi_fraction(params: ModelParams, t: float, x: float) -> float:

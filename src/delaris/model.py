@@ -27,6 +27,12 @@ _IDENTITY_RTOL = 1e-12
 _GRID_RTOL = 1e-9  # a step must divide its span to this relative tolerance
 _GAMMA_MIN_EXP = 1e-3  # lower cutoff for exponential gammas
 _GAMMA_MAX_POW = 1.0 - 1e-6  # upper cutoff for power gammas
+# the diffusion coefficients and the fields each is built from
+_COEFF_FIELDS = (
+    ("a", "insurance.lambda1 and insurance.mu1"),
+    ("b", "insurance.lambda1 and insurance.mu2"),
+    ("b2", "insurance.lambda1 and insurance.mu2"),
+)
 # the two terms of G2 and the fields each is built from
 _G2_TERMS = (
     ("financial.mu, financial.r and financial.sigma",
@@ -291,6 +297,10 @@ class ModelParams:
                     "power utility requires positive initial effective wealth "
                     "x0 + beta*m1_0"
                 )
+        for name, fields in _COEFF_FIELDS:
+            if not math.isfinite(value := getattr(self.coeffs, name)):
+                raise ParameterError(f"insurance coefficient {name} = {value} is not finite: "
+                                     f"{fields} overflow")
         for fields, term in _G2_TERMS:
             try:  # ** raises OverflowError past the float range, / ZeroDivisionError at 0
                 finite = math.isfinite(term(self.coeffs, self.financial))

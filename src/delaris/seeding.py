@@ -27,7 +27,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # paths seeded together: a block costs about 70 numpy calls whatever its
 # size and holds about 120 B per path while it mixes, so an exponential run's
-# working memory stays flat in n_paths beyond one block
+# working memory stays flat in n_paths beyond one block. A Monte Carlo run
+# shares whole blocks out to its workers, and a power worker folds a block's
+# paths at once
 _SEED_BLOCK = 32
 
 

@@ -41,10 +41,19 @@ factor linear in the step's noise, with G2 = a*eta2*cq + (mu - r)*cpi
 An unrecorded power path takes the running product of its factors
 (``np.multiply.accumulate``, a left fold that rounds as stepping w does) and
 exits the domain at the first w_k that is not positive: its exit time is
-k*dt and its terminal w is NaN. An unrecorded run (``_run_paths``) draws
-each path into one reused (N, 2) buffer for the source's per-path kernel
-(``_path_kernel``), so it holds one path's draw and products: memory flat in
-n_paths and linear in N.
+k*dt and its terminal w is NaN.
+
+An unrecorded run (``_run_paths``) shares its path indices out to
+W = min(``_max_workers()``, number of 32-path seeding blocks) workers, the
+calling thread among them, so W = 1 starts no thread. Each worker takes a
+contiguous run of whole blocks, with its own generator and buffers, and
+writes each path's result by position. Through the source's kernel
+(``_path_kernel``) a power worker draws a block's paths into one reused
+(32, N, 2) buffer and folds them at once in numpy calls that release the
+GIL; an exponential worker draws and maps one path at a time in an (N, 2)
+buffer. A callable runs in the calling thread alone: it holds the GIL
+anyway, and user code need not be thread-safe. Memory is W blocks' draws
+and products: flat in n_paths and linear in N.
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
 the Euler chain itself, one path at a time on Python floats
@@ -61,15 +70,19 @@ generator per path: ``seeding.path_rngs`` sets each path's state on one
 reused generator, from SeedSequence's mixing run for a block of paths at
 once, and the tests pin it to ``path_rng`` bit for bit. Results are
 bit-identical for a fixed (params, config, path index) regardless of how
-paths are batched, and Monte Carlo aggregation reduces in path-index order.
+paths are batched or how many workers run them, and Monte Carlo
+aggregation reduces in path-index order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -80,7 +93,7 @@ from . import power as powmod
 from . import power_exact
 from .exceptions import DomainError, ParameterError
 from .model import ModelParams, grid_steps
-from .seeding import path_rngs
+from .seeding import _SEED_BLOCK, path_rngs
 from .utility import (
     EXPONENTIAL,
     POWER,
@@ -101,9 +114,11 @@ class SimConfig:
     controls at the varpi that ``power_exact.factors`` gives at the step
     times); a power :class:`~delaris.power.OdeSolution`, read by
     interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on a float
-    effective wealth w, called once per path-step. Every run takes one path
-    at a time. ``n_paths`` and ``seed`` must be integers or finite whole
-    reals."""
+    effective wealth w, called once per path-step. A Monte Carlo run shares
+    its paths out to worker threads, one per usable CPU, except under a
+    callable, which runs in the calling thread; its results do not depend
+    on the worker count. ``n_paths`` and ``seed`` must be integers or finite
+    whole reals."""
 
     dt: float
     n_paths: int
@@ -156,8 +171,8 @@ def _growth(params: ModelParams) -> float:
 
 def _exp_schedule(params: ModelParams, dt: float, n_steps: int):
     """Exponential controls (q_k, pi_k) at the step times k*dt, k = 0..n_steps."""
-    return np.array(
-        [expmod.strategy(params, min(k * dt, params.horizon)) for k in range(n_steps + 1)]).T
+    times = [min(k * dt, params.horizon) for k in range(n_steps + 1)]
+    return np.array(expmod.schedule(params, times))
 
 
 def _exp_affine(params: ModelParams, dt: float, n_steps: int):
@@ -254,49 +269,117 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, 
     return w, math.nan
 
 
+def _each_path(path):
+    """A kernel that draws and folds one path at a time in its (n_steps, 2)
+    buffer: ``path`` maps a draw, which it may overwrite, to (terminal
+    effective wealth, exit time)."""
+    def kernel(z, rngs, w, exit_t):
+        for j, rng in zip(range(len(w)), rngs):
+            rng.standard_normal(out=z)
+            w[j], exit_t[j] = path(z)
+
+    return kernel
+
+
 def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """The strategy source as a function of one path's (n_steps, 2) draw,
-    which it may overwrite, to (terminal effective wealth, exit time), NaN
-    where there is none."""
+    """The strategy source as (shape, kernel): kernel(z, rngs, w, exit_t)
+    draws len(w) paths, one from each generator it takes from the iterator
+    ``rngs``, in a worker's own buffer z of that shape, and writes their
+    terminal effective wealth and exit times (NaN where there is none) to w
+    and exit_t. A power source folds a whole seeding block at once."""
     if cfg.strategy == EXPONENTIAL:
         mean, weights = _exp_affine(params, cfg.dt, n_steps)
-        return lambda z: (mean + z.ravel() @ weights, math.nan)
+        return (n_steps, 2), _each_path(lambda z: (mean + z.ravel() @ weights, math.nan))
     if (coeffs := _power_factors(params, cfg, n_steps)) is None:
         controls = _path_controls(params, cfg, n_steps)
-        return lambda z: _path_chain(params, cfg, z.tolist(), controls)
+        return (n_steps, 2), _each_path(lambda z: _path_chain(params, cfg, z.tolist(), controls))
     f0, f12 = coeffs
-    w = np.empty(n_steps + 1)  # w[k] = w0*F_0*...*F_{k-1}
-    w[0] = params.w0
 
-    def power(z):
+    def power(z, rngs, w_out, exit_out):
+        z = z[:len(w_out)]
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
         z *= f12
-        np.add(z[:, 0], z[:, 1], out=w[1:])
-        w[1:] += f0
-        np.multiply.accumulate(w, out=w)
-        k = int(np.argmin(w > 0.0))  # the first w[k] <= 0 (or NaN); 0 if none, as w0 > 0
-        return (w[-1], math.nan) if k == 0 else (math.nan, k * cfg.dt)
+        w = np.empty((len(z), n_steps + 1))  # w[:, k] = w0*F_0*...*F_{k-1}
+        w[:, 0] = params.w0
+        np.add(z[..., 0], z[..., 1], out=w[:, 1:])
+        w[:, 1:] += f0
+        np.multiply.accumulate(w, axis=1, out=w)
+        k = np.argmin(w > 0.0, axis=1)  # the first w[:, k] <= 0 (or NaN); 0 if none, as w0 > 0
+        w_out[:] = np.where(k == 0, w[:, -1], math.nan)
+        exit_out[:] = np.where(k == 0, math.nan, k * cfg.dt)
 
-    return power
+    return (_SEED_BLOCK, n_steps, 2), power
 
 
-def _draws(seed: int, indices, n_steps: int):
-    """Yield each path's (n_steps, 2) standard-normal draw in one reused buffer."""
-    z = np.empty((n_steps, 2))
-    for rng in path_rngs(seed, indices):
-        rng.standard_normal(out=z)
-        yield z
+def _max_workers() -> int:
+    """The most threads one Monte Carlo run shares its paths out to: the
+    CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(work, spans) -> None:
+    """Run the generator function work(lo, hi) on every span, the first in
+    the calling thread and each other in a thread of its own under a copy
+    of the caller's context, so that ``np.errstate`` holds there too. Once
+    a worker raises, the others stop at their next yield; every thread is
+    joined before the first exception re-raises here."""
+    stop, errors = threading.Event(), []
+
+    def drive(lo, hi):
+        try:
+            for _ in work(lo, hi):
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for lo, hi in spans[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(drive, lo, hi))
+            thread.start()
+            threads.append(thread)
+        drive(*spans[0])
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _run_paths(params: ModelParams, cfg: SimConfig, indices):
     """Terminal effective wealth (NaN after a domain exit) and exit times
-    (NaN if none) of the given path indices, unrecorded, one path at a time
-    through ``_path_kernel``; a path's result depends only on its index. No
-    run reads the memory window, so dt need only divide the horizon."""
+    (NaN if none) of the given path indices, unrecorded, through
+    ``_path_kernel``; a path's result depends only on its index. The
+    indices are shared out in runs of whole seeding blocks to
+    W = min(``_max_workers()``, number of blocks) workers, the calling
+    thread among them; a callable runs in the calling thread alone. Each
+    worker writes its own paths' results by position, so they do not
+    depend on W. No run reads the memory window, so dt need only divide
+    the horizon."""
     n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
-    kernel = _path_kernel(params, cfg, n_steps)
-    w_term, exit_time = np.empty(len(indices)), np.empty(len(indices))
-    for j, z in enumerate(_draws(cfg.seed, indices, n_steps)):
-        w_term[j], exit_time[j] = kernel(z)
+    shape, kernel = _path_kernel(params, cfg, n_steps)
+    n = len(indices)
+    w_term, exit_time = np.empty(n), np.empty(n)
+
+    def work(lo, hi):
+        z, rngs = np.empty(shape), path_rngs(cfg.seed, indices[lo:hi])
+        for start in range(lo, hi, _SEED_BLOCK):
+            stop = min(start + _SEED_BLOCK, hi)
+            kernel(z, rngs, w_term[start:stop], exit_time[start:stop])
+            yield
+
+    n_blocks = -(-n // _SEED_BLOCK)
+    workers = 1 if callable(cfg.strategy) else max(1, min(_max_workers(), n_blocks))
+    cuts = [min(n, _SEED_BLOCK * (n_blocks * i // workers)) for i in range(workers + 1)]
+    _in_workers(work, list(zip(cuts, cuts[1:])))
     return w_term, exit_time
 
 
@@ -311,9 +394,10 @@ def simulate_paths(params: ModelParams, cfg: SimConfig, indices) -> Iterator[Sim
     controls = _path_controls(params, cfg, n_steps)
 
     def record():
-        for idx, z in zip(indices, _draws(cfg.seed, indices, n_steps)):
+        for idx, rng in zip(indices, path_rngs(cfg.seed, indices)):
             rec = [[math.nan] * (n_steps + 1) for _ in range(5)]
-            w, exit_t = _path_chain(params, cfg, z.tolist(), controls, rec, n_lag)
+            noise = rng.standard_normal((n_steps, 2)).tolist()
+            w, exit_t = _path_chain(params, cfg, noise, controls, rec, n_lag)
             X, M1, M2, q, pi = (np.array(r) for r in rec)
             exited = not math.isnan(exit_t)
             yield SimPath(

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from delaris import cli
 from delaris import power as powmod
 from delaris import power_exact
+from delaris import simulation as sim
 from delaris import sweeps
-from delaris.exceptions import ParameterError
+from delaris.exceptions import DomainError, ParameterError
 from delaris.model import (
     DelayParams,
     FinancialParams,
@@ -143,6 +145,38 @@ def test_config_errors(tmp_path):
     p.write_text(json.dumps(good))
     with pytest.raises(ParameterError, match="unknown config fields: extra"):
         cli.load_config(str(p))
+
+
+def test_overflowing_coefficient_config_rejected(tmp_path, capsys):
+    # b = sqrt(lambda1*mu2) overflows: the model was built with q_hat 0
+    good = cli.config_dict(sweeps.baseline_params("exponential", "I"))
+    good["insurance"] |= {"lambda1": 1e200, "mu1": 1e-200, "mu2": 1e200}
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(good))
+    assert run_cli("strategy", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert "insurance.lambda1 and insurance.mu2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_monte_carlo_runs_leave_no_thread(tmp_path, monkeypatch, capsys):
+    # 100 paths are four seeding blocks, shared out to two workers; a run
+    # that fails inside the second worker's block exits 1 all the same
+    path_rngs, started = sim.path_rngs, threading.active_count()
+    monkeypatch.setattr(sim, "_max_workers", lambda: 2)
+    argv = ("simulate", "--family", "power", "--n-paths", "100", "--dt", "0.01")
+    assert run_cli(*argv, "--out", str(tmp_path / "pass")) == 0
+    assert threading.active_count() == started
+
+    def failing(seed, indices):
+        for i, rng in zip(indices, path_rngs(seed, indices)):
+            if i == 70:
+                raise DomainError("path 70 failed")
+            yield rng
+
+    monkeypatch.setattr(sim, "path_rngs", failing)
+    assert run_cli(*argv, "--out", str(tmp_path / "fail")) == 1
+    assert "path 70 failed" in capsys.readouterr().err
+    assert threading.active_count() == started
 
 
 def test_case_config_conflict(tmp_path, capsys):

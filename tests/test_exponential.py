@@ -47,6 +47,22 @@ def test_strategy_is_state_free_and_case_ordering(exp_case1, exp_case2):
     assert q2 / q1 == pytest.approx(0.7 / 0.58, rel=1e-13)
 
 
+def test_schedule_is_the_closed_form_at_each_time(exp_case1, exp_case2):
+    # the factors free of t are formed once, and each entry is still the
+    # one-point closed form bit for bit
+    for params in (exp_case1, exp_case2):
+        co, fin, e_gamma = params.coeffs, params.financial, params.mean_gamma
+        times = [k * params.horizon / 7 for k in range(8)]
+        q, pi_x = expmod.schedule(params, times)
+        for t, q_t, pi_t in zip(times, q, pi_x, strict=True):
+            decay = math.exp(-params.constants.kappa * (params.horizon - t))
+            assert q_t == co.a * co.eta2 / (co.b2 * e_gamma) * decay
+            assert pi_t == (fin.mu - fin.r) / (fin.sigma**2 * e_gamma) * decay
+            assert expmod.strategy(params, t) == (q_t, pi_t)
+    with pytest.raises(DomainError):
+        expmod.schedule(exp_case1, [0.0, 2.0 + 1e-9])
+
+
 def test_time_domain(exp_case1):
     with pytest.raises(DomainError):
         expmod.strategy(exp_case1, -0.1)

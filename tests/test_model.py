@@ -175,6 +175,21 @@ def test_nonfinite_g2_rejected(insurance, financial, fields):
                               horizon=2.0, x0=0.6)
 
 
+@pytest.mark.parametrize("insurance, coeff, fields", [
+    ({"lambda1": 1e200, "mu1": 1e-200, "mu2": 1e200}, "b", "insurance.lambda1 and insurance.mu2"),
+    ({"lambda1": 1e200, "mu1": 1e200}, "a", "insurance.lambda1 and insurance.mu1"),
+], ids=["b", "a"])
+def test_nonfinite_coefficients_rejected(insurance, coeff, fields):
+    # b = sqrt(lambda1*mu2) = inf made G2's insurance term (a*eta2)^2/b^2
+    # zero, so the first model built and gave q_hat 0
+    ins = dict(lambda1=1.0, mu1=0.1, mu2=0.2, eta1=0.3, eta2=0.3) | insurance
+    for family in ("exponential", "power"):
+        with pytest.raises(ParameterError, match=f"coefficient {coeff} = inf.*{fields}"):
+            ModelParams.build(insurance=InsuranceParams(**ins), financial=BASE_FIN,
+                              delay=BASE_DELAY, dist=RiskAversionDist(family, ((0.5, 1.0),)),
+                              horizon=2.0, x0=0.6)
+
+
 def test_g2_is_its_closed_form(exp_case1, pow_case2):
     for params in (exp_case1, pow_case2):
         co, fin = params.coeffs, params.financial

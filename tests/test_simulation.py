@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -216,54 +218,58 @@ def test_domain_exit_propagates_nan():
     assert sim.mc_reward(params, cfg).excluded_paths == len(exited)
 
 
+def _working_peak(params, strategy, n_paths):
+    """Peak traced memory of one unrecorded run beyond the arrays it returns."""
+    cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy=strategy)
+    tracemalloc.start()
+    try:
+        result = sim._run_paths(params, cfg, range(n_paths))  # held: ``current`` counts it
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - current
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("source", ["power", "solution"])
-def test_power_mc_memory_flat_in_paths(source):
-    # a power run holds one path's draw and products whatever n_paths is:
-    # beyond the arrays it returns, its peak grows by less than three paths'
-    # factors (8 B per path-step) from 40 to 400 paths, where a run holding
-    # every path's factors at once grows by 360 paths' worth
+def test_power_mc_memory_flat_in_paths(monkeypatch, source):
+    # one worker holds one seeding block's draws and products whatever
+    # n_paths is: beyond the arrays it returns, its peak grows by less than
+    # three paths' factors (8 B per path-step) from 40 to 400 paths, where a
+    # run holding every path's factors at once grows by 360 paths' worth.
+    # Under threads the peak depends on how the workers overlap in time, so
+    # this pins one worker; two workers hold at most twice its working set
     params = _levered_power()
     strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
-
-    def working_peak(n_paths):
-        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy=strategy)
-        tracemalloc.start()
-        try:
-            result = sim._run_paths(params, cfg, range(n_paths))  # held: ``current`` counts it
-            current, peak = tracemalloc.get_traced_memory()
-            return peak - current
-        finally:
-            tracemalloc.stop()
-
-    working_peak(40)  # the first call also allocates one-time caches
-    assert working_peak(400) - working_peak(40) < 8 * 3 * 200
+    monkeypatch.setattr(sim, "_max_workers", lambda: 1)
+    _working_peak(params, strategy, 40)  # the first call also allocates one-time caches
+    one = _working_peak(params, strategy, 400)
+    assert one - _working_peak(params, strategy, 40) < 8 * 3 * 200
+    monkeypatch.setattr(sim, "_max_workers", lambda: 2)
+    assert _working_peak(params, strategy, 400) <= 2 * one + 16_000
 
 
-def test_exponential_mc_memory_flat_in_paths(exp_case1):
-    # an unrecorded exponential run holds one (n_steps, 2) noise buffer for
-    # all its paths: beyond the arrays it returns (8 B per path each), its
-    # peak does not grow with the path count
-    def working_peak(n_paths):
-        cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy="exponential")
-        tracemalloc.start()
-        try:
-            result = sim._run_paths(exp_case1, cfg, range(n_paths))  # held: ``current`` counts it
-            current, peak = tracemalloc.get_traced_memory()
-            return peak - current
-        finally:
-            tracemalloc.stop()
-
-    working_peak(40)  # the first call also allocates one-time caches
-    assert working_peak(4000) <= 1.1 * working_peak(40)
+def test_exponential_mc_memory_flat_in_paths(monkeypatch, exp_case1):
+    # an unrecorded exponential worker holds one (n_steps, 2) noise buffer
+    # for all its paths: beyond the arrays it returns (8 B per path each),
+    # its peak does not grow with the path count (one worker pinned, as in
+    # the power test; two hold at most twice its working set)
+    monkeypatch.setattr(sim, "_max_workers", lambda: 1)
+    _working_peak(exp_case1, "exponential", 40)  # the first call also allocates one-time caches
+    one = _working_peak(exp_case1, "exponential", 4000)
+    assert one <= 1.1 * _working_peak(exp_case1, "exponential", 40)
+    monkeypatch.setattr(sim, "_max_workers", lambda: 2)
+    assert _working_peak(exp_case1, "exponential", 4000) <= 2 * one + 16_000
 
 
 def _recording_rngs(states):
-    """``sim.path_rngs`` appending the state each path starts its draw in."""
+    """``sim.path_rngs`` appending (path index, state) for the state each
+    path starts its draw in; workers append in any order, so compare them
+    sorted by index."""
     path_rngs = sim.path_rngs
 
     def recording(seed, indices):
-        for rng in path_rngs(seed, indices):
-            states.append(rng.bit_generator.state)
+        for i, rng in zip(indices, path_rngs(seed, indices)):
+            states.append((i, rng.bit_generator.state))
             yield rng
 
     return recording
@@ -285,7 +291,8 @@ def test_exponential_noise_contract(monkeypatch, exp_case1):
     monkeypatch.setattr(sim, "_run_paths", spy)
     monkeypatch.setattr(sim, "path_rngs", _recording_rngs(states))
     sim.mc_reward(exp_case1, cfg)
-    assert states == [real_rng(4, i).bit_generator.state for i in range(12)]
+    assert sorted(states, key=lambda s: s[0]) == [
+        (i, real_rng(4, i).bit_generator.state) for i in range(12)]
     (w_term,) = seen
     mean, weights = sim._exp_affine(exp_case1, cfg.dt, 200)
     for i in range(12):
@@ -347,7 +354,8 @@ def test_power_noise_contract(monkeypatch, pow_case1, source):
     monkeypatch.setattr(sim, "_run_paths", spy)
     monkeypatch.setattr(sim, "path_rngs", _recording_rngs(states))
     est = sim.mc_reward(params, cfg)
-    assert states == [sim.path_rng(4, i).bit_generator.state for i in range(40)]
+    assert sorted(states, key=lambda s: s[0]) == [
+        (i, sim.path_rng(4, i).bit_generator.state) for i in range(40)]
     monkeypatch.setattr(sim, "path_rngs", path_rngs)
     ((w_term, exit_t),) = seen
     assert 0 < np.isfinite(exit_t).sum() < 40
@@ -373,6 +381,101 @@ def test_power_noise_contract(monkeypatch, pow_case1, source):
             np.testing.assert_array_equal(_power_chain(params, cfg, f0, f12, i), (w_term[i], exit_t[i]))
         exits += np.isfinite(exit_t).sum()
     assert exits > 0
+
+
+def _thread_spy(monkeypatch):
+    """Patch ``sim.path_rngs`` to record the thread and the floating-point
+    error state of each call; returns the list of (thread, np.geterr()).
+    It holds the thread objects: a finished thread's id can be reused."""
+    calls, path_rngs = [], sim.path_rngs
+
+    def spy(seed, indices):
+        calls.append((threading.current_thread(), np.geterr()))
+        return path_rngs(seed, indices)
+
+    monkeypatch.setattr(sim, "path_rngs", spy)
+    return calls
+
+
+def test_run_paths_do_not_depend_on_worker_count(monkeypatch, exp_case1, exp_case2, pow_case1):
+    # 100 paths are four seeding blocks, so up to four workers share them;
+    # every result is bit for bit the one-worker result, and a callable
+    # runs in the calling thread alone
+    levered = _levered_power()
+    cases = [(exp_case1, 0.01, "exponential"), (exp_case2, 0.01, "exponential"),
+             (levered, 0.2, "power"), (levered, 0.2, powmod.solve_growth_factors(levered, dt=0.01)),
+             *((p, 0.2, "power") for p in _random_power_models(10, seed=4242, base=pow_case1)),
+             (pow_case1, 0.1, lambda t, w: (0.1, 0.3 * w))]
+    calls = _thread_spy(monkeypatch)
+    exits = 0
+    for params, dt, strategy in cases:
+        cfg = sim.SimConfig(dt=dt, n_paths=100, seed=4, strategy=strategy)
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sim, "_max_workers", lambda: workers)
+            calls.clear()
+            with np.errstate(over="raise"):
+                results[workers] = sim._run_paths(params, cfg, range(100))
+            threads = {thread for thread, _ in calls}
+            assert threading.current_thread() in threads
+            assert len(threads) == (1 if callable(strategy) else workers)
+            assert all(err["over"] == "raise" for _, err in calls)
+        for workers in (2, 3):
+            for got, want in zip(results[workers], results[1], strict=True):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        exits += np.isfinite(results[1][1]).sum()
+    assert exits > 0
+
+
+def test_more_workers_than_cores_under_fast_switching(monkeypatch):
+    # eight workers on 13 blocks with the interpreter switching threads
+    # every microsecond: a lost or misplaced write would move a path
+    params = _levered_power()
+    cfg = sim.SimConfig(dt=0.05, n_paths=400, seed=4, strategy="power")
+    monkeypatch.setattr(sim, "_max_workers", lambda: 1)
+    want = sim._run_paths(params, cfg, range(400))
+    monkeypatch.setattr(sim, "_max_workers", lambda: 8)
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(sim._run_paths(params, cfg, range(400))))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(got) == 1
+    for g, w in zip(got[0], want, strict=True):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_single_block_or_cpu_starts_no_thread(monkeypatch, exp_case1):
+    calls = _thread_spy(monkeypatch)
+    for workers, n_paths in ((1, 100), (4, 32)):
+        monkeypatch.setattr(sim, "_max_workers", lambda: workers)
+        cfg = sim.SimConfig(dt=0.01, n_paths=n_paths, seed=4, strategy="exponential")
+        calls.clear()
+        sim._run_paths(exp_case1, cfg, range(n_paths))
+        assert {thread for thread, _ in calls} == {threading.current_thread()}
+
+
+def test_worker_exception_reaches_caller(monkeypatch, pow_case1):
+    # two workers share blocks 0-1 and 2-3; the second fails inside its block
+    path_rngs, started = sim.path_rngs, threading.active_count()
+
+    def failing(seed, indices):
+        for i, rng in zip(indices, path_rngs(seed, indices)):
+            if i == 70:
+                raise DomainError("path 70 failed")
+            yield rng
+
+    monkeypatch.setattr(sim, "_max_workers", lambda: 2)
+    monkeypatch.setattr(sim, "path_rngs", failing)
+    for strategy in ("power", "exponential"):
+        params = pow_case1 if strategy == "power" else sweeps.baseline_params(strategy, "I")
+        cfg = sim.SimConfig(dt=0.1, n_paths=100, seed=4, strategy=strategy)
+        with pytest.raises(DomainError, match="path 70 failed"):
+            sim._run_paths(params, cfg, range(100))
+        assert threading.active_count() == started
 
 
 def _exp_discrete_utility(params, gamma, dt):
@@ -404,9 +507,11 @@ def test_exponential_discrete_value_is_weak_order_one(case):
         assert coeff[1] == pytest.approx(coeff[0], rel=0.01)
 
 
-def test_mc_memory_flat_in_h(exp_case1):
+def test_mc_memory_flat_in_h(monkeypatch, exp_case1):
     # an unrecorded path holds only w and its noise, so a 200-row memory
-    # window costs no more than a 30-row one
+    # window costs no more than a 30-row one (one worker pinned: under
+    # threads the peak depends on how the workers overlap in time)
+    monkeypatch.setattr(sim, "_max_workers", lambda: 1)
     cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy="exponential")
 
     def traced_peak(h):
