@@ -230,7 +230,7 @@ def varpi_at(sol: OdeSolution, t: float) -> float:
 
 def varpi_on(sol: OdeSolution, times) -> np.ndarray:
     """``varpi_at`` at each of the ascending ``times``, in one pass."""
-    for t in (times[0], times[-1]):
+    for t in (times[0], times[-1]) if len(times) else ():
         _check_range(sol, t)
     gam = np.asarray(sol.gammas)
     g = np.stack([np.interp(times, sol.t, col) for col in sol.g.T], axis=-1)
@@ -335,10 +335,11 @@ _ROWS = 256  # rows per block: a whole table as Python floats would cost ~200 B 
 
 def _write_rows(f, columns) -> None:
     """Write equal-length columns (1-D, or 2-D with one row per entry) as
-    comma-separated rows of repr floats, formatted one block at a time."""
+    comma-separated rows of repr floats, formatted and written one block
+    at a time."""
     for k in range(0, len(columns[0]), _ROWS):
         block = np.column_stack([c[k:k + _ROWS] for c in columns]).tolist()
-        f.writelines(",".join(map(repr, row)) + "\n" for row in block)
+        f.write("\n".join([",".join(map(repr, row)) for row in block]) + "\n")
 
 
 def read_csv(path) -> OdeSolution:

@@ -12,6 +12,14 @@ returns the same :class:`~delaris.power.OdeSolution` as
 ``power.solve_growth_factors`` on the same grid, exact at the nodes.
 ``initial_strategy`` needs only tau = T: the time-zero controls of a
 sweep point read varpi(0) = Phi(A(T)) and nothing else.
+
+``_softmax_gamma`` lays the weights out with the atoms on the leading
+axis, one row of nodes per atom. A node block is a few thousand nodes
+and a model a handful of atoms, so the exponentials, the products with
+p and the sums over the atoms all run as long contiguous loops. With
+the atoms last, each would run numpy's inner loop over two to ten
+elements per node: one (341, 12) block of two atoms takes about 0.17 ms
+that way against 0.05 ms (2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -29,20 +37,31 @@ _PANEL_RTOL = 1e-15  # a panel whose halves integrate differently by more is spl
 _SPLIT_MAX = 40
 _NEWTON_MAX = 60  # enough to bisect a panel down to _NEWTON_RTOL
 _NEWTON_RTOL = 1e-13  # relative size of the last step; Newton's error is quadratic in it
-# temporaries of one block of node evaluations: larger blocks are no faster,
-# and once freed they leave a later Monte Carlo run a larger heap (2**18
-# raised the peak RSS of power-verify by 0.5 MB)
+# temporaries of one block of node evaluations: once freed they leave a later
+# Monte Carlo run a larger heap (2**18 raised the peak RSS of power-verify by
+# 0.5 MB). The partition into blocks also sets each node's last bits: Newton
+# stops a whole block at once, and the panel sums of a block go through one
+# matrix-vector product. 2**17 changed the growth_factors.csv bytes of case II
+# and 2**18 those of case I, although a larger block can be faster (2**17:
+# growth_factors of case I in 17 ms against 23 ms, best of 30 runs on a
+# 2-core x86-64 VM).
 _BLOCK_BYTES = 2**16
 
 
 def _softmax_gamma(a, gam, p, g2c):
-    """Phi(a) and log M(a) at the areas a >= 0 (any shape), as a
-    log-sum-exp: the weights p_i e^{-gamma_i G2 a/2} are divided by the
+    """Phi(a) and log M(a) at the areas a >= 0 (an array of any shape), as
+    a log-sum-exp: the weights p_i e^{-gamma_i G2 a/2} are divided by the
     smallest gamma's exponential, so none overflows and the smallest
-    gamma's never underflows."""
-    e = p * np.exp(-0.5 * g2c * (gam - gam.min()) * a[..., None])
-    total = e.sum(axis=-1)
-    return (e @ gam) / total, np.log(total) - 0.5 * g2c * gam.min() * a
+    gamma's never underflows. The weights are laid out one row per atom
+    (see the module docstring)."""
+    lo = gam.min()
+    e = np.exp(np.multiply.outer(-0.5 * g2c * (gam - lo), a.ravel()))
+    e *= p[:, None]
+    total = e.sum(axis=0)
+    # the numerator as a plain sum of products: a BLAS gemv would round a
+    # node's last bits by its column's position in the block
+    e *= gam[:, None]
+    return (e.sum(axis=0) / total).reshape(a.shape), np.log(total).reshape(a.shape) - 0.5 * g2c * lo * a
 
 
 def _gauss_legendre(n):
@@ -126,7 +145,7 @@ def _evaluate(params: ModelParams, tau: np.ndarray, g: np.ndarray) -> np.ndarray
     written straight into g, so the temporaries stay small."""
     gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
     g2c, kappa = params.g2, params.constants.kappa
-    edges, f_edges = _panels(tau.max() or params.horizon, gam, p, g2c)
+    edges, f_edges = _panels(tau.max(initial=0.0) or params.horizon, gam, p, g2c)
     varpi = np.empty(len(tau))
     block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
     for s in range(0, len(tau), block):

@@ -23,13 +23,14 @@ through the effective wealth w = x + beta*m1, so a field is a
 w-derivatives; the m1-derivative is beta*phi_w). Each time is evaluated
 once, as arrays over the whole state grid: a slice evaluates the
 family's time-only factors (exponent slopes and drift rates, or the
-closed-form growth factors at that time, their rates and the certainty
-factor) and returns the controls, the per-gamma ansatz jets and the
-value jet at every w of the grid. :func:`generator_terms` is affine in (x, m1, m2), so
-it applies to the whole grid at once too. The optimality objective is a
-q part plus a pi part, so each control is swept on its own mesh. The
-closed forms themselves stay in :mod:`delaris.exponential` and
-:mod:`delaris.power`.
+growth factors at that time, their rates and the certainty factor) and
+returns the controls, the per-gamma ansatz jets and the value jet at
+every w of the grid. A power check reads the closed-form factors at all
+its times in one call before its first slice. :func:`generator_terms` is
+affine in (x, m1, m2), so it applies to the whole grid at once too. The
+optimality objective is a q part plus a pi part, so each control is
+swept on its own mesh. The closed forms themselves stay in
+:mod:`delaris.exponential` and :mod:`delaris.power`.
 """
 
 from __future__ import annotations
@@ -111,47 +112,59 @@ def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, floa
     return g1, -kappa * g1, g2_dot
 
 
-def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w):
-    """The family's closed forms at time t and effective wealth w (a float
-    or an array): ((q, pi_x), one ansatz jet per gamma, the value jet).
-    Every time-only factor is evaluated once: power reads its factors in
-    closed form at t (interpolated from ``solution`` if one is given) and
-    dg/dt from the factor system at them. The family routines take (x, m1)
-    and see only x + beta*m1, so w enters as (w, 0)."""
+def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w):
+    """The family's closed forms at each of the times t_vals and effective
+    wealth w (a float or an array), one time after another: yields
+    ((q, pi_x), one ansatz jet per gamma, the value jet). Every time-only
+    factor is evaluated once: power reads its factors at all the times in
+    one closed-form ``factors`` call (or interpolates ``solution`` time by
+    time), before it checks w, and dg/dt from the factor system at them.
+    An exploded closed form is reported at the latest of t_vals where a
+    factor leaves (0, inf), as ``factors`` reports it. The family routines
+    take (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
     if params.dist.family == EXPONENTIAL:
         co, kappa = params.coeffs, params.constants.kappa
-        e = math.exp(kappa * (params.horizon - t))
         g_const = params.g2 / params.mean_gamma
-        controls = tuple(np.full(np.shape(w), c) for c in expmod.strategy(params, t))
-        jets = []
-        for gamma in params.dist.gammas:
-            g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
-            phi = expmod.ansatz(params, gamma, t, w, 0.0)
-            jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
-        u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
-        return controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0)
+        for t in t_vals:
+            e = math.exp(kappa * (params.horizon - t))
+            controls = tuple(np.full(np.shape(w), c) for c in expmod.strategy(params, t))
+            jets = []
+            for gamma in params.dist.gammas:
+                g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
+                phi = expmod.ansatz(params, gamma, t, w, 0.0)
+                jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
+            u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
+            yield controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0)
+        return
 
     gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
     if solution is None:
-        g, varpi = power_exact.factors(params, t)
+        factors = zip(*power_exact.factors(params, t_vals))
     else:
-        g = powmod.g_at(solution, t)
-        varpi = powmod.aggregate_gamma(g, solution.gammas, solution.probs)  # varpi_at(t)
-    g_dot = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)(g)
-    gc = powmod._powers(g, gam)
-    factor = float(gc @ p)  # certainty_factor(t)
-    rate = float((gam / (1.0 - gam) * gc / g * g_dot) @ p)  # its time derivative
+        factors = [(g, powmod.aggregate_gamma(g, solution.gammas, solution.probs))  # varpi_at(t)
+                   for g in (powmod.g_at(solution, t) for t in t_vals)]
+    rate_fn = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)
     w = powmod._effective_wealth(params, w, 0.0, "verification")
-    jets = [
-        Jet(
-            powmod._ansatz(gi, gm, w),
-            gm * gi ** (gm - 1.0) * gi_dot * w ** (1.0 - gm) / (1.0 - gm),
-            gi**gm * w ** (-gm),
-            -gm * gi**gm * w ** (-gm - 1.0),
-        )
-        for gm, gi, gi_dot in zip(params.dist.gammas, g, g_dot)
-    ]
-    return powmod._controls(params, w, varpi), jets, Jet(w * factor, w * rate, factor, 0.0)
+    for g, varpi in factors:
+        g_dot = rate_fn(g)
+        gc = powmod._powers(g, gam)
+        factor = float(gc @ p)  # certainty_factor(t)
+        rate = float((gam / (1.0 - gam) * gc / g * g_dot) @ p)  # its time derivative
+        jets = [
+            Jet(
+                powmod._ansatz(gi, gm, w),
+                gm * gi ** (gm - 1.0) * gi_dot * w ** (1.0 - gm) / (1.0 - gm),
+                gi**gm * w ** (-gm),
+                -gm * gi**gm * w ** (-gm - 1.0),
+            )
+            for gm, gi, gi_dot in zip(params.dist.gammas, g, g_dot)
+        ]
+        yield powmod._controls(params, w, varpi), jets, Jet(w * factor, w * rate, factor, 0.0)
+
+
+def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w):
+    """:func:`_slices` at the one time t."""
+    return next(_slices(params, solution, [t], w))
 
 
 def _state_grid(params: ModelParams, x_vals, m1_vals):
@@ -206,8 +219,7 @@ def expectation_pde_residual(
     shape = (len(params.dist.gammas), len(t_vals), *w.shape)
     residual = np.empty(shape)
     scaled = np.empty(shape)
-    for a, t in enumerate(t_vals):
-        (q, pi_x), jets, _ = _slice(params, solution, t, w)
+    for a, ((q, pi_x), jets, _) in enumerate(_slices(params, solution, t_vals, w)):
         for i, jet in enumerate(jets):
             terms = generator_terms(jet, params, x, m1, m2, q, pi_x)
             residual[i, a] = res = np.abs(sum(terms))
@@ -293,8 +305,7 @@ def optimality_residual(
     worst_sup = -math.inf
     worst_dist = 0.0
     concave = True
-    for t in np.asarray(t_vals, dtype=float):
-        (q_cand, pi_cand), jets, u = _slice(params, solution, t, w)
+    for (q_cand, pi_cand), jets, u in _slices(params, solution, np.asarray(t_vals, dtype=float), w):
         penalty = 0.0
         for gamma, p, jet in zip(gammas, probs, jets):
             penalty += p * inverse_utility_d2(family, gamma, jet.phi) * jet.phi_w * jet.phi_w

@@ -433,3 +433,38 @@ def test_area_matches_mpmath_on_extreme_spread():
             f = mpmath.quad(phi2, [mpmath.mpf(v) for v in pts if v <= a], method="gauss-legendre")
             # the relative error of A that the miss in F implies
             assert float(abs(f - tau[k]) / phi2(mpmath.mpf(a)) / a) < 1e-14
+
+
+def _softmax_atoms_last(a, gam, p, g2c):
+    """Reference: _softmax_gamma with the atoms on the last axis."""
+    e = p * np.exp(-0.5 * g2c * (gam - gam.min()) * a[..., None])
+    total = e.sum(axis=-1)
+    return (e @ gam) / total, np.log(total) - 0.5 * g2c * gam.min() * a
+
+
+def test_softmax_gamma_matches_atoms_last_formula():
+    # the atoms-first layout sums the denominator in the same order below 8
+    # atoms (numpy's trailing-axis sum pairs terms from 8 on); Phi and
+    # log M stay within a few ulp whatever the shape and atom count
+    rng = np.random.default_rng(19)
+    eps = np.finfo(float).eps
+    for n in range(1, 11):
+        for _ in range(10):
+            gam = rng.choice(np.linspace(0.02, 0.98, 49), n, replace=False)
+            p, g2c = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 20.0)
+            for shape in ((), (1,), (7,), (341,), (5, 12)):
+                a = np.asarray(rng.exponential(5.0, shape))
+                phi, log_m = power_exact._softmax_gamma(a, gam, p, g2c)
+                phi_ref, log_m_ref = _softmax_atoms_last(a, gam, p, g2c)
+                assert phi.shape == log_m.shape == shape
+                assert np.all(np.abs(phi - phi_ref) <= 8 * np.spacing(phi_ref)), (n, shape)
+                if n < 8:
+                    np.testing.assert_array_equal(log_m, log_m_ref)
+                assert np.all(np.abs(log_m - log_m_ref) <= 4 * eps * (1.0 + np.abs(log_m_ref)))
+
+
+def test_empty_times_give_empty_results(pow_case2):
+    g, varpi = power_exact.factors(pow_case2, [])
+    assert g.shape == (0, 2) and varpi.shape == (0,)
+    sol = power_exact.growth_factors(pow_case2, dt=1e-2)
+    assert powmod.varpi_on(sol, np.array([])).shape == (0,)

@@ -232,3 +232,22 @@ def test_jets_on_random_models(family):
         lifted = ver.expectation_pde_residual(
             bad, t_vals, x_vals, m1_vals, m2=0.6, solution=sol).max_scaled
         assert lifted >= 100 * max(clean, 1e-14), params
+
+
+def test_checks_read_the_factors_in_one_call(pow_case1, pow_case2):
+    # a check evaluates the closed form at all its times at once; that
+    # agrees with one evaluation per time to rounding, and so do the slices
+    t_vals = np.linspace(0.0, 2.0, 10)
+    w = np.linspace(0.3, 1.5, 5)
+    for params in (pow_case1, pow_case2):
+        g, varpi = power_exact.factors(params, t_vals)
+        for t, slc, g_a, varpi_a in zip(t_vals, ver._slices(params, None, t_vals, w), g, varpi):
+            g_t, varpi_t = power_exact.factors(params, t)
+            np.testing.assert_allclose(g_a, g_t, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(varpi_a, varpi_t, rtol=1e-15, atol=0.0)
+            (q, pi_x), jets, u = slc
+            (q_t, pi_t), jets_t, u_t = ver._slice(params, None, t, w)
+            np.testing.assert_allclose([q, pi_x], [q_t, pi_t], rtol=1e-15, atol=0.0)
+            for jet, jet_t in zip([*jets, u], [*jets_t, u_t]):
+                for field, field_t in zip(dataclasses.astuple(jet), dataclasses.astuple(jet_t)):
+                    np.testing.assert_allclose(field, field_t, rtol=1e-14, atol=0.0)
