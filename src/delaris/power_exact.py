@@ -180,7 +180,7 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
 def factors(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """(g, varpi) at the times t in [0, T] (a float or an array), with no
     grid: g[..., i] = g_i(t) and varpi = Phi(A(T - t)). Raises DomainError
-    where a factor leaves (0, inf), as an exploded solution's lookup does."""
+    where a factor leaves (0, inf), naming ``growth_factors``' explosion time."""
     _require_power(params)
     t = np.asarray(t, dtype=float)
     outside = ~((t >= 0.0) & (t <= params.horizon))
@@ -190,8 +190,8 @@ def factors(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     varpi = _evaluate(params, params.horizon - t.ravel(), g)
     bad = ~((g > 0.0) & (g < np.inf)).all(axis=1)
     if bad.any():
-        raise DomainError(f"power growth factors exploded at t={t.ravel()[bad].max()}: "
-                          "a factor leaves (0, inf) there")
+        raise DomainError(f"power growth factors exploded at t={growth_factors(params).explosion_time}"
+                          ": a factor leaves (0, inf) before it")
     return g.reshape(t.shape + (params.dist.n,)), varpi.reshape(t.shape)
 
 

@@ -26,10 +26,11 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # paths seeded together: a block costs about 70 numpy calls whatever its
-# size and holds about 120 B per path while it mixes, so an exponential run's
-# working memory stays flat in n_paths beyond one block. A Monte Carlo run
-# shares whole blocks out to its workers, and a power worker folds a block's
-# paths at once
+# size and holds about 120 B per path while it mixes, so a run's seeding
+# memory stays flat in n_paths beyond one block. A Monte Carlo run shares
+# whole blocks out to its workers; each draws a block into one reused
+# (32, n_steps, 2) buffer, which the strategy source's one fold maps to the
+# block's terminal wealth at once
 _SEED_BLOCK = 32
 
 

@@ -24,7 +24,8 @@ noise (``_exp_affine``): with lam = 1 + (A + beta)*dt,
     weights[k] = sqrt(dt) lam^(N-1-k) (b*q_k, sigma*pi_k),
 
 for the path's (N, 2) draw Z, so an unrecorded exponential path takes no
-step loop.
+step loop. A block of P paths maps at once as ``z.reshape(P, 1, -1) @
+weights``, one 1xK by Kx1 dot per path, which rounds as Z.ravel() @ weights.
 
 Under a power source (the family name or an ``OdeSolution``) the controls
 are proportional to w, q_k = cq*w_k/varpi_k and pi_k = cpi*w_k/varpi_k with
@@ -46,14 +47,14 @@ k*dt and its terminal w is NaN.
 An unrecorded run (``_run_paths``) shares its path indices out to
 W = min(``_max_workers()``, number of 32-path seeding blocks) workers, the
 calling thread among them, so W = 1 starts no thread. Each worker takes a
-contiguous run of whole blocks, with its own generator and buffers, and
-writes each path's result by position. Through the source's kernel
-(``_path_kernel``) a power worker draws a block's paths into one reused
-(32, N, 2) buffer and folds them at once in numpy calls that release the
-GIL; an exponential worker draws and maps one path at a time in an (N, 2)
-buffer. A callable runs in the calling thread alone: it holds the GIL
-anyway, and user code need not be thread-safe. Memory is W blocks' draws
-and products: flat in n_paths and linear in N.
+contiguous run of whole blocks, with its own generator, and draws each
+block into one reused (32, N, 2) buffer. The strategy source gives one
+fold (``_path_kernel``) from a block of draws to its paths' terminal w and
+exit times: the affine map, the running product, or a callable's Euler
+chain row by row. The worker writes the fold's results by position. The draws and the numpy folds release the GIL; a callable runs
+in the calling thread alone: it holds the GIL anyway, and user code need
+not be thread-safe. Memory is W blocks' draws and products: flat in
+n_paths and linear in N.
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
 the Euler chain itself, one path at a time on Python floats
@@ -116,9 +117,10 @@ class SimConfig:
     interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on a float
     effective wealth w, called once per path-step. A Monte Carlo run shares
     its paths out to worker threads, one per usable CPU, except under a
-    callable, which runs in the calling thread; its results do not depend
-    on the worker count. ``n_paths`` and ``seed`` must be integers or finite
-    whole reals."""
+    callable, which runs in the calling thread; each worker draws 32 paths
+    at a time into one block and maps it to terminal wealth with the
+    source's one fold, so its results do not depend on the worker count.
+    ``n_paths`` and ``seed`` must be integers or finite whole reals."""
 
     dt: float
     n_paths: int
@@ -192,10 +194,10 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
 def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
     """varpi at the step times min(k*dt, T), k = 0..n_steps, under a power
     source: "power" reads ``power_exact.factors``, an ``OdeSolution`` is
-    interpolated. None for any other source."""
+    interpolated. Raises ParameterError for any other source."""
     strat = cfg.strategy
     if not (isinstance(strat, powmod.OdeSolution) or strat == POWER):
-        return None
+        raise ParameterError(f"unrecognized strategy source {strat!r}")
     if params.dist.family != POWER:
         raise ParameterError("power strategy supplied for a non-power distribution")
     t = np.minimum(np.arange(n_steps + 1) * cfg.dt, params.horizon)
@@ -205,11 +207,8 @@ def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
 def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
     """The power Euler step as w_{k+1} = w_k*F_k with
     F_k = f0[k] + f12[k] @ (Z1, Z2) (see the module docstring): returns
-    (f0, f12) under a power source, None under any other."""
-    varpi = _power_varpi(params, cfg, n_steps)
-    if varpi is None:
-        return None
-    varpi = varpi[:-1]  # varpi at t_N acts on no step
+    (f0, f12)."""
+    varpi = _power_varpi(params, cfg, n_steps)[:-1]  # varpi at t_N acts on no step
     co, fin = params.coeffs, params.financial
     cq, cpi = co.a * co.eta2 / co.b2, (fin.mu - fin.r) / fin.sigma**2
     f0 = (params.g2 / varpi + _growth(params)) * cfg.dt + 1.0
@@ -226,10 +225,7 @@ def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
         return lambda k, w: (q_s[k], pi_s[k])
     if callable(strat):
         return lambda k, w: strat(k * cfg.dt, w)
-    varpi_s = _power_varpi(params, cfg, n_steps)
-    if varpi_s is None:
-        raise ParameterError(f"unrecognized strategy source {strat!r}")
-    varpi_s = varpi_s.tolist()
+    varpi_s = _power_varpi(params, cfg, n_steps).tolist()
     return lambda k, w: powmod._controls(params, w, varpi_s[k]) if w > 0.0 else None
 
 
@@ -269,36 +265,23 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, 
     return w, math.nan
 
 
-def _each_path(path):
-    """A kernel that draws and folds one path at a time in its (n_steps, 2)
-    buffer: ``path`` maps a draw, which it may overwrite, to (terminal
-    effective wealth, exit time)."""
-    def kernel(z, rngs, w, exit_t):
-        for j, rng in zip(range(len(w)), rngs):
-            rng.standard_normal(out=z)
-            w[j], exit_t[j] = path(z)
-
-    return kernel
-
-
 def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """The strategy source as (shape, kernel): kernel(z, rngs, w, exit_t)
-    draws len(w) paths, one from each generator it takes from the iterator
-    ``rngs``, in a worker's own buffer z of that shape, and writes their
-    terminal effective wealth and exit times (NaN where there is none) to w
-    and exit_t. A power source folds a whole seeding block at once."""
+    """The strategy source as fold(z) -> (w_N, exit_times): z is a
+    (paths, n_steps, 2) block of draws, which fold may overwrite, and it
+    gives each path's terminal effective wealth and exit time (NaN where
+    there is none)."""
     if cfg.strategy == EXPONENTIAL:
         mean, weights = _exp_affine(params, cfg.dt, n_steps)
-        return (n_steps, 2), _each_path(lambda z: (mean + z.ravel() @ weights, math.nan))
-    if (coeffs := _power_factors(params, cfg, n_steps)) is None:
+        # one 1xK by Kx1 product per path: it rounds as row.ravel() @ weights
+        return lambda z: (mean + (z.reshape(len(z), 1, -1) @ weights)[:, 0],
+                          np.full(len(z), math.nan))
+    if callable(cfg.strategy):
         controls = _path_controls(params, cfg, n_steps)
-        return (n_steps, 2), _each_path(lambda z: _path_chain(params, cfg, z.tolist(), controls))
-    f0, f12 = coeffs
+        return lambda z: np.array([_path_chain(params, cfg, row.tolist(), controls)
+                                   for row in z]).T
+    f0, f12 = _power_factors(params, cfg, n_steps)
 
-    def power(z, rngs, w_out, exit_out):
-        z = z[:len(w_out)]
-        for row, rng in zip(z, rngs):
-            rng.standard_normal(out=row)
+    def power(z):
         z *= f12
         w = np.empty((len(z), n_steps + 1))  # w[:, k] = w0*F_0*...*F_{k-1}
         w[:, 0] = params.w0
@@ -306,10 +289,9 @@ def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
         w[:, 1:] += f0
         np.multiply.accumulate(w, axis=1, out=w)
         k = np.argmin(w > 0.0, axis=1)  # the first w[:, k] <= 0 (or NaN); 0 if none, as w0 > 0
-        w_out[:] = np.where(k == 0, w[:, -1], math.nan)
-        exit_out[:] = np.where(k == 0, math.nan, k * cfg.dt)
+        return np.where(k == 0, w[:, -1], math.nan), np.where(k == 0, math.nan, k * cfg.dt)
 
-    return (_SEED_BLOCK, n_steps, 2), power
+    return power
 
 
 def _max_workers() -> int:
@@ -356,24 +338,27 @@ def _in_workers(work, spans) -> None:
 
 def _run_paths(params: ModelParams, cfg: SimConfig, indices):
     """Terminal effective wealth (NaN after a domain exit) and exit times
-    (NaN if none) of the given path indices, unrecorded, through
-    ``_path_kernel``; a path's result depends only on its index. The
-    indices are shared out in runs of whole seeding blocks to
-    W = min(``_max_workers()``, number of blocks) workers, the calling
-    thread among them; a callable runs in the calling thread alone. Each
-    worker writes its own paths' results by position, so they do not
-    depend on W. No run reads the memory window, so dt need only divide
-    the horizon."""
+    (NaN if none) of the given path indices, unrecorded; a path's result
+    depends only on its index. The indices are shared out in runs of whole
+    seeding blocks to W = min(``_max_workers()``, number of blocks)
+    workers, the calling thread among them; a callable runs in the calling
+    thread alone. Each worker draws a block into its one reused buffer,
+    the only unrecorded draw, folds it with ``_path_kernel``'s fold and
+    writes the results by position, so they do not depend on W. No run
+    reads the memory window, so dt need only divide the horizon."""
     n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
-    shape, kernel = _path_kernel(params, cfg, n_steps)
+    fold = _path_kernel(params, cfg, n_steps)
     n = len(indices)
     w_term, exit_time = np.empty(n), np.empty(n)
 
     def work(lo, hi):
-        z, rngs = np.empty(shape), path_rngs(cfg.seed, indices[lo:hi])
+        z, rngs = np.empty((_SEED_BLOCK, n_steps, 2)), path_rngs(cfg.seed, indices[lo:hi])
         for start in range(lo, hi, _SEED_BLOCK):
             stop = min(start + _SEED_BLOCK, hi)
-            kernel(z, rngs, w_term[start:stop], exit_time[start:stop])
+            block = z[:stop - start]
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+            w_term[start:stop], exit_time[start:stop] = fold(block)
             yield
 
     n_blocks = -(-n // _SEED_BLOCK)
@@ -493,7 +478,6 @@ def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
         grad[i] = p * d1
     mean = float(np.dot(probs, [pg.ce for pg in per]))
     cov = np.cov(payoffs, ddof=1) if len(gammas) > 1 else np.array([[payoffs.var(ddof=1)]])
-    cov = np.atleast_2d(cov)
     se = float(math.sqrt(max(grad @ cov @ grad, 0.0) / n_used))
     return McEstimate(
         mean=mean,
@@ -511,12 +495,7 @@ def write_path_csv(path: SimPath, file_path) -> None:
         powmod._write_rows(f, (path.t, path.X, path.M1, path.M2, path.q, path.pi_x))
 
 
-def estimate_to_dict(est: McEstimate) -> dict:
-    """JSON-ready view of an estimate."""
-    return dataclasses.asdict(est)
-
-
 def write_estimate_json(est: McEstimate, file_path) -> None:
     with open(file_path, "w", encoding="utf-8") as f:
-        json.dump(estimate_to_dict(est), f, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(est), f, indent=2, sort_keys=True)
         f.write("\n")

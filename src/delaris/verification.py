@@ -119,8 +119,8 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
     factor is evaluated once: power reads its factors at all the times in
     one closed-form ``factors`` call (or interpolates ``solution`` time by
     time), before it checks w, and dg/dt from the factor system at them.
-    An exploded closed form is reported at the latest of t_vals where a
-    factor leaves (0, inf), as ``factors`` reports it. The family routines
+    An exploded closed form raises from ``factors``, which names the
+    model's explosion time whatever t_vals are. The family routines
     take (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
     if params.dist.family == EXPONENTIAL:
         co, kappa = params.coeffs, params.constants.kappa

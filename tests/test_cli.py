@@ -308,19 +308,23 @@ def test_verify_power_skips_coefficient_check(tmp_path):
     assert rep["checks"]["coefficients"]["skipped"] is True
 
 
-@pytest.mark.parametrize("check", ["expectation", "optimality"])
-def test_verify_reports_exploded_power_solution(tmp_path, capsys, check):
-    # the factor solve explodes near t = 1.59; grid times before it must
-    # fail their lookup instead of being moved onto the first valid node
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "expectation"), ("verify", "--check", "optimality"),
+    ("verify", "--check", "feynman-kac", "--n-paths", "100"), ("strategy",),
+    ("simulate", "--n-paths", "10"), ("simulate", "--n-paths", "10", "--dt", "0.2"),
+], ids=["expectation", "optimality", "feynman-kac", "strategy", "simulate", "simulate-dt0.2"])
+def test_verify_reports_exploded_power_solution(tmp_path, capsys, argv):
+    # the factors explode near t = 1.59; every command reads them at its own
+    # times, fails before the explosion and names the model's explosion time
     cfg = cli.config_dict(sweeps.baseline_params("power", "I"))
     cfg["risk_aversion"]["points"] = [[1e-4, 0.5], [0.9, 0.5]]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(cfg))
-    assert run_cli("verify", "--config", str(path), "--check", check,
-                   "--out", str(tmp_path / "o")) == 1
-    # one factors call over the check's 10 times names the latest that explodes
-    latest = np.linspace(0.0, 2.0, 10)[7]
-    assert f"exploded at t={latest}:" in capsys.readouterr().err
+    assert run_cli(*argv, "--config", str(path), "--out", str(tmp_path / "o")) == 1
+    when = power_exact.growth_factors(cli.load_config(str(path))).explosion_time
+    assert 1.59 < when < 1.6
+    assert (f"error: power growth factors exploded at t={when}: a factor leaves (0, inf) "
+            "before it\n") == capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

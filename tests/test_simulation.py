@@ -83,6 +83,8 @@ def test_unknown_strategy_source(exp_case1):
     cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=0, strategy="martingale")
     with pytest.raises(ParameterError, match="strategy"):
         sim.simulate_path(exp_case1, cfg)
+    with pytest.raises(ParameterError, match="strategy"):
+        sim.mc_reward(exp_case1, cfg)
 
 
 def test_power_solution_requires_power_family(exp_case1, pow_case1):
@@ -90,6 +92,8 @@ def test_power_solution_requires_power_family(exp_case1, pow_case1):
     cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=0, strategy=sol)
     with pytest.raises(ParameterError):
         sim.simulate_path(exp_case1, cfg)
+    with pytest.raises(ParameterError):
+        sim.mc_reward(exp_case1, cfg)
 
 
 def test_deterministic_compound_growth():
@@ -249,10 +253,10 @@ def test_power_mc_memory_flat_in_paths(monkeypatch, source):
 
 
 def test_exponential_mc_memory_flat_in_paths(monkeypatch, exp_case1):
-    # an unrecorded exponential worker holds one (n_steps, 2) noise buffer
-    # for all its paths: beyond the arrays it returns (8 B per path each),
-    # its peak does not grow with the path count (one worker pinned, as in
-    # the power test; two hold at most twice its working set)
+    # an unrecorded exponential worker holds one (32, n_steps, 2) block of
+    # draws for all its paths: beyond the arrays it returns (8 B per path
+    # each), its peak does not grow with the path count (one worker pinned,
+    # as in the power test; two hold at most twice its working set)
     monkeypatch.setattr(sim, "_max_workers", lambda: 1)
     _working_peak(exp_case1, "exponential", 40)  # the first call also allocates one-time caches
     one = _working_peak(exp_case1, "exponential", 4000)
@@ -586,6 +590,8 @@ def test_negative_retention_rejected(exp_case1):
                         strategy=lambda t, w: (-0.2, 0.0))
     with pytest.raises(DomainError, match="retention"):
         sim.simulate_path(exp_case1, cfg, path_index=0)
+    with pytest.raises(DomainError, match="retention"):  # through the block fold
+        sim.mc_reward(exp_case1, cfg)
 
 
 def test_path_csv_and_estimate_json(tmp_path, exp_case1):
