@@ -215,8 +215,6 @@ def cmd_strategy(args) -> int:
     x = params.x0 if args.x is None else args.x
     m1 = params.m1_0 if args.m1 is None else args.m1
     _require_finite(("--x", x), ("--m1", m1))
-    if x == 0.0:
-        raise ParameterError("--x (default x0) must be nonzero: pi_fraction divides by it")
     t_vals = np.linspace(0.0, params.horizon, args.t_points)
     outputs = ["strategy.csv"]
 
@@ -229,6 +227,10 @@ def cmd_strategy(args) -> int:
         sol = power_exact.growth_factors(params, args.dt)
         w = powmod._effective_wealth(params, x, m1, "strategy")
         q, amount = powmod._controls(params, w, power_exact.factors(params, t_vals)[1])
+    with np.errstate(all="ignore"):
+        fraction = amount / x
+    if not np.isfinite(fraction).all():
+        raise ParameterError(f"--x (default x0) = {x} makes pi_fraction = pi_amount/x non-finite")
     out = _out_dir(args)
     if sol is not None:
         powmod.write_csv(sol, out / "growth_factors.csv")
@@ -236,7 +238,7 @@ def cmd_strategy(args) -> int:
 
     with (out / "strategy.csv").open("w") as f:
         f.write("t,q_hat,pi_amount,pi_fraction\n")
-        powmod._write_rows(f, (t_vals, q, amount, amount / x))
+        powmod._write_rows(f, (t_vals, q, amount, fraction))
 
     write_manifest(out, "strategy", params, {
         "case": case, "t_points": args.t_points, "x": x, "m1": m1, "dt": args.dt,

@@ -23,24 +23,24 @@ tau = int_0^A Phi(a)^2 da, and
 
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
 
-:func:`delaris.power_exact.factors` evaluates it at exactly the times a
+:func:`delaris.power_exact.factors` reads (g, varpi) at exactly the times a
 run reads: ``strategy`` at its --t-points times, ``verify`` at its slice
-times and ``simulate`` at its Euler step times.
-:func:`delaris.power_exact.growth_factors` evaluates it at the nodes of a
-uniform grid, only for the ``growth_factors.csv`` artifact (the --dt grid
-of ``strategy``, by default horizon/20000). Sweep points and figure
-panels read only the time-zero controls, so
-:func:`delaris.power_exact.initial_strategy` evaluates the one node
-tau = T. :func:`solve_growth_factors` marches the
-system with fixed-step classical RK4 instead, recomputing varpi from the
-stage values of g; it is the library's and the tests' reference solver,
-and no CLI run calls it. varpi stays inside [min gamma, max gamma], but a
-nearly risk-neutral atom's factor can overflow float64 (log g reaches
-about 1e7 for gamma = 1e-4). On either grid route the solution then ends
-quietly at the first node, going backward from the horizon, whose
-factors leave (0, inf): it keeps the nodes after it and is flagged as
-exploded instead of raising; ``factors`` raises at such a time.
-varpi(0) itself never overflows, so the time-zero controls exist for
+times and ``simulate`` at its Euler step times, from the closed form or,
+given a grid solution, by interpolating it (:func:`factors_on`).
+:func:`delaris.power_exact.growth_factors` evaluates the closed form at the
+nodes of a uniform grid, only for the ``growth_factors.csv`` artifact (the
+--dt grid of ``strategy``, by default horizon/20000). Sweep points and
+figure panels read only the time-zero controls, so
+:func:`delaris.power_exact.initial_strategy` evaluates the one node tau = T.
+:func:`solve_growth_factors` marches the system with fixed-step classical
+RK4 instead, recomputing varpi from the stage values of g; it is the
+library's and the tests' reference solver, and no CLI run calls it. varpi
+stays inside [min gamma, max gamma], but a nearly risk-neutral atom's factor
+can overflow float64 (log g reaches about 1e7 for gamma = 1e-4). On either
+grid route the solution then ends quietly at the first node, going backward
+from the horizon, whose factors leave (0, inf): it keeps the nodes after it
+and is flagged as exploded instead of raising; ``factors`` raises at such a
+time. varpi(0) itself never overflows, so the time-zero controls exist for
 such a model.
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
@@ -116,6 +116,12 @@ def _mean_gamma(w, gam):
     return (w[..., None, :] @ gam[..., None])[..., 0] / w.sum(axis=-1, keepdims=True)
 
 
+def _varpi(g, gammas, probs):
+    """Aggregate risk aversion of the factors g, over their last axis."""
+    gam = np.asarray(gammas, dtype=float)
+    return _mean_gamma(_powers(g, gam) * np.asarray(probs, dtype=float), gam)[..., 0]
+
+
 def _rate_fn(gam, p, kappa, g2c):
     """Right-hand side dg/dt of the factor system as a function of the 1-D
     factors g; varpi is a NumPy scalar."""
@@ -131,9 +137,7 @@ def _rate_fn(gam, p, kappa, g2c):
 
 def aggregate_gamma(g, gammas, probs) -> float:
     """Aggregate risk aversion induced by factor values g (one grid row)."""
-    gam = np.asarray(gammas, dtype=float)
-    w = _powers(np.asarray(g, dtype=float), gam) * np.asarray(probs, dtype=float)
-    return float(_mean_gamma(w, gam)[0])
+    return float(_varpi(g, gammas, probs))
 
 
 def _grid(params: ModelParams, dt: float | None) -> tuple[float, int]:
@@ -179,12 +183,10 @@ def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarra
     exploded = k > 0
     if not exploded:
         t[0] = 0.0  # exact endpoint
-    gam = np.array(params.dist.gammas, dtype=float)
-    w = _powers(g, gam) * np.array(params.dist.probs, dtype=float)
     return OdeSolution(
         t=t,
         g=np.asfortranarray(g),
-        varpi=_mean_gamma(w, gam)[:, 0],
+        varpi=_varpi(g, params.dist.gammas, params.dist.probs),
         gammas=params.dist.gammas,
         probs=params.dist.probs,
         dt=dt,
@@ -204,37 +206,32 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
     return _solution(params, dt, n_steps, k, g)
 
 
-def _check_range(sol: OdeSolution, t: float) -> float:
-    t = float(t)
+def factors_on(sol: OdeSolution, t) -> tuple[np.ndarray, np.ndarray]:
+    """``power_exact.factors`` read from a grid solution: each factor
+    interpolated linearly, then varpi aggregated from them. Raises
+    DomainError at a time outside the solution's valid range."""
+    t = np.asarray(t, dtype=float)
     lo = float(sol.t[0])
-    if not lo <= t <= sol.horizon:
-        if sol.exploded:
-            raise DomainError(
-                f"t={t} outside the valid range [{lo}, {sol.horizon}] "
-                f"(solution flagged as exploded at t={sol.explosion_time})"
-            )
-        raise DomainError(f"t={t} outside the grid range [{lo}, {sol.horizon}]")
-    return t
+    for end in (float(t.min()), float(t.max())) if t.size else ():
+        if not lo <= end <= sol.horizon:
+            if sol.exploded:
+                raise DomainError(
+                    f"t={end} outside the valid range [{lo}, {sol.horizon}] "
+                    f"(solution flagged as exploded at t={sol.explosion_time})"
+                )
+            raise DomainError(f"t={end} outside the grid range [{lo}, {sol.horizon}]")
+    g = np.stack([np.interp(t, sol.t, col) for col in sol.g.T], axis=-1)
+    return g, _varpi(g, sol.gammas, sol.probs)
 
 
 def g_at(sol: OdeSolution, t: float) -> np.ndarray:
     """Factor values at t, linearly interpolated componentwise on the grid."""
-    t = _check_range(sol, t)
-    return np.array([np.interp(t, sol.t, col) for col in sol.g.T])
+    return factors_on(sol, float(t))[0]
 
 
 def varpi_at(sol: OdeSolution, t: float) -> float:
     """Aggregate risk aversion at t, recomputed from the interpolated factors."""
-    return aggregate_gamma(g_at(sol, t), sol.gammas, sol.probs)
-
-
-def varpi_on(sol: OdeSolution, times) -> np.ndarray:
-    """``varpi_at`` at each of the ascending ``times``, in one pass."""
-    for t in (times[0], times[-1]) if len(times) else ():
-        _check_range(sol, t)
-    gam = np.asarray(sol.gammas)
-    g = np.stack([np.interp(times, sol.t, col) for col in sol.g.T], axis=-1)
-    return _mean_gamma(_powers(g, gam) * np.asarray(sol.probs), gam)[:, 0]
+    return float(factors_on(sol, float(t))[1])
 
 
 def strategy(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> tuple[float, float]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import DomainError, EvaluationError
 from .model import ModelParams
-from .power import OdeSolution, _controls, _effective_wealth, _grid, _require_power, _solution
+from .power import OdeSolution, _controls, _effective_wealth, _grid, _require_power, _solution, factors_on
 
 _GL_NODES = 12  # Gauss-Legendre nodes per panel of the varpi integral
 _PANEL_RTOL = 1e-15  # a panel whose halves integrate differently by more is split
@@ -177,10 +177,14 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
     return _solution(params, dt, n_steps, k, g[k:])
 
 
-def factors(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """(g, varpi) at the times t in [0, T] (a float or an array), with no
-    grid: g[..., i] = g_i(t) and varpi = Phi(A(T - t)). Raises DomainError
-    where a factor leaves (0, inf), naming ``growth_factors``' explosion time."""
+def factors(params: ModelParams, t, solution: OdeSolution | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(g, varpi) at the times t in [0, T] (a float or an array of any
+    shape): g[..., i] = g_i(t) and varpi = Phi(A(T - t)), with no grid.
+    Raises DomainError where a factor leaves (0, inf), naming
+    ``growth_factors``' explosion time. Given a ``solution``, interpolates
+    it instead (``power.factors_on``)."""
+    if solution is not None:
+        return factors_on(solution, t)
     _require_power(params)
     t = np.asarray(t, dtype=float)
     outside = ~((t >= 0.0) & (t <= params.horizon))

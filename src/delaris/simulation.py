@@ -51,10 +51,11 @@ contiguous run of whole blocks, with its own generator, and draws each
 block into one reused (32, N, 2) buffer. The strategy source gives one
 fold (``_path_kernel``) from a block of draws to its paths' terminal w and
 exit times: the affine map, the running product, or a callable's Euler
-chain row by row. The worker writes the fold's results by position. The draws and the numpy folds release the GIL; a callable runs
-in the calling thread alone: it holds the GIL anyway, and user code need
-not be thread-safe. Memory is W blocks' draws and products: flat in
-n_paths and linear in N.
+chain row by row. The worker writes the fold's results by position. The
+draws and the numpy folds release the GIL; a callable runs in the calling
+thread alone: it holds the GIL anyway, and user code need not be
+thread-safe. Memory is W blocks' draws and products: flat in n_paths and
+linear in N.
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
 the Euler chain itself, one path at a time on Python floats
@@ -109,12 +110,12 @@ StrategySource = Union[str, powmod.OdeSolution, Callable]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls. ``strategy`` is a family name, "exponential"
-    (closed-form schedule; an unrecorded run evaluates terminal wealth as an
-    affine map of each path's noise) or "power" (wealth-proportional
-    controls at the varpi that ``power_exact.factors`` gives at the step
-    times); a power :class:`~delaris.power.OdeSolution`, read by
-    interpolation; or a callable ``(t, w) -> (q, pi_amount)`` on a float
+    """Simulation controls. ``strategy`` is "exponential" (closed-form
+    schedule; an unrecorded run evaluates terminal wealth as an affine map
+    of each path's noise); a power source, "power" or a power
+    :class:`~delaris.power.OdeSolution`, whose wealth-proportional controls
+    take the varpi that ``power_exact.factors`` reads from that source at
+    the step times; or a callable ``(t, w) -> (q, pi_amount)`` on a float
     effective wealth w, called once per path-step. A Monte Carlo run shares
     its paths out to worker threads, one per usable CPU, except under a
     callable, which runs in the calling thread; each worker draws 32 paths
@@ -171,17 +172,16 @@ def _growth(params: ModelParams) -> float:
     return params.constants.A + params.delay.beta
 
 
-def _exp_schedule(params: ModelParams, dt: float, n_steps: int):
-    """Exponential controls (q_k, pi_k) at the step times k*dt, k = 0..n_steps."""
-    times = [min(k * dt, params.horizon) for k in range(n_steps + 1)]
-    return np.array(expmod.schedule(params, times))
+def _step_times(params: ModelParams, dt: float, n_steps: int) -> np.ndarray:
+    """The Euler step times min(k*dt, T), k = 0..n_steps."""
+    return np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
 
 
 def _exp_affine(params: ModelParams, dt: float, n_steps: int):
     """Terminal effective wealth of the exponential Euler chain as an affine
     map of a path's (n_steps, 2) noise Z: returns (mean_N, weights) with
     w_N = mean_N + Z.ravel() @ weights (see the module docstring)."""
-    q, pi = _exp_schedule(params, dt, n_steps - 1)  # the controls at t_N act on no step
+    q, pi = expmod.schedule(params, _step_times(params, dt, n_steps - 1))  # t_N acts on no step
     co, fin = params.coeffs, params.financial
     lam = 1.0 + _growth(params) * dt
     decay = lam ** np.arange(n_steps - 1, -1, -1)  # lam^(N-1-k)
@@ -192,16 +192,16 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
 
 
 def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """varpi at the step times min(k*dt, T), k = 0..n_steps, under a power
-    source: "power" reads ``power_exact.factors``, an ``OdeSolution`` is
-    interpolated. Raises ParameterError for any other source."""
+    """varpi at the step times, k = 0..n_steps, under a power source:
+    ``power_exact.factors`` of the closed form ("power") or of an
+    ``OdeSolution``. Raises ParameterError for any other source."""
     strat = cfg.strategy
     if not (isinstance(strat, powmod.OdeSolution) or strat == POWER):
         raise ParameterError(f"unrecognized strategy source {strat!r}")
     if params.dist.family != POWER:
         raise ParameterError("power strategy supplied for a non-power distribution")
-    t = np.minimum(np.arange(n_steps + 1) * cfg.dt, params.horizon)
-    return power_exact.factors(params, t)[1] if strat == POWER else powmod.varpi_on(strat, t)
+    t = _step_times(params, cfg.dt, n_steps)
+    return power_exact.factors(params, t, None if strat == POWER else strat)[1]
 
 
 def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
@@ -221,7 +221,7 @@ def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
     positive: the path exits the domain there."""
     strat = cfg.strategy
     if strat == EXPONENTIAL:
-        q_s, pi_s = _exp_schedule(params, cfg.dt, n_steps).tolist()
+        q_s, pi_s = np.array(expmod.schedule(params, _step_times(params, cfg.dt, n_steps))).tolist()
         return lambda k, w: (q_s[k], pi_s[k])
     if callable(strat):
         return lambda k, w: strat(k * cfg.dt, w)

@@ -25,12 +25,13 @@ once, as arrays over the whole state grid: a slice evaluates the
 family's time-only factors (exponent slopes and drift rates, or the
 growth factors at that time, their rates and the certainty factor) and
 returns the controls, the per-gamma ansatz jets and the value jet at
-every w of the grid. A power check reads the closed-form factors at all
-its times in one call before its first slice. :func:`generator_terms` is
-affine in (x, m1, m2), so it applies to the whole grid at once too. The
-optimality objective is a q part plus a pi part, so each control is
-swept on its own mesh. The closed forms themselves stay in
-:mod:`delaris.exponential` and :mod:`delaris.power`.
+every w of the grid. A power check reads its factors, closed-form or
+interpolated from a solution, at all its times in one call before its
+first slice. :func:`generator_terms` is affine in (x, m1, m2), so it
+applies to the whole grid at once too. The optimality objective is a q
+part plus a pi part, so each control is swept on its own mesh. The closed
+forms themselves stay in :mod:`delaris.exponential` and
+:mod:`delaris.power`.
 """
 
 from __future__ import annotations
@@ -116,12 +117,12 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
     """The family's closed forms at each of the times t_vals and effective
     wealth w (a float or an array), one time after another: yields
     ((q, pi_x), one ansatz jet per gamma, the value jet). Every time-only
-    factor is evaluated once: power reads its factors at all the times in
-    one closed-form ``factors`` call (or interpolates ``solution`` time by
-    time), before it checks w, and dg/dt from the factor system at them.
+    factor is evaluated once: power reads (g, varpi) at all the times in
+    one ``power_exact.factors`` call on ``solution`` (None: the closed
+    form) before it checks w, and dg/dt from the factor system at them.
     An exploded closed form raises from ``factors``, which names the
-    model's explosion time whatever t_vals are. The family routines
-    take (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
+    model's explosion time whatever t_vals are. The family routines take
+    (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
     if params.dist.family == EXPONENTIAL:
         co, kappa = params.coeffs, params.constants.kappa
         g_const = params.g2 / params.mean_gamma
@@ -138,11 +139,7 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
         return
 
     gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
-    if solution is None:
-        factors = zip(*power_exact.factors(params, t_vals))
-    else:
-        factors = [(g, powmod.aggregate_gamma(g, solution.gammas, solution.probs))  # varpi_at(t)
-                   for g in (powmod.g_at(solution, t) for t in t_vals)]
+    factors = zip(*power_exact.factors(params, t_vals, solution))
     rate_fn = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)
     w = powmod._effective_wealth(params, w, 0.0, "verification")
     for g, varpi in factors:

@@ -393,12 +393,12 @@ def test_nonpositive_counts_rejected(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--x", "0"), ("--x", "nan"), ("--x", "inf"), ("--x", "-inf"),
+    ("--x", "0"), ("--x", "1e-309"), ("--x", "nan"), ("--x", "inf"), ("--x", "-inf"),
     ("--m1", "nan"), ("--m1", "inf"),
 ])
 def test_strategy_rejects_bad_state(tmp_path, capsys, flag, value):
-    # a zero --x would divide pi_fraction by zero; a non-finite state would
-    # write NaN or inf rows
+    # pi_fraction divides by --x: a zero or subnormal --x would make it
+    # infinite; a non-finite state would write NaN or inf rows
     out = tmp_path / "o"
     assert run_cli("strategy", f"{flag}={value}", "--out", str(out)) == 1
     assert f"error: {flag} " in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -228,14 +229,30 @@ def test_initial_strategy_matches_strategy_at_time_zero(pow_case1, pow_case2):
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
-def test_varpi_on_matches_varpi_at(pow_case2):
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (5, 3)])
+def test_factors_from_both_sources_share_one_shape_contract(pow_case2, shape):
+    # the closed form and a grid solution answer the same (g, varpi) call:
+    # g has shape t.shape + (n,) and varpi t.shape
+    sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
+    t = np.linspace(0.0, 2.0, math.prod(shape)).reshape(shape)
+    for source in (None, sol):
+        g, varpi = power_exact.factors(pow_case2, t, source)
+        assert g.shape == shape + (2,) and varpi.shape == shape
+    # the grid route, read last, is g_at and varpi_at time by time, bit for bit
+    for t_k, g_k, varpi_k in zip(t.ravel(), g.reshape(-1, 2), varpi.ravel()):
+        np.testing.assert_array_equal(g_k, powmod.g_at(sol, t_k))
+        assert varpi_k == powmod.varpi_at(sol, t_k)
+
+
+def test_factors_of_a_solution_match_g_at_and_varpi_at(pow_case2):
     sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
     times = np.minimum(np.arange(3001) * (2.0 / 3000), 2.0)  # between and on nodes
-    got = powmod.varpi_on(sol, times)
-    np.testing.assert_array_equal(got, [powmod.varpi_at(sol, float(t)) for t in times])
+    g, varpi = power_exact.factors(pow_case2, times, sol)
+    np.testing.assert_array_equal(g, [powmod.g_at(sol, float(t)) for t in times])
+    np.testing.assert_array_equal(varpi, [powmod.varpi_at(sol, float(t)) for t in times])
     exploded = powmod.solve_growth_factors(levered(pow_case2), dt=1e-3)
     with pytest.raises(DomainError, match="exploded") as on:
-        powmod.varpi_on(exploded, times)
+        power_exact.factors(levered(pow_case2), times, exploded)
     with pytest.raises(DomainError) as at:
         powmod.varpi_at(exploded, 0.0)
     assert str(on.value) == str(at.value)
@@ -467,4 +484,5 @@ def test_empty_times_give_empty_results(pow_case2):
     g, varpi = power_exact.factors(pow_case2, [])
     assert g.shape == (0, 2) and varpi.shape == (0,)
     sol = power_exact.growth_factors(pow_case2, dt=1e-2)
-    assert powmod.varpi_on(sol, np.array([])).shape == (0,)
+    g, varpi = power_exact.factors(pow_case2, [], sol)
+    assert g.shape == (0, 2) and varpi.shape == (0,)

@@ -557,7 +557,7 @@ def _oracle_controls(params, source, dt):
     if source == "exponential":
         sched = [expmod.strategy(params, float(tk)) for tk in t]
         return lambda k, w: sched[k]
-    varpi = power_exact.factors(params, t)[1] if source == "power" else powmod.varpi_on(source, t)
+    varpi = power_exact.factors(params, t, None if source == "power" else source)[1]
     return lambda k, w: powmod._controls(params, w, varpi[k])
 
 
