@@ -15,8 +15,8 @@ from delaris.sweeps import baseline_params
 
 def main() -> None:
     base = baseline_params("exponential", "I")
-    res_i = sweeps.run_sweep(base, "I", "alpha", points=13)
-    res_ii = sweeps.run_sweep(baseline_params("exponential", "II"), "II", "alpha", points=13)
+    res_i = sweeps.run_sweep(base, "alpha", points=13)
+    res_ii = sweeps.run_sweep(baseline_params("exponential", "II"), "alpha", points=13)
     thr = sweeps.baseline_sensitivity_threshold()
     print(f"retention at t=0 against alpha (alpha* = {thr:.4f}):")
     print(f"{'alpha':>8} {'q case I':>12} {'q case II':>12}")

@@ -14,7 +14,7 @@ Run:  python demos/power_factors.py
 import numpy as np
 
 from delaris import ModelParams, RiskAversionDist, mean_gamma
-from delaris import power, power_exact
+from delaris import power
 from delaris.sweeps import baseline_params
 
 
@@ -30,7 +30,7 @@ def main() -> None:
             w = power.varpi_at(sol, float(t))
             print(f"{t:6.2f} {w:10.6f}" + "".join(f" {gi:12.8f}" for gi in g))
         print(f"  varpi(T) - E[gamma] = {power.varpi_at(sol, params.horizon) - mean_gamma(params.dist):.2e}")
-        exact = power_exact.growth_factors(params, dt=1e-4)
+        exact = power.growth_factors(params, dt=1e-4)
         gap = max(np.max(np.abs(sol.g / exact.g - 1.0)),
                   np.max(np.abs(sol.varpi / exact.varpi - 1.0)))
         print(f"  RK4 at dt = 1e-4 vs the closed form, largest relative difference "

@@ -11,7 +11,7 @@ product of its step factors.
 Run:  python demos/simulate_paths.py
 """
 
-from delaris import exponential, power, power_exact
+from delaris import exponential, power
 from delaris.simulation import SimConfig, mc_reward, simulate_path
 from delaris.sweeps import baseline_params
 
@@ -19,7 +19,7 @@ from delaris.sweeps import baseline_params
 def main() -> None:
     params = baseline_params("exponential", "I")
 
-    cfg = SimConfig(dt=0.01, n_paths=1, seed=7, strategy="exponential")
+    cfg = SimConfig(dt=0.01, n_paths=1, seed=7)
     path = simulate_path(params, cfg, path_index=0)
     print("one path, every 40th grid point:")
     print(f"{'t':>6} {'X':>10} {'M1':>10} {'M2':>10} {'q':>8} {'pi':>8}")
@@ -30,14 +30,14 @@ def main() -> None:
 
     report(params, exponential.value(params, 0.0, params.x0, params.m1_0))
     params = baseline_params("power", "I")
-    factors = power_exact.growth_factors(params)
+    factors = power.growth_factors(params)
     report(params, power.value(factors, params, 0.0, params.x0, params.m1_0))
 
 
 def report(params, ref: float) -> None:
     """Print a 20 000-path estimate under the family's own strategy against
     the closed-form value ``ref``."""
-    cfg = SimConfig(dt=0.01, n_paths=20_000, seed=7, strategy=params.dist.family)
+    cfg = SimConfig(dt=0.01, n_paths=20_000, seed=7)  # no strategy: the model's own equilibrium
     est = mc_reward(params, cfg)
     print(f"{params.dist.family} Monte Carlo reward ({cfg.n_paths} paths, dt = {cfg.dt}):")
     print(f"  J_hat = {est.mean:.6f} +/- {est.se:.6f}")

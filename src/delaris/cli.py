@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from . import exponential as expmod
 from . import power as powmod
-from . import power_exact
 from . import simulation as sim
 from . import sweeps as swp
 from . import verification as ver
@@ -224,9 +223,9 @@ def cmd_strategy(args) -> int:
     if params.dist.family == EXPONENTIAL:
         q, amount = expmod.schedule(params, t_vals)
     else:
-        sol = power_exact.growth_factors(params, args.dt)
+        sol = powmod.growth_factors(params, args.dt)
         w = powmod._effective_wealth(params, x, m1, "strategy")
-        q, amount = powmod._controls(params, w, power_exact.factors(params, t_vals)[1])
+        q, amount = powmod._controls(params, w, powmod.factors(params, t_vals)[1])
     with np.errstate(all="ignore"):
         fraction = amount / x
     if not np.isfinite(fraction).all():
@@ -251,7 +250,7 @@ def cmd_sweep(args) -> int:
     params, case = resolve_params(args)
     _require_finite(("--lo", args.lo), ("--hi", args.hi))
     out = _out_dir(args)
-    result = swp.run_sweep(params, case, args.param, points=args.points, lo=args.lo, hi=args.hi)
+    result = swp.run_sweep(params, args.param, points=args.points, lo=args.lo, hi=args.hi)
     name = f"sweep_{args.param}.csv"
     _write_table(out / name, result.values, {"q_hat_0": result.q0, "pi_0": result.pi0},
                  result.valid, result.reasons)
@@ -268,7 +267,7 @@ def cmd_simulate(args) -> int:
     params, case = resolve_params(args)
     dt = args.dt if args.dt is not None else params.horizon / 2000
     n_paths = args.n_paths if args.n_paths is not None else 10000
-    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed, strategy=params.dist.family)
+    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=args.seed)
 
     outputs = ["estimate.json"]
     # only recorded paths read the memory window, so only they need dt | h

@@ -1,4 +1,5 @@
-"""Backward ODE system for the power-utility equilibrium.
+"""The power-utility equilibrium: its backward factor system, the closed
+form of that system, and the controls it gives.
 
 With power utility the equilibrium is characterized by per-gamma growth
 factors g_i(t) (terminal value 1) coupled through the aggregate risk
@@ -23,15 +24,16 @@ tau = int_0^A Phi(a)^2 da, and
 
     log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
 
-:func:`delaris.power_exact.factors` reads (g, varpi) at exactly the times a
-run reads: ``strategy`` at its --t-points times, ``verify`` at its slice
-times and ``simulate`` at its Euler step times, from the closed form or,
-given a grid solution, by interpolating it (:func:`factors_on`).
-:func:`delaris.power_exact.growth_factors` evaluates the closed form at the
-nodes of a uniform grid, only for the ``growth_factors.csv`` artifact (the
---dt grid of ``strategy``, by default horizon/20000). Sweep points and
-figure panels read only the time-zero controls, so
-:func:`delaris.power_exact.initial_strategy` evaluates the one node tau = T.
+The integral is summed over Gauss-Legendre panels, and one batched Newton
+finds A at every tau. :func:`factors` is the one reader of (g, varpi): it
+reads them at exactly the times a run reads (``strategy`` at its
+--t-points times, ``verify`` at its slice times and ``simulate`` at its
+Euler step times) from the closed form or, given a grid solution of the
+same model, by interpolating it. :func:`growth_factors` evaluates the closed form at
+the nodes of a uniform grid, only for the ``growth_factors.csv`` artifact
+(the --dt grid of ``strategy``, by default horizon/20000). Sweep points
+and figure panels read only the time-zero controls, so
+:func:`initial_strategy` evaluates the one node tau = T.
 :func:`solve_growth_factors` marches the system with fixed-step classical
 RK4 instead, recomputing varpi from the stage values of g; it is the
 library's and the tests' reference solver, and no CLI run calls it. varpi
@@ -42,6 +44,14 @@ from the horizon, whose factors leave (0, inf): it keeps the nodes after it
 and is flagged as exploded instead of raising; ``factors`` raises at such a
 time. varpi(0) itself never overflows, so the time-zero controls exist for
 such a model.
+
+``_softmax_gamma`` lays the weights out with the atoms on the leading
+axis, one row of nodes per atom. A node block is a few thousand nodes
+and a model a handful of atoms, so the exponentials, the products with
+p and the sums over the atoms all run as long contiguous loops. With
+the atoms last, each would run numpy's inner loop over two to ten
+elements per node: one (341, 12) block of two atoms takes about 0.17 ms
+that way against 0.05 ms (2-core x86-64 VM).
 
 Equilibrium controls scale linearly in effective wealth w = x + beta*m1 > 0:
 
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ParameterError
+from .exceptions import DomainError, EvaluationError, ParameterError
 from .model import ModelParams, grid_steps
 from .utility import POWER
 
@@ -206,8 +216,197 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
     return _solution(params, dt, n_steps, k, g)
 
 
-def factors_on(sol: OdeSolution, t) -> tuple[np.ndarray, np.ndarray]:
-    """``power_exact.factors`` read from a grid solution: each factor
+_GL_NODES = 12  # Gauss-Legendre nodes per panel of the varpi integral
+_PANEL_RTOL = 1e-15  # a panel whose halves integrate differently by more is split
+_SPLIT_MAX = 40
+_NEWTON_MAX = 60  # enough to bisect a panel down to _NEWTON_RTOL
+_NEWTON_RTOL = 1e-13  # relative size of the last step; Newton's error is quadratic in it
+# temporaries of one block of node evaluations: once freed they leave a later
+# Monte Carlo run a larger heap (2**18 raised the peak RSS of power-verify by
+# 0.5 MB). The partition into blocks also sets each node's last bits: Newton
+# stops a whole block at once, and the panel sums of a block go through one
+# matrix-vector product. 2**17 changed the growth_factors.csv bytes of case II
+# and 2**18 those of case I, although a larger block can be faster (2**17:
+# growth_factors of case I in 17 ms against 23 ms, best of 30 runs on a
+# 2-core x86-64 VM).
+_BLOCK_BYTES = 2**16
+
+
+def _softmax_gamma(a, gam, p, g2c):
+    """Phi(a) and log M(a) at the areas a >= 0 (an array of any shape), as
+    a log-sum-exp: the weights p_i e^{-gamma_i G2 a/2} are divided by the
+    smallest gamma's exponential, so none overflows and the smallest
+    gamma's never underflows. The weights are laid out one row per atom
+    (see the module docstring)."""
+    lo = gam.min()
+    e = np.exp(np.multiply.outer(-0.5 * g2c * (gam - lo), a.ravel()))
+    e *= p[:, None]
+    total = e.sum(axis=0)
+    # the numerator as a plain sum of products: a BLAS gemv would round a
+    # node's last bits by its column's position in the block
+    e *= gam[:, None]
+    return (e.sum(axis=0) / total).reshape(a.shape), np.log(total).reshape(a.shape) - 0.5 * g2c * lo * a
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]:
+    Newton steps on the Legendre recurrence from the guesses
+    cos(pi*(i - 1/4)/(n + 1/2)), with weights 2/((1 - x^2) P_n'(x)^2) on
+    [-1, 1]. numpy.polynomial.legendre.leggauss gives the same rule, but
+    importing it fragments the heap enough to lift the peak RSS of a later
+    Monte Carlo run by about 14 MB (and a LAPACK eigensolver, by 0.6 MB)."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p = np.ones(n), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope**2)
+
+
+_GL_X, _GL_W = _gauss_legendre(_GL_NODES)
+
+
+def _integral(left, width, gam, p, g2c):
+    """int_left^{left+width} Phi^2, elementwise."""
+    phi, _ = _softmax_gamma(left[:, None] + width[:, None] * _GL_X, gam, p, g2c)
+    return (phi**2 @ _GL_W) * width
+
+
+def _panels(tau_max, gam, p, g2c):
+    """Edges of the Gauss-Legendre panels of F(A) = int_0^A Phi(a)^2 da up
+    to past A(tau_max), and F at them.
+
+    The edges first grow geometrically from below the fastest transition
+    scale 2/(G2*(gamma_max - gamma_min)) to twice A's bound
+    tau_max/gamma_min^2; then every panel whose two halves integrate
+    differently from the whole is halved, until none does, so each panel
+    is short next to the poles of the softmax it meets."""
+    a_hi = 2.0 * tau_max / gam.min() ** 2  # Phi >= gamma_min, so F(a_hi) >= 2*tau_max
+    fastest = 0.5 * g2c * (gam.max() - gam.min())
+    a_lo = min(a_hi, 1.0 / fastest if fastest > 0.0 else a_hi) / 8.0
+    n_geo = max(1, math.ceil(math.log2(a_hi / a_lo)))
+    edges = np.concatenate(([0.0], a_lo * (a_hi / a_lo) ** (np.arange(n_geo + 1) / n_geo)))
+    for _ in range(_SPLIT_MAX):
+        half = 0.5 * np.diff(edges)
+        whole = _integral(edges[:-1], 2.0 * half, gam, p, g2c)
+        halves = (_integral(edges[:-1], half, gam, p, g2c)
+                  + _integral(edges[:-1] + half, half, gam, p, g2c))
+        rough = np.abs(whole - halves) > _PANEL_RTOL * halves
+        if not rough.any():
+            return edges, np.concatenate(([0.0], np.cumsum(whole)))
+        edges = np.sort(np.concatenate((edges, edges[:-1][rough] + half[rough])))
+    raise EvaluationError(f"varpi integral not resolved in {_SPLIT_MAX} panel splits")
+
+
+def _area(tau, edges, f_edges, gam, p, g2c):
+    """A(tau), the root of F(A) = tau, at every tau of the block. Each root
+    is bracketed by its panel's edges. One batched Newton (derivative
+    Phi^2) refines them, integrating one short segment from the panel's
+    left edge, and a step that would leave the bracket bisects it instead."""
+    j = np.minimum(np.searchsorted(f_edges, tau, side="right") - 1, len(edges) - 2)
+    a = np.interp(tau, f_edges, edges)
+    left, lo, hi = edges[j], edges[j], edges[j + 1]
+    for _ in range(_NEWTON_MAX):
+        miss = f_edges[j] + _integral(left, a - left, gam, p, g2c) - tau
+        over = miss > 0.0
+        lo, hi = np.where(over, lo, a), np.where(over, a, hi)
+        end, _ = _softmax_gamma(a, gam, p, g2c)
+        new = a - miss / end**2
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - a) <= _NEWTON_RTOL * new
+        a = new
+        if done.all():
+            return a
+    raise EvaluationError(f"varpi integral did not converge in {_NEWTON_MAX} Newton steps")
+
+
+def _evaluate(params: ModelParams, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Fill row j of g with the factors at tau[j] >= 0 (1 at tau = 0, inf
+    where one overflows) and return varpi = Phi(A(tau)). The panels reach
+    max(tau), or the horizon if that is 0; tau is evaluated in blocks
+    written straight into g, so the temporaries stay small."""
+    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
+    g2c, kappa = params.g2, params.constants.kappa
+    edges, f_edges = _panels(tau.max(initial=0.0) or params.horizon, gam, p, g2c)
+    varpi = np.empty(len(tau))
+    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
+    for s in range(0, len(tau), block):
+        rows = slice(s, s + block)
+        area = _area(tau[rows], edges, f_edges, gam, p, g2c)
+        varpi[rows], log_m = _softmax_gamma(area, gam, p, g2c)
+        bracket = (kappa * tau[rows] - 2.0 * log_m)[:, None] - 0.5 * g2c * area[:, None] * gam
+        with np.errstate(over="ignore"):
+            g[rows] = np.exp((1.0 - gam) / gam * bracket)
+    g[tau == 0.0] = 1.0
+    return varpi
+
+
+def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
+    """The factor system evaluated in closed form at the nodes of the grid
+    :func:`solve_growth_factors` marches (dt defaults to horizon/20000):
+
+        log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2]
+
+    with tau = T - t and A = A(tau) (see the module docstring). g(T) = 1 and
+    t[0] = 0 exactly. A node whose factors leave (0, inf) ends the solution
+    as an exploding march ends there: the solution keeps the nodes after the
+    last such node and is flagged as exploded."""
+    dt, n_steps = _grid(params, dt)
+    g = np.empty((n_steps + 1, params.dist.n), order="F")  # the layout OdeSolution keeps
+    _evaluate(params, dt * np.arange(n_steps + 1, dtype=float), g[::-1])  # ascending tau
+    bad = np.flatnonzero(~((g > 0.0) & (g < np.inf)).all(axis=1))
+    k = int(bad[-1]) + 1 if len(bad) else 0
+    return _solution(params, dt, n_steps, k, g[k:])
+
+
+def factors(params: ModelParams, t, solution: OdeSolution | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(g, varpi) at the times t in [0, T] (a float or an array of any
+    shape): g[..., i] = g_i(t) and varpi = Phi(A(T - t)), with no grid.
+    Raises DomainError where a factor leaves (0, inf), naming
+    ``growth_factors``' explosion time. Given a ``solution``, interpolates
+    it instead (``_interpolate``). A solution records the gammas, probs and
+    horizon it was solved for, but no kappa or G2, so only those three are
+    compared with the model's: a ParameterError names each that differs."""
+    _require_power(params)
+    if solution is not None:
+        differ = [name for name, own, model in (("gammas", solution.gammas, params.dist.gammas),
+                                                ("probs", solution.probs, params.dist.probs),
+                                                ("horizon", solution.horizon, params.horizon))
+                  if own != model]
+        if differ:
+            raise ParameterError(f"solution solved for another model: its {', '.join(differ)} "
+                                 "differ from the model's")
+        return _interpolate(solution, t)
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= 0.0) & (t <= params.horizon))
+    if outside.any():
+        raise DomainError(f"t={t[outside][0]} outside [0, {params.horizon}]")
+    g = np.empty((t.size, params.dist.n), order="F")
+    varpi = _evaluate(params, params.horizon - t.ravel(), g)
+    bad = ~((g > 0.0) & (g < np.inf)).all(axis=1)
+    if bad.any():
+        raise DomainError(f"power growth factors exploded at t={growth_factors(params).explosion_time}"
+                          ": a factor leaves (0, inf) before it")
+    return g.reshape(t.shape + (params.dist.n,)), varpi.reshape(t.shape)
+
+
+def initial_strategy(params: ModelParams) -> tuple[float, float]:
+    """Equilibrium (retention, invested amount) at t = 0 and the initial
+    state: the controls at aggregate risk aversion varpi(0) = Phi(A(T)),
+    with no grid. Raises as :func:`strategy` on a solution would for a
+    model of the wrong family or a nonpositive initial effective wealth."""
+    w = _effective_wealth(params, params.x0, params.m1_0, "strategy")
+    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
+    g2c, tau = params.g2, np.array([params.horizon])
+    area = _area(tau, *_panels(params.horizon, gam, p, g2c), gam, p, g2c)
+    varpi, _ = _softmax_gamma(area, gam, p, g2c)
+    return _controls(params, w, float(varpi[0]))
+
+
+def _interpolate(sol: OdeSolution, t) -> tuple[np.ndarray, np.ndarray]:
+    """``factors`` read from a grid solution: each factor
     interpolated linearly, then varpi aggregated from them. Raises
     DomainError at a time outside the solution's valid range."""
     t = np.asarray(t, dtype=float)
@@ -226,19 +425,19 @@ def factors_on(sol: OdeSolution, t) -> tuple[np.ndarray, np.ndarray]:
 
 def g_at(sol: OdeSolution, t: float) -> np.ndarray:
     """Factor values at t, linearly interpolated componentwise on the grid."""
-    return factors_on(sol, float(t))[0]
+    return _interpolate(sol, float(t))[0]
 
 
 def varpi_at(sol: OdeSolution, t: float) -> float:
     """Aggregate risk aversion at t, recomputed from the interpolated factors."""
-    return float(factors_on(sol, float(t))[1])
+    return float(_interpolate(sol, float(t))[1])
 
 
 def strategy(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> tuple[float, float]:
     """Equilibrium (retention, invested amount) at (t, x, m1); both scale
     with effective wealth w = x + beta*m1, which must be positive."""
     w = _effective_wealth(params, x, m1, "strategy")
-    return _controls(params, w, varpi_at(sol, t))
+    return _controls(params, w, float(factors(params, float(t), sol)[1]))
 
 
 def _controls(params: ModelParams, w: float, varpi: float) -> tuple[float, float]:
@@ -258,14 +457,16 @@ def certainty_factor(sol: OdeSolution, t: float) -> float:
 
 def value(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> float:
     """Aggregated certainty-equivalent value, linear in w = x + beta*m1 > 0."""
-    return _effective_wealth(params, x, m1, "value") * certainty_factor(sol, t)
+    w = _effective_wealth(params, x, m1, "value")
+    g = factors(params, float(t), sol)[0]
+    return w * float(_powers(g, np.asarray(sol.gammas)) @ np.asarray(sol.probs))
 
 
 def ansatz(sol: OdeSolution, params: ModelParams, i: int, t: float, x: float, m1: float) -> float:
     """Per-gamma expected utility of terminal effective wealth under the
     equilibrium strategy: g_i(t)^gamma_i * w^(1-gamma_i) / (1-gamma_i)."""
     w = _effective_wealth(params, x, m1, "ansatz")
-    return _ansatz(g_at(sol, t)[i], sol.gammas[i], w)
+    return _ansatz(factors(params, float(t), sol)[0][i], sol.gammas[i], w)
 
 
 def _ansatz(g: float, gam: float, w: float) -> float:
@@ -293,9 +494,8 @@ def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1
 def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
     """Analytic time derivative of the aggregate risk aversion:
     0.5*G2/varpi^2 * (E_w[gamma^2] - varpi^2), with E_w the w_i-weighted mean."""
-    _require_power(params)
     gam = np.asarray(sol.gammas)
-    w = _powers(g_at(sol, t), gam) * np.asarray(sol.probs)
+    w = _powers(factors(params, float(t), sol)[0], gam) * np.asarray(sol.probs)
     varpi, second = (float(_mean_gamma(w, m)[0]) for m in (gam, gam * gam))
     return 0.5 * params.g2 / varpi**2 * (second - varpi**2)
 

@@ -15,9 +15,12 @@ where pi_k is the invested amount and Z1, Z2 are independent standard
 normals; the scheme is weak order one. Every control is a function of (t, w),
 so w is the one state of a Monte Carlo path and memory does not depend on h.
 
-Under the exponential strategy the controls are deterministic, so the chain
-is linear-Gaussian and its terminal value is an affine map of the path's
-noise (``_exp_affine``): with lam = 1 + (A + beta)*dt,
+A run's strategy source (``SimConfig.strategy``) is None, the model's own
+equilibrium, whose family the model names; a power ``OdeSolution`` of the
+same model; or a callable. Under the exponential equilibrium the controls
+are deterministic, so the chain is linear-Gaussian and its terminal value
+is an affine map of the path's noise (``_exp_affine``): with
+lam = 1 + (A + beta)*dt,
 
     w_N = mean_N + Z.ravel() @ weights,
     mean_N = lam^N w_0 + dt sum_k lam^(N-1-k) (a*eta + a*eta2*q_k + pi_k*(mu - r)),
@@ -27,7 +30,7 @@ for the path's (N, 2) draw Z, so an unrecorded exponential path takes no
 step loop. A block of P paths maps at once as ``z.reshape(P, 1, -1) @
 weights``, one 1xK by Kx1 dot per path, which rounds as Z.ravel() @ weights.
 
-Under a power source (the family name or an ``OdeSolution``) the controls
+Under the power family's own equilibrium or an ``OdeSolution`` the controls
 are proportional to w, q_k = cq*w_k/varpi_k and pi_k = cpi*w_k/varpi_k with
 cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2, and the power family has
 eta1 = eta2, so the net loading eta is 0. A step then multiplies w by a
@@ -92,7 +95,6 @@ import numpy as np
 
 from . import exponential as expmod
 from . import power as powmod
-from . import power_exact
 from .exceptions import DomainError, ParameterError
 from .model import ModelParams, grid_steps
 from .seeding import _SEED_BLOCK, path_rngs
@@ -105,32 +107,37 @@ from .utility import (
 )
 
 # strategy callbacks take (t, w), both floats, and return (q, pi_amount)
-StrategySource = Union[str, powmod.OdeSolution, Callable]
+StrategySource = Union[None, powmod.OdeSolution, Callable]
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls. ``strategy`` is "exponential" (closed-form
-    schedule; an unrecorded run evaluates terminal wealth as an affine map
-    of each path's noise); a power source, "power" or a power
-    :class:`~delaris.power.OdeSolution`, whose wealth-proportional controls
-    take the varpi that ``power_exact.factors`` reads from that source at
-    the step times; or a callable ``(t, w) -> (q, pi_amount)`` on a float
-    effective wealth w, called once per path-step. A Monte Carlo run shares
-    its paths out to worker threads, one per usable CPU, except under a
-    callable, which runs in the calling thread; each worker draws 32 paths
-    at a time into one block and maps it to terminal wealth with the
-    source's one fold, so its results do not depend on the worker count.
-    ``n_paths`` and ``seed`` must be integers or finite whole reals."""
+    """Simulation controls. ``strategy`` is None, the model's own
+    equilibrium (exponential: the closed-form schedule, and an unrecorded
+    run evaluates terminal wealth as an affine map of each path's noise;
+    power: wealth-proportional controls at the closed-form varpi); a
+    :class:`~delaris.power.OdeSolution` of the power model, whose varpi
+    ``power.factors`` interpolates at the step times; or a callable
+    ``(t, w) -> (q, pi_amount)`` on a float effective wealth w, called once
+    per path-step. Any other value is rejected here. A Monte Carlo run
+    shares its paths out to worker threads, one per usable CPU, except
+    under a callable, which runs in the calling thread; each worker draws
+    32 paths at a time into one block and maps it to terminal wealth with
+    the source's one fold, so its results do not depend on the worker
+    count. ``n_paths`` and ``seed`` must be integers or finite whole reals."""
 
     dt: float
     n_paths: int
     seed: int
-    strategy: StrategySource
+    strategy: StrategySource = None
 
     def __post_init__(self):
         if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise ParameterError(f"sim.dt must be positive and finite, got {self.dt}")
+        if not (self.strategy is None or isinstance(self.strategy, powmod.OdeSolution)
+                or callable(self.strategy)):
+            raise ParameterError("sim.strategy must be None, a power OdeSolution or a callable, "
+                                 f"got {self.strategy!r}")
         for name, lowest, kind in (("n_paths", 1, "a positive"), ("seed", 0, "a nonnegative")):
             value = getattr(self, name)
             # float(nan).is_integer() and float(inf).is_integer() are False
@@ -191,24 +198,12 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
     return float(mean), weights.ravel()
 
 
-def _power_varpi(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """varpi at the step times, k = 0..n_steps, under a power source:
-    ``power_exact.factors`` of the closed form ("power") or of an
-    ``OdeSolution``. Raises ParameterError for any other source."""
-    strat = cfg.strategy
-    if not (isinstance(strat, powmod.OdeSolution) or strat == POWER):
-        raise ParameterError(f"unrecognized strategy source {strat!r}")
-    if params.dist.family != POWER:
-        raise ParameterError("power strategy supplied for a non-power distribution")
-    t = _step_times(params, cfg.dt, n_steps)
-    return power_exact.factors(params, t, None if strat == POWER else strat)[1]
-
-
 def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
     """The power Euler step as w_{k+1} = w_k*F_k with
     F_k = f0[k] + f12[k] @ (Z1, Z2) (see the module docstring): returns
     (f0, f12)."""
-    varpi = _power_varpi(params, cfg, n_steps)[:-1]  # varpi at t_N acts on no step
+    t = _step_times(params, cfg.dt, n_steps)
+    varpi = powmod.factors(params, t, cfg.strategy)[1][:-1]  # varpi at t_N acts on no step
     co, fin = params.coeffs, params.financial
     cq, cpi = co.a * co.eta2 / co.b2, (fin.mu - fin.r) / fin.sigma**2
     f0 = (params.g2 / varpi + _growth(params)) * cfg.dt + 1.0
@@ -217,15 +212,15 @@ def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
 
 def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
     """Normalize the strategy source to a per-step function (k, w) -> (q, pi)
-    on a float w. Under a power source it gives None where w is not
+    on a float w. Under power controls it gives None where w is not
     positive: the path exits the domain there."""
     strat = cfg.strategy
-    if strat == EXPONENTIAL:
+    if strat is None and params.dist.family == EXPONENTIAL:
         q_s, pi_s = np.array(expmod.schedule(params, _step_times(params, cfg.dt, n_steps))).tolist()
         return lambda k, w: (q_s[k], pi_s[k])
     if callable(strat):
         return lambda k, w: strat(k * cfg.dt, w)
-    varpi_s = _power_varpi(params, cfg, n_steps).tolist()
+    varpi_s = powmod.factors(params, _step_times(params, cfg.dt, n_steps), strat)[1].tolist()
     return lambda k, w: powmod._controls(params, w, varpi_s[k]) if w > 0.0 else None
 
 
@@ -270,7 +265,7 @@ def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
     (paths, n_steps, 2) block of draws, which fold may overwrite, and it
     gives each path's terminal effective wealth and exit time (NaN where
     there is none)."""
-    if cfg.strategy == EXPONENTIAL:
+    if cfg.strategy is None and params.dist.family == EXPONENTIAL:
         mean, weights = _exp_affine(params, cfg.dt, n_steps)
         # one 1xK by Kx1 product per path: it rounds as row.ravel() @ weights
         return lambda z: (mean + (z.reshape(len(z), 1, -1) @ weights)[:, 0],

@@ -11,7 +11,7 @@ and the two-point risk-aversion cases
 
 Sweeps rebuild every point's model first. A power point's time-zero
 controls then come from the closed-form varpi(0) = Phi(A(T)) at its one
-node tau = T (``power_exact.initial_strategy``), with no grid to choose.
+node tau = T (``power.initial_strategy``), with no grid to choose.
 Invalid points are reported as marked rows, never dropped silently.
 
 ``FIGURE_TABLE`` is the single definition of the 29 figure panels and their
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exponential as expmod
-from . import power_exact
+from . import power as powmod
 from .exceptions import DelarisError
 from .model import (
     DelayParams,
@@ -106,7 +106,7 @@ def _initial_controls(base: ModelParams, param: str, value: float):
     the point invalid."""
     try:
         m = apply_param(base, param, value)
-        q, amount = (power_exact.initial_strategy(m) if m.dist.family == POWER
+        q, amount = (powmod.initial_strategy(m) if m.dist.family == POWER
                      else expmod.strategy(m, 0.0))
     except DelarisError as err:
         return err
@@ -118,9 +118,6 @@ class SweepResult:
     """One-parameter sweep of the time-zero equilibrium controls. An invalid
     point has NaN controls and the error text as its reason."""
 
-    param: str
-    family: str
-    case: str
     values: np.ndarray
     q0: np.ndarray
     pi0: np.ndarray
@@ -130,7 +127,6 @@ class SweepResult:
 
 def run_sweep(
     base: ModelParams,
-    case: str,
     param: str,
     points: int = 25,
     lo: float | None = None,
@@ -145,7 +141,7 @@ def run_sweep(
     q0, pi0 = (np.array([r[j] if ok else np.nan for r, ok in zip(rows, valid)], dtype=float)
                for j in (0, 1))
     reasons = tuple("" if ok else str(r) for r, ok in zip(rows, valid))
-    return SweepResult(param, base.dist.family, case, values, q0, pi0, valid, reasons)
+    return SweepResult(values, q0, pi0, valid, reasons)
 
 
 # ------------------------------------------------------------- figures
@@ -189,7 +185,7 @@ def figure_data(points: int = 25,
     ``families``. Each (family, param, case) sweep is run once."""
     keys = dict.fromkeys((family, param, case) for _, family, param, _, cases, _ in FIGURE_TABLE
                          if family in families for case in cases)
-    sweep = {(family, param, case): run_sweep(baseline_params(family, case), case, param, points)
+    sweep = {(family, param, case): run_sweep(baseline_params(family, case), param, points)
              for family, param, case in keys}
 
     alpha_star, panels = baseline_sensitivity_threshold(), {}

@@ -25,13 +25,13 @@ once, as arrays over the whole state grid: a slice evaluates the
 family's time-only factors (exponent slopes and drift rates, or the
 growth factors at that time, their rates and the certainty factor) and
 returns the controls, the per-gamma ansatz jets and the value jet at
-every w of the grid. A power check reads its factors, closed-form or
-interpolated from a solution, at all its times in one call before its
-first slice. :func:`generator_terms` is affine in (x, m1, m2), so it
-applies to the whole grid at once too. The optimality objective is a q
-part plus a pi part, so each control is swept on its own mesh. The closed
-forms themselves stay in :mod:`delaris.exponential` and
-:mod:`delaris.power`.
+every w of the grid. A power check reads its factors at all its times in
+one ``power.factors`` call before its first slice: the closed form, or a
+solution of the same model interpolated. :func:`generator_terms` is affine
+in (x, m1, m2), so it applies to the whole grid at once too. The
+optimality objective is a q part plus a pi part, so each control is swept
+on its own mesh. The closed forms themselves stay in
+:mod:`delaris.exponential` and :mod:`delaris.power`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 
 from . import exponential as expmod
 from . import power as powmod
-from . import power_exact
 from .exceptions import ParameterError
 from .model import ModelParams
 from .simulation import SimConfig, mc_reward
@@ -118,7 +117,7 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
     wealth w (a float or an array), one time after another: yields
     ((q, pi_x), one ansatz jet per gamma, the value jet). Every time-only
     factor is evaluated once: power reads (g, varpi) at all the times in
-    one ``power_exact.factors`` call on ``solution`` (None: the closed
+    one ``power.factors`` call on ``solution`` (None: the closed
     form) before it checks w, and dg/dt from the factor system at them.
     An exploded closed form raises from ``factors``, which names the
     model's explosion time whatever t_vals are. The family routines take
@@ -139,7 +138,7 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
         return
 
     gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
-    factors = zip(*power_exact.factors(params, t_vals, solution))
+    factors = zip(*powmod.factors(params, t_vals, solution))
     rate_fn = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)
     w = powmod._effective_wealth(params, w, 0.0, "verification")
     for g, varpi in factors:
@@ -413,13 +412,13 @@ def feynman_kac_check(
 ) -> FkReport:
     """Monte Carlo check that the per-gamma ansatz at (0, x0, m1_0) equals
     the expected terminal utility under the equilibrium strategy (power:
-    both from ``solution`` if one is given, else from the closed form).
+    both from ``solution`` if one is given, else from the closed form; the
+    Monte Carlo takes ``solution`` as its strategy source unchanged).
 
     Pass criterion per gamma: |mc - ansatz| <= 3*SE + FK_DT_COEFF*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
     _, jets, _ = _slice(params, solution, 0.0, params.w0)
-    source = params.dist.family if solution is None else solution
-    cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=source)
+    cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=solution)
     est = mc_reward(params, cfg)
     results = []
     for ref, pg in zip((jet.phi for jet in jets), est.per_gamma):

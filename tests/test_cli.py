@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from delaris import cli
 from delaris import power as powmod
-from delaris import power_exact
 from delaris import simulation as sim
 from delaris import sweeps
 from delaris.exceptions import DomainError, ParameterError
@@ -80,7 +79,7 @@ def test_strategy_power_rows_are_the_closed_form_at_their_times(tmp_path):
     rows = np.loadtxt(out / "strategy.csv", delimiter=",", skiprows=1)
     params = sweeps.baseline_params("power", "I")
     np.testing.assert_array_equal(rows[:, 0], np.linspace(0.0, params.horizon, 7))
-    _, varpi = power_exact.factors(params, rows[:, 0])
+    _, varpi = powmod.factors(params, rows[:, 0])
     w = params.x0 + params.delay.beta * params.m1_0
     want = np.column_stack(powmod._controls(params, w, varpi))
     np.testing.assert_allclose(rows[:, 1:3], want, rtol=1e-14, atol=0.0)
@@ -101,7 +100,7 @@ def test_nine_atom_power_model(tmp_path):
                               ("verify", "--check", "optimality")]):
         assert run_cli(*argv, "--config", str(path), "--out", str(tmp_path / str(i))) == 0
     written = powmod.read_csv(tmp_path / "0" / "growth_factors.csv")
-    want = power_exact.growth_factors(cli.load_config(str(path)))
+    want = powmod.growth_factors(cli.load_config(str(path)))
     for field in ("t", "g", "varpi"):
         np.testing.assert_array_equal(getattr(written, field), getattr(want, field))
     for field in ("gammas", "probs", "dt", "horizon", "exploded", "explosion_time"):
@@ -321,7 +320,7 @@ def test_verify_reports_exploded_power_solution(tmp_path, capsys, argv):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(cfg))
     assert run_cli(*argv, "--config", str(path), "--out", str(tmp_path / "o")) == 1
-    when = power_exact.growth_factors(cli.load_config(str(path))).explosion_time
+    when = powmod.growth_factors(cli.load_config(str(path))).explosion_time
     assert 1.59 < when < 1.6
     assert (f"error: power growth factors exploded at t={when}: a factor leaves (0, inf) "
             "before it\n") == capsys.readouterr().err

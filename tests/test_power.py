@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from delaris import power as powmod
-from delaris import power_exact
 from delaris.exceptions import DomainError, ParameterError
 from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 from delaris.utility import POWER, utility
@@ -222,8 +221,8 @@ def test_initial_strategy_matches_strategy_at_time_zero(pow_case1, pow_case2):
     # 1.5e-13 (random model 13; 8.9e-15 at dt 5e-5), hence its wider band
     models = [pow_case1, pow_case2, *_random_power_models(20, seed=4242, base=pow_case1)]
     for params in models:
-        got = power_exact.initial_strategy(params)
-        for sol, rtol in ((power_exact.growth_factors(params), 5e-14),
+        got = powmod.initial_strategy(params)
+        for sol, rtol in ((powmod.growth_factors(params), 5e-14),
                           (powmod.solve_growth_factors(params, dt=1e-4), 2e-13)):
             want = powmod.strategy(sol, params, 0.0, params.x0, params.m1_0)
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
@@ -236,7 +235,7 @@ def test_factors_from_both_sources_share_one_shape_contract(pow_case2, shape):
     sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
     t = np.linspace(0.0, 2.0, math.prod(shape)).reshape(shape)
     for source in (None, sol):
-        g, varpi = power_exact.factors(pow_case2, t, source)
+        g, varpi = powmod.factors(pow_case2, t, source)
         assert g.shape == shape + (2,) and varpi.shape == shape
     # the grid route, read last, is g_at and varpi_at time by time, bit for bit
     for t_k, g_k, varpi_k in zip(t.ravel(), g.reshape(-1, 2), varpi.ravel()):
@@ -247,12 +246,12 @@ def test_factors_from_both_sources_share_one_shape_contract(pow_case2, shape):
 def test_factors_of_a_solution_match_g_at_and_varpi_at(pow_case2):
     sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
     times = np.minimum(np.arange(3001) * (2.0 / 3000), 2.0)  # between and on nodes
-    g, varpi = power_exact.factors(pow_case2, times, sol)
+    g, varpi = powmod.factors(pow_case2, times, sol)
     np.testing.assert_array_equal(g, [powmod.g_at(sol, float(t)) for t in times])
     np.testing.assert_array_equal(varpi, [powmod.varpi_at(sol, float(t)) for t in times])
     exploded = powmod.solve_growth_factors(levered(pow_case2), dt=1e-3)
     with pytest.raises(DomainError, match="exploded") as on:
-        power_exact.factors(levered(pow_case2), times, exploded)
+        powmod.factors(levered(pow_case2), times, exploded)
     with pytest.raises(DomainError) as at:
         powmod.varpi_at(exploded, 0.0)
     assert str(on.value) == str(at.value)
@@ -321,7 +320,7 @@ def test_closed_form_matches_rk4_on_baselines(sol1, pow_case1, pow_case2):
     # within about 1.3e-14 of them
     for params, g0, varpi0 in ((pow_case1, G0_CASE1, VARPI0_CASE1),
                                (pow_case2, G0_CASE2, VARPI0_CASE2)):
-        exact = power_exact.growth_factors(params, dt=1e-4)
+        exact = powmod.growth_factors(params, dt=1e-4)
         rk4 = sol1 if params is pow_case1 else powmod.solve_growth_factors(params, dt=1e-4)
         np.testing.assert_array_equal(exact.t, rk4.t)
         assert exact.t[0] == 0.0 and not exact.exploded and exact.explosion_time is None
@@ -334,12 +333,12 @@ def test_closed_form_matches_rk4_on_baselines(sol1, pow_case1, pow_case2):
         assert all(col.flags.c_contiguous for col in exact.g.T)
         for g_row, varpi in zip(exact.g[::97], exact.varpi[::97]):
             assert varpi == powmod.aggregate_gamma(g_row, exact.gammas, exact.probs)
-    default = power_exact.growth_factors(pow_case1)
+    default = powmod.growth_factors(pow_case1)
     assert default.dt == pow_case1.horizon / 20000 and len(default.t) == 20001
 
 
 def test_closed_form_single_gamma(pow_single):
-    sol = power_exact.growth_factors(pow_single, dt=1e-3)
+    sol = powmod.growth_factors(pow_single, dt=1e-3)
     closed = [powmod.single_gamma_growth(pow_single, 0.5, t) for t in sol.t]
     np.testing.assert_allclose(sol.g[:, 0], closed, rtol=1e-14)
     np.testing.assert_array_equal(sol.varpi, 0.5)
@@ -349,7 +348,7 @@ def test_rk4_contracts_toward_closed_form_at_fourth_order(pow_case1):
     # halving the RK4 step must cut its error in log g(0) about 16-fold
     # wherever that error is above the rounding floor
     models = list(_random_power_models(40, seed=777, base=pow_case1))
-    exact = [np.log(power_exact.growth_factors(m, dt=1e-3).g[0]) for m in models]
+    exact = [np.log(powmod.growth_factors(m, dt=1e-3).g[0]) for m in models]
     err = {}
     for dt in (1e-3, 2e-3):
         sols = [powmod.solve_growth_factors(m, dt=dt) for m in models]
@@ -368,7 +367,7 @@ def test_closed_form_explosion_flagged(pow_case1, model, dt):
     # march does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = power_exact.growth_factors(model(pow_case1), dt=dt)
+        sol = powmod.growth_factors(model(pow_case1), dt=dt)
     assert sol.exploded
     assert sol.explosion_time is not None and 0.0 < sol.explosion_time < 2.0
     assert sol.t[0] == sol.explosion_time
@@ -383,13 +382,13 @@ def test_factors_raise_exploded_before_the_explosion(pow_case1, model):
     # the grid solution is valid from its explosion time on; the factors at
     # exactly the times asked for agree with its nodes there and raise before
     params = model(pow_case1)
-    sol = power_exact.growth_factors(params, dt=1e-3)
+    sol = powmod.growth_factors(params, dt=1e-3)
     for t in (0.0, 0.5 * sol.explosion_time, sol.explosion_time - 1e-3):
         with pytest.raises(DomainError, match="exploded"):
-            power_exact.factors(params, t)
+            powmod.factors(params, t)
     with pytest.raises(DomainError, match="exploded"):
-        power_exact.factors(params, np.linspace(0.0, params.horizon, 11))
-    g, varpi = power_exact.factors(params, sol.t)
+        powmod.factors(params, np.linspace(0.0, params.horizon, 11))
+    g, varpi = powmod.factors(params, sol.t)
     # log g reaches 709 here, so compare it rather than g; tau = T - t is
     # rounded to ulp(T) and d(log g)/d(tau) is about 1.7e3
     np.testing.assert_allclose(np.log(g), np.log(sol.g), rtol=0.0, atol=1e-11)
@@ -400,21 +399,21 @@ def test_factors_at_any_times(pow_case1, pow_case2):
     # the closed form with no grid: the grid's nodes, the times between
     # them, g = 1 at the horizon, and a time outside [0, T] rejected
     for params in (pow_case1, pow_case2):
-        grid = power_exact.growth_factors(params, dt=1e-3)
-        g, varpi = power_exact.factors(params, grid.t)
+        grid = powmod.growth_factors(params, dt=1e-3)
+        g, varpi = powmod.factors(params, grid.t)
         np.testing.assert_allclose(g, grid.g, rtol=2e-15, atol=0.0)
         np.testing.assert_allclose(varpi, grid.varpi, rtol=2e-15, atol=0.0)
         mid = 0.5 * (grid.t[:-1] + grid.t[1:])
-        fine = power_exact.growth_factors(params, dt=5e-4)
-        np.testing.assert_allclose(power_exact.factors(params, mid)[0], fine.g[1::2],
+        fine = powmod.growth_factors(params, dt=5e-4)
+        np.testing.assert_allclose(powmod.factors(params, mid)[0], fine.g[1::2],
                                    rtol=2e-15, atol=0.0)
-        g_t, varpi_t = power_exact.factors(params, params.horizon)
+        g_t, varpi_t = powmod.factors(params, params.horizon)
         assert g_t.shape == (2,) and varpi_t.shape == ()
         np.testing.assert_array_equal(g_t, 1.0)
         assert varpi_t == pytest.approx(params.mean_gamma, rel=1e-15)
         for t in (-1e-9, params.horizon + 1e-9, np.nan):
             with pytest.raises(DomainError, match="outside"):
-                power_exact.factors(params, [0.5, t])
+                powmod.factors(params, [0.5, t])
 
 
 @pytest.mark.parametrize("routine", ["strategy", "value", "ansatz"])
@@ -435,7 +434,7 @@ def test_area_matches_mpmath_on_extreme_spread():
     gam = np.array([1e-4, 0.109, 0.189, 0.331, 0.371, 0.918])
     p = np.array([5.3e-7, 0.0118, 0.178, 0.295, 0.0457, 0.46949947])
     g2c, tau = 10.17, np.linspace(0.0, 2.0, 2001)
-    area = power_exact._area(tau, *power_exact._panels(tau[-1], gam, p, g2c), gam, p, g2c)
+    area = powmod._area(tau, *powmod._panels(tau[-1], gam, p, g2c), gam, p, g2c)
     assert area[0] == 0.0 and np.all(np.diff(area) > 0.0) and area[-1] > 1e8
     with mpmath.workdps(20):
         g, pm = [mpmath.mpf(v) for v in gam], [mpmath.mpf(v) for v in p]
@@ -471,7 +470,7 @@ def test_softmax_gamma_matches_atoms_last_formula():
             p, g2c = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 20.0)
             for shape in ((), (1,), (7,), (341,), (5, 12)):
                 a = np.asarray(rng.exponential(5.0, shape))
-                phi, log_m = power_exact._softmax_gamma(a, gam, p, g2c)
+                phi, log_m = powmod._softmax_gamma(a, gam, p, g2c)
                 phi_ref, log_m_ref = _softmax_atoms_last(a, gam, p, g2c)
                 assert phi.shape == log_m.shape == shape
                 assert np.all(np.abs(phi - phi_ref) <= 8 * np.spacing(phi_ref)), (n, shape)
@@ -481,8 +480,8 @@ def test_softmax_gamma_matches_atoms_last_formula():
 
 
 def test_empty_times_give_empty_results(pow_case2):
-    g, varpi = power_exact.factors(pow_case2, [])
+    g, varpi = powmod.factors(pow_case2, [])
     assert g.shape == (0, 2) and varpi.shape == (0,)
-    sol = power_exact.growth_factors(pow_case2, dt=1e-2)
-    g, varpi = power_exact.factors(pow_case2, [], sol)
+    sol = powmod.growth_factors(pow_case2, dt=1e-2)
+    g, varpi = powmod.factors(pow_case2, [], sol)
     assert g.shape == (0, 2) and varpi.shape == (0,)

@@ -22,3 +22,11 @@ def test_readme_python_block_runs(code, tmp_path):
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block lists exactly the package's .py files, each once
+    layout = re.search(r"^## Layout\n\n```\nsrc/delaris/\n(.*?)^\S", (ROOT / "README.md").read_text(),
+                       re.M | re.S).group(1)
+    listed = re.findall(r"^\s+(\S+\.py)\s", layout, re.M)
+    assert sorted(listed) == sorted(p.name for p in (ROOT / "src" / "delaris").glob("*.py"))

@@ -9,7 +9,6 @@ import pytest
 
 from delaris import exponential as expmod
 from delaris import power as powmod
-from delaris import power_exact
 from delaris import seeding
 from delaris import simulation as sim
 from delaris import sweeps
@@ -44,10 +43,10 @@ def _quiet_params(r=0.1, beta=0.0, family="exponential", points=((0.5, 0.5), (0.
 
 def test_config_validation(exp_case1):
     with pytest.raises(ParameterError):
-        sim.SimConfig(dt=0.0, n_paths=10, seed=0, strategy="exponential")
+        sim.SimConfig(dt=0.0, n_paths=10, seed=0)
     with pytest.raises(ParameterError):
-        sim.SimConfig(dt=1e-3, n_paths=0, seed=0, strategy="exponential")
-    cfg = sim.SimConfig(dt=3e-4, n_paths=2, seed=0, strategy="exponential")
+        sim.SimConfig(dt=1e-3, n_paths=0, seed=0)
+    cfg = sim.SimConfig(dt=3e-4, n_paths=2, seed=0)
     with pytest.raises(ParameterError, match="divide"):
         sim.simulate_path(exp_case1, cfg)
 
@@ -58,7 +57,7 @@ def test_config_validation(exp_case1):
 def test_config_rejects_non_whole_counts(field, value):
     # NaN and inf are not whole numbers: a ParameterError naming the field,
     # never numpy's or int()'s own ValueError or OverflowError
-    kwargs = dict(dt=1e-2, n_paths=10, seed=0, strategy="power")
+    kwargs = dict(dt=1e-2, n_paths=10, seed=0)
     kwargs[field] = value
     with pytest.raises(ParameterError, match=f"sim.{field} must be"):
         sim.SimConfig(**kwargs)
@@ -79,12 +78,13 @@ def test_dt_must_divide_delay_window():
         sim.simulate_path(bad, cfg)
 
 
-def test_unknown_strategy_source(exp_case1):
-    cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=0, strategy="martingale")
-    with pytest.raises(ParameterError, match="strategy"):
-        sim.simulate_path(exp_case1, cfg)
-    with pytest.raises(ParameterError, match="strategy"):
-        sim.mc_reward(exp_case1, cfg)
+def test_unknown_strategy_source():
+    # a family name restates params.dist.family, which None already means;
+    # any source but None, an OdeSolution or a callable fails when the
+    # config is built, before a run starts
+    for source in ("exponential", "power", "martingale"):
+        with pytest.raises(ParameterError, match="sim.strategy"):
+            sim.SimConfig(dt=1e-2, n_paths=1, seed=0, strategy=source)
 
 
 def test_power_solution_requires_power_family(exp_case1, pow_case1):
@@ -94,6 +94,34 @@ def test_power_solution_requires_power_family(exp_case1, pow_case1):
         sim.simulate_path(exp_case1, cfg)
     with pytest.raises(ParameterError):
         sim.mc_reward(exp_case1, cfg)
+
+
+def test_solution_of_another_model_rejected(pow_case1, pow_case2):
+    # a solution records the gammas, probs and horizon it was solved for;
+    # every reader that takes a solution and a model compares them and
+    # names what differs, where case II's controls used to steer case I
+    x0, m1 = pow_case1.x0, pow_case1.m1_0
+    other = ModelParams.build(
+        insurance=pow_case1.insurance, financial=pow_case1.financial, delay=pow_case1.delay,
+        dist=RiskAversionDist(family="power", points=((0.4, 0.5), (0.9, 0.5))),
+        horizon=1.0, x0=x0)
+    for sol, named in ((powmod.solve_growth_factors(pow_case2, dt=1e-3), "probs"),
+                       (powmod.growth_factors(other, dt=1e-2), "gammas, horizon")):
+        cfg = sim.SimConfig(dt=0.002, n_paths=2000, seed=0, strategy=sol)
+        calls = (
+            lambda: sim.mc_reward(pow_case1, cfg),
+            lambda: sim.simulate_path(pow_case1, cfg),
+            lambda: ver.feynman_kac_check(pow_case1, dt=0.002, n_paths=2000, seed=0, solution=sol),
+            lambda: ver.expectation_pde_residual(pow_case1, [0.0], [x0], [m1], solution=sol),
+            lambda: powmod.factors(pow_case1, [0.0, 1.0], sol),
+            lambda: powmod.strategy(sol, pow_case1, 0.0, x0, m1),
+            lambda: powmod.value(sol, pow_case1, 0.0, x0, m1),
+            lambda: powmod.ansatz(sol, pow_case1, 0, 0.0, x0, m1),
+            lambda: powmod.varpi_rate(sol, pow_case1, 0.0),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match=f"its {named} differ"):
+                call()
 
 
 def test_deterministic_compound_growth():
@@ -123,7 +151,7 @@ def test_lagged_state_mirrors_path(exp_case1, h):
     # the lag ring has n_lag rows: at h = 2 it wraps only at the last step,
     # at h = 0.3 (30 steps) it wraps more than six times
     params = sweeps.apply_param(exp_case1, "h", h)
-    cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=23, strategy="exponential")
+    cfg = sim.SimConfig(dt=1e-2, n_paths=1, seed=23)
     path = sim.simulate_path(params, cfg, path_index=0)
     n_lag = round(h / cfg.dt)
     np.testing.assert_array_equal(path.M2[:n_lag], 0.6)
@@ -133,7 +161,7 @@ def test_lagged_state_mirrors_path(exp_case1, h):
 def test_moving_average_matches_quadrature(exp_case1):
     # Euler update vs trapezoid quadrature of the defining integral: both are
     # first-order, their gap on a Brownian-rough path shrinks like dt^1.5
-    cfg = sim.SimConfig(dt=1e-3, n_paths=1, seed=29, strategy="exponential")
+    cfg = sim.SimConfig(dt=1e-3, n_paths=1, seed=29)
     path = sim.simulate_path(exp_case1, cfg, path_index=0)
     for k in (500, 1500, 2000):
         assert path.M1[k] == pytest.approx(
@@ -147,8 +175,8 @@ def test_moving_average_matches_quadrature(exp_case1):
 
 
 def test_reproducible_across_batch_sizes(exp_case1):
-    cfg_a = sim.SimConfig(dt=4e-3, n_paths=9, seed=42, strategy="exponential")
-    cfg_b = sim.SimConfig(dt=4e-3, n_paths=3, seed=42, strategy="exponential")
+    cfg_a = sim.SimConfig(dt=4e-3, n_paths=9, seed=42)
+    cfg_b = sim.SimConfig(dt=4e-3, n_paths=3, seed=42)
     pa = sim.simulate_path(exp_case1, cfg_a, path_index=2)
     pb = sim.simulate_path(exp_case1, cfg_b, path_index=2)
     np.testing.assert_array_equal(pa.X, pb.X)
@@ -158,7 +186,7 @@ def test_reproducible_across_batch_sizes(exp_case1):
 
 
 def test_mc_matches_closed_form_exponential(exp_case1):
-    cfg = sim.SimConfig(dt=2e-3, n_paths=20000, seed=7, strategy="exponential")
+    cfg = sim.SimConfig(dt=2e-3, n_paths=20000, seed=7)
     est = sim.mc_reward(exp_case1, cfg)
     ref = expmod.value(exp_case1, 0.0, exp_case1.x0, exp_case1.m1_0)
     assert abs(est.mean - ref) < 4 * est.se
@@ -234,7 +262,7 @@ def _working_peak(params, strategy, n_paths):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("source", ["power", "solution"])
+@pytest.mark.parametrize("source", [pytest.param(None, id="power"), "solution"])
 def test_power_mc_memory_flat_in_paths(monkeypatch, source):
     # one worker holds one seeding block's draws and products whatever
     # n_paths is: beyond the arrays it returns, its peak grows by less than
@@ -243,7 +271,7 @@ def test_power_mc_memory_flat_in_paths(monkeypatch, source):
     # Under threads the peak depends on how the workers overlap in time, so
     # this pins one worker; two workers hold at most twice its working set
     params = _levered_power()
-    strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
+    strategy = None if source is None else powmod.solve_growth_factors(params, dt=0.01)
     monkeypatch.setattr(sim, "_max_workers", lambda: 1)
     _working_peak(params, strategy, 40)  # the first call also allocates one-time caches
     one = _working_peak(params, strategy, 400)
@@ -258,11 +286,11 @@ def test_exponential_mc_memory_flat_in_paths(monkeypatch, exp_case1):
     # each), its peak does not grow with the path count (one worker pinned,
     # as in the power test; two hold at most twice its working set)
     monkeypatch.setattr(sim, "_max_workers", lambda: 1)
-    _working_peak(exp_case1, "exponential", 40)  # the first call also allocates one-time caches
-    one = _working_peak(exp_case1, "exponential", 4000)
-    assert one <= 1.1 * _working_peak(exp_case1, "exponential", 40)
+    _working_peak(exp_case1, None, 40)  # the first call also allocates one-time caches
+    one = _working_peak(exp_case1, None, 4000)
+    assert one <= 1.1 * _working_peak(exp_case1, None, 40)
     monkeypatch.setattr(sim, "_max_workers", lambda: 2)
-    assert _working_peak(exp_case1, "exponential", 4000) <= 2 * one + 16_000
+    assert _working_peak(exp_case1, None, 4000) <= 2 * one + 16_000
 
 
 def _recording_rngs(states):
@@ -283,7 +311,7 @@ def test_exponential_noise_contract(monkeypatch, exp_case1):
     # Monte Carlo terminal wealth is path i's own draw through the affine
     # map, bit for bit whatever the order and subset, and path i draws from
     # the state path_rng(seed, i) starts in
-    cfg = sim.SimConfig(dt=1e-2, n_paths=12, seed=4, strategy="exponential")
+    cfg = sim.SimConfig(dt=1e-2, n_paths=12, seed=4)
     run_paths, real_rng = sim._run_paths, sim.path_rng
     seen, states = [], []
 
@@ -338,14 +366,14 @@ def _power_chain(params, cfg, f0, f12, index):
         w = w * factor[k] + c
 
 
-@pytest.mark.parametrize("source", ["power", "solution"])
+@pytest.mark.parametrize("source", [pytest.param(None, id="power"), "solution"])
 def test_power_noise_contract(monkeypatch, pow_case1, source):
     # Monte Carlo terminal wealth and exit times are path i's own draw
     # through its factors, bit for bit whatever the order and subset, and
     # path i draws from the state path_rng(seed, i) starts in; most of these
     # paths exit, and so do some on random power models
     params = _levered_power()
-    strategy = "power" if source == "power" else powmod.solve_growth_factors(params, dt=0.01)
+    strategy = None if source is None else powmod.solve_growth_factors(params, dt=0.01)
     cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
     run_paths, path_rngs = sim._run_paths, sim.path_rngs
     seen, states = [], []
@@ -406,9 +434,9 @@ def test_run_paths_do_not_depend_on_worker_count(monkeypatch, exp_case1, exp_cas
     # every result is bit for bit the one-worker result, and a callable
     # runs in the calling thread alone
     levered = _levered_power()
-    cases = [(exp_case1, 0.01, "exponential"), (exp_case2, 0.01, "exponential"),
-             (levered, 0.2, "power"), (levered, 0.2, powmod.solve_growth_factors(levered, dt=0.01)),
-             *((p, 0.2, "power") for p in _random_power_models(10, seed=4242, base=pow_case1)),
+    cases = [(exp_case1, 0.01, None), (exp_case2, 0.01, None),
+             (levered, 0.2, None), (levered, 0.2, powmod.solve_growth_factors(levered, dt=0.01)),
+             *((p, 0.2, None) for p in _random_power_models(10, seed=4242, base=pow_case1)),
              (pow_case1, 0.1, lambda t, w: (0.1, 0.3 * w))]
     calls = _thread_spy(monkeypatch)
     exits = 0
@@ -435,7 +463,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     # eight workers on 13 blocks with the interpreter switching threads
     # every microsecond: a lost or misplaced write would move a path
     params = _levered_power()
-    cfg = sim.SimConfig(dt=0.05, n_paths=400, seed=4, strategy="power")
+    cfg = sim.SimConfig(dt=0.05, n_paths=400, seed=4)
     monkeypatch.setattr(sim, "_max_workers", lambda: 1)
     want = sim._run_paths(params, cfg, range(400))
     monkeypatch.setattr(sim, "_max_workers", lambda: 8)
@@ -456,7 +484,7 @@ def test_single_block_or_cpu_starts_no_thread(monkeypatch, exp_case1):
     calls = _thread_spy(monkeypatch)
     for workers, n_paths in ((1, 100), (4, 32)):
         monkeypatch.setattr(sim, "_max_workers", lambda: workers)
-        cfg = sim.SimConfig(dt=0.01, n_paths=n_paths, seed=4, strategy="exponential")
+        cfg = sim.SimConfig(dt=0.01, n_paths=n_paths, seed=4)
         calls.clear()
         sim._run_paths(exp_case1, cfg, range(n_paths))
         assert {thread for thread, _ in calls} == {threading.current_thread()}
@@ -474,9 +502,8 @@ def test_worker_exception_reaches_caller(monkeypatch, pow_case1):
 
     monkeypatch.setattr(sim, "_max_workers", lambda: 2)
     monkeypatch.setattr(sim, "path_rngs", failing)
-    for strategy in ("power", "exponential"):
-        params = pow_case1 if strategy == "power" else sweeps.baseline_params(strategy, "I")
-        cfg = sim.SimConfig(dt=0.1, n_paths=100, seed=4, strategy=strategy)
+    for params in (pow_case1, sweeps.baseline_params("exponential", "I")):
+        cfg = sim.SimConfig(dt=0.1, n_paths=100, seed=4)
         with pytest.raises(DomainError, match="path 70 failed"):
             sim._run_paths(params, cfg, range(100))
         assert threading.active_count() == started
@@ -493,7 +520,7 @@ def _exp_discrete_utility(params, gamma, dt):
 def test_exponential_mc_matches_exact_discrete_value(case):
     # no discretization allowance: the band is three standard errors
     params = sweeps.baseline_params("exponential", case)
-    cfg = sim.SimConfig(dt=2e-3, n_paths=4000, seed=7, strategy="exponential")
+    cfg = sim.SimConfig(dt=2e-3, n_paths=4000, seed=7)
     for pg in sim.mc_reward(params, cfg).per_gamma:
         assert abs(pg.y_mean - _exp_discrete_utility(params, pg.gamma, cfg.dt)) < 3 * pg.y_se
 
@@ -516,7 +543,7 @@ def test_mc_memory_flat_in_h(monkeypatch, exp_case1):
     # window costs no more than a 30-row one (one worker pinned: under
     # threads the peak depends on how the workers overlap in time)
     monkeypatch.setattr(sim, "_max_workers", lambda: 1)
-    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4, strategy="exponential")
+    cfg = sim.SimConfig(dt=1e-2, n_paths=40, seed=4)
 
     def traced_peak(h):
         params = sweeps.apply_param(exp_case1, "h", h)
@@ -532,18 +559,19 @@ def test_mc_memory_flat_in_h(monkeypatch, exp_case1):
 
 
 def _oracle_case(name, exp_case1, pow_case1):
-    """(params, strategy source, dt, n_paths) of a named oracle case."""
+    """(params, strategy source, dt, n_paths) of a named oracle case; a
+    source of None is the model's own equilibrium."""
     if name == "exponential":
-        return exp_case1, "exponential", 1e-2, 40
+        return exp_case1, None, 1e-2, 40
     if name == "exponential-h0.3":
-        return sweeps.apply_param(exp_case1, "h", 0.3), "exponential", 1e-2, 40
+        return sweeps.apply_param(exp_case1, "h", 0.3), None, 1e-2, 40
     if name == "exponential-kappa-fault":
         # a faulted kappa moves only the analytic reference, never the paths
-        return ver.perturb_constants(exp_case1, "kappa", 0.5), "exponential", 1e-2, 40
+        return ver.perturb_constants(exp_case1, "kappa", 0.5), None, 1e-2, 40
     if name == "power":
         return pow_case1, powmod.solve_growth_factors(pow_case1, dt=1e-2), 1e-2, 40
     if name == "power-closed-form":
-        return pow_case1, "power", 1e-2, 40
+        return pow_case1, None, 1e-2, 40
     params = _levered_power()
     sol = powmod.solve_growth_factors(params, dt=0.01)
     if name == "levered-dt0.2":
@@ -554,10 +582,10 @@ def _oracle_case(name, exp_case1, pow_case1):
 def _oracle_controls(params, source, dt):
     n_steps = round(params.horizon / dt)
     t = np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
-    if source == "exponential":
+    if params.dist.family == "exponential":
         sched = [expmod.strategy(params, float(tk)) for tk in t]
         return lambda k, w: sched[k]
-    varpi = power_exact.factors(params, t, None if source == "power" else source)[1]
+    varpi = powmod.factors(params, t, source)[1]
     return lambda k, w: powmod._controls(params, w, varpi[k])
 
 
@@ -570,7 +598,7 @@ def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1,
     # three-state step at roundoff, and recorded X, M1, M2 match it too
     params, source, dt, n_paths = _oracle_case(case, exp_case1, pow_case1)
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=source)
-    power_domain = source != "exponential"
+    power_domain = params.dist.family == "power"
     X, M1, M2, exit_ref = three_state_euler(
         params, dt, cfg.seed, range(n_paths), _oracle_controls(params, source, dt), power_domain)
     w_term, exit_t = sim._run_paths(params, cfg, range(n_paths))
@@ -595,7 +623,7 @@ def test_negative_retention_rejected(exp_case1):
 
 
 def test_path_csv_and_estimate_json(tmp_path, exp_case1):
-    cfg = sim.SimConfig(dt=1e-2, n_paths=50, seed=13, strategy="exponential")
+    cfg = sim.SimConfig(dt=1e-2, n_paths=50, seed=13)
     path = sim.simulate_path(exp_case1, cfg, path_index=0)
     p_csv = tmp_path / "path.csv"
     sim.write_path_csv(path, p_csv)

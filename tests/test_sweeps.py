@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from delaris import power_exact, sweeps
+from delaris import power as powmod
+from delaris import sweeps
 from delaris.utility import EXPONENTIAL, POWER
 from helpers import levered
 
@@ -30,8 +31,7 @@ def test_figure_data_matches_run_sweep():
     for stem, family, param, metric, cases, _ in sweeps.FIGURE_TABLE:
         panel = panels[stem]
         for case in cases:
-            res = sweeps.run_sweep(sweeps.baseline_params(family, case), case, param,
-                                   points=3)
+            res = sweeps.run_sweep(sweeps.baseline_params(family, case), param, points=3)
             col = res.q0 if metric == "q_hat_0" else res.pi0
             np.testing.assert_array_equal(panel["columns"][f"{metric}_case_{case}"], col)
             if case == cases[0]:
@@ -46,8 +46,8 @@ def _mpmath_varpi0(params):
     co, fin = params.coeffs, params.financial
     gam_f, p_f = np.array(params.dist.gammas), np.array(params.dist.probs)
     g2c_f = (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
-    start = power_exact._area(np.array([params.horizon]),
-                              *power_exact._panels(params.horizon, gam_f, p_f, g2c_f),
+    start = powmod._area(np.array([params.horizon]),
+                              *powmod._panels(params.horizon, gam_f, p_f, g2c_f),
                               gam_f, p_f, g2c_f)[0]
     with mpmath.workdps(30):
         g2c = (mpmath.mpf(fin.mu) - fin.r) ** 2 / mpmath.mpf(fin.sigma) ** 2 \
@@ -77,7 +77,7 @@ def test_power_sweep_rows_mix_valid_and_rejected():
     # time-zero controls read only varpi(0)
     base = sweeps.baseline_params(POWER, "I")
     for model, lo, points in ((levered(base, 1e-3), 0.05, 8), (levered(base), 0.1, 4)):
-        res = sweeps.run_sweep(model, "I", "mu", points=points, lo=lo, hi=0.4)
+        res = sweeps.run_sweep(model, "mu", points=points, lo=lo, hi=0.4)
         rejected = lo < model.financial.r
         assert res.reasons == (
             ("financial.mu must be finite and >= r (got mu=0.05, r=0.1)",) if rejected else ()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from delaris import power as powmod
-from delaris import power_exact
 from delaris import sweeps
 from delaris import verification as ver
 from delaris.exceptions import ParameterError
@@ -127,7 +126,7 @@ def test_optimality_detects_wrong_candidate(family):
     # power factors are solved from the faulted model, as verify
     # --fault-kappa does
     bad = ver.perturb_constants(sweeps.baseline_params(family, "I"), "kappa", 0.2)
-    sol = power_exact.growth_factors(bad, 1e-3) if family == "power" else None
+    sol = powmod.growth_factors(bad, 1e-3) if family == "power" else None
     res = ver.optimality_residual(bad, T_GRID, X_GRID, M1_GRID, m2=0.6, solution=sol)
     assert res.max_scaled_sup > 1e-6 or res.max_cell_distance > 1.0
 
@@ -240,9 +239,9 @@ def test_checks_read_the_factors_in_one_call(pow_case1, pow_case2):
     t_vals = np.linspace(0.0, 2.0, 10)
     w = np.linspace(0.3, 1.5, 5)
     for params in (pow_case1, pow_case2):
-        g, varpi = power_exact.factors(params, t_vals)
+        g, varpi = powmod.factors(params, t_vals)
         for t, slc, g_a, varpi_a in zip(t_vals, ver._slices(params, None, t_vals, w), g, varpi):
-            g_t, varpi_t = power_exact.factors(params, t)
+            g_t, varpi_t = powmod.factors(params, t)
             np.testing.assert_allclose(g_a, g_t, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(varpi_a, varpi_t, rtol=1e-15, atol=0.0)
             (q, pi_x), jets, u = slc
