@@ -15,35 +15,52 @@ each factor solving, backward from the horizon,
 
 The system requires equal safety loadings (net loading zero). It has a
 closed form in tau = T - t. The common term kappa + G2/varpi cancels
-from the softmax that defines varpi, so with
+from the softmax that defines varpi, and G2 only scales its time, so on
+the scale s = G2*A, with
 
-    M(A) = sum_i p_i e^{-gamma_i G2 A/2},   Phi(A) = sum_i gamma_i p_i e^{-gamma_i G2 A/2} / M(A),
+    m(s) = sum_i p_i e^{-gamma_i s/2},   psi(s) = sum_i gamma_i p_i e^{-gamma_i s/2} / m(s),
 
-varpi = Phi(A(tau)), where A(tau) = int_0^tau varpi^-2 solves
-tau = int_0^A Phi(a)^2 da, and
+varpi = psi(S), where S = G2*A(tau) and A(tau) = int_0^tau varpi^-2, so
+S solves G2*tau = Psi(S) = int_0^S psi(s)^2 ds, and
 
-    log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2].
+    log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log m(S) - gamma_i*S/2].
 
-The integral is summed over Gauss-Legendre panels, and one batched Newton
-finds A at every tau. :func:`factors` is the one reader of (g, varpi): it
-reads them at exactly the times a run reads (``strategy`` at its
---t-points times, ``verify`` at its slice times and ``simulate`` at its
-Euler step times) from the closed form or, given a grid solution of the
-same model, by interpolating it. :func:`growth_factors` evaluates the closed form at
-the nodes of a uniform grid, only for the ``growth_factors.csv`` artifact
-(the --dt grid of ``strategy``, by default horizon/20000). Sweep points
-and figure panels read only the time-zero controls, so
-:func:`initial_strategy` evaluates the one node tau = T.
-:func:`solve_growth_factors` marches the system with fixed-step classical
-RK4 instead, recomputing varpi from the stage values of g; it is the
-library's and the tests' reference solver, and no CLI run calls it. varpi
-stays inside [min gamma, max gamma], but a nearly risk-neutral atom's factor
-can overflow float64 (log g reaches about 1e7 for gamma = 1e-4). On either
-grid route the solution then ends quietly at the first node, going backward
-from the horizon, whose factors leave (0, inf): it keeps the nodes after it
-and is flagged as exploded instead of raising; ``factors`` raises at such a
-time. varpi(0) itself never overflows, so the time-zero controls exist for
-such a model.
+psi and Psi depend only on the gammas and probs: every node, of one model
+or of many that share a distribution, is a root of the same Psi at its
+own target G2*tau. Psi is summed over composite Gauss-Legendre panels,
+and one batched Newton finds S at every node. :func:`factors` is the one
+reader of (g, varpi): it reads them at exactly the times a run reads
+(``strategy`` at its --t-points times, ``verify`` at its slice times and
+``simulate`` at its Euler step times) from the closed form or, given a
+grid solution of the same model, by interpolating it.
+:func:`growth_factors` evaluates the closed form at the nodes of a
+uniform grid, only for the ``growth_factors.csv`` artifact (the --dt grid
+of ``strategy``, by default horizon/20000). Sweep points and figure
+panels read only the time-zero controls, so :func:`initial_strategies`
+evaluates the one node tau = T of each model, all models of one
+distribution in one panel set and one Newton; :func:`initial_strategy`
+is its one-model case. :func:`solve_growth_factors` marches the system
+with fixed-step classical RK4 instead, recomputing varpi from the stage
+values of g; it is the library's and the tests' reference solver, and no
+CLI run calls it. varpi stays inside [min gamma, max gamma], but a nearly
+risk-neutral atom's factor can overflow float64 (log g reaches about 1e7
+for gamma = 1e-4). On either grid route the solution then ends quietly
+at the first node, going backward from the horizon, whose factors leave
+(0, inf): it keeps the nodes after it and is flagged as exploded instead
+of raising; ``factors`` raises at such a time. varpi(0) itself never
+overflows, so the time-zero controls exist for such a model, and for one
+whose G2*T overflows: its S is inf and its varpi gamma_min, psi's limit.
+
+A node's (g, varpi) is a function of (gammas, probs, kappa, G2, tau)
+alone, bit for bit, whatever nodes share its call or its block:
+
+- the panel edges start on the lattice s_lo*2^k, with s_lo taken from the
+  gammas, and a panel is split by its own halves' integrals alone, so a
+  larger range adds edges past the old ones and moves none;
+- Newton stops each node at its first converged step;
+- the sums over atoms run row by row in atom order, and each panel's
+  Gauss-Legendre sum is one stacked dot product; numpy's axis sums and a
+  2-D ``@`` group the terms of a node by its position in the block.
 
 ``_softmax_gamma`` lays the weights out with the atoms on the leading
 axis, one row of nodes per atom. A node block is a few thousand nodes
@@ -65,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, EvaluationError, ParameterError
+from .exceptions import DelarisError, DomainError, EvaluationError, ParameterError
 from .model import ModelParams, grid_steps
 from .utility import POWER
 
@@ -186,13 +203,20 @@ def _march(params: ModelParams, dt: float, n_steps: int) -> tuple[int, np.ndarra
     return 0, g
 
 
-def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarray) -> OdeSolution:
-    """The solution whose rows g hold nodes k, k+1, ... of the grid; a march
-    that stopped at node k > 0 has exploded there."""
-    t = params.horizon - dt * np.arange(n_steps - k, n_steps - k - len(g), -1)
-    exploded = k > 0
-    if not exploded:
+def _node_times(horizon: float, dt: float, n_steps: int, k: int) -> np.ndarray:
+    """Times of the grid nodes k, k+1, ..., n_steps: horizon - dt*(n_steps - j)
+    at node j, and 0 exactly at node 0."""
+    t = horizon - dt * np.arange(n_steps - k, -1, -1)
+    if k == 0:
         t[0] = 0.0  # exact endpoint
+    return t
+
+
+def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarray) -> OdeSolution:
+    """The solution whose rows g hold nodes k, k+1, ..., n_steps of the
+    grid; a march that stopped at node k > 0 has exploded there."""
+    t = _node_times(params.horizon, dt, n_steps, k)
+    exploded = k > 0
     return OdeSolution(
         t=t,
         g=np.asfortranarray(g),
@@ -219,33 +243,36 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
 _GL_NODES = 12  # Gauss-Legendre nodes per panel of the varpi integral
 _PANEL_RTOL = 1e-15  # a panel whose halves integrate differently by more is split
 _SPLIT_MAX = 40
+# a cap on the panels: splits that never settle (psi^2 subnormal at
+# gamma_min = 1e-320, or gamma_min = 1e-12 beside 0.999999) doubled the panels
+# until memory ran out. The lattice alone reaches about 1030 panels
+_PANELS_MAX = 2**12
 _NEWTON_MAX = 60  # enough to bisect a panel down to _NEWTON_RTOL
 _NEWTON_RTOL = 1e-13  # relative size of the last step; Newton's error is quadratic in it
+_E_TOP = 1023  # 2**_E_TOP is the largest power of two a float holds
 # temporaries of one block of node evaluations: once freed they leave a later
 # Monte Carlo run a larger heap (2**18 raised the peak RSS of power-verify by
-# 0.5 MB). The partition into blocks also sets each node's last bits: Newton
-# stops a whole block at once, and the panel sums of a block go through one
-# matrix-vector product. 2**17 changed the growth_factors.csv bytes of case II
-# and 2**18 those of case I, although a larger block can be faster (2**17:
-# growth_factors of case I in 17 ms against 23 ms, best of 30 runs on a
-# 2-core x86-64 VM).
+# 0.5 MB). The partition into blocks sets no node's bits (see the module
+# docstring), so it trades only memory against speed.
 _BLOCK_BYTES = 2**16
 
 
-def _softmax_gamma(a, gam, p, g2c):
-    """Phi(a) and log M(a) at the areas a >= 0 (an array of any shape), as
-    a log-sum-exp: the weights p_i e^{-gamma_i G2 a/2} are divided by the
-    smallest gamma's exponential, so none overflows and the smallest
-    gamma's never underflows. The weights are laid out one row per atom
-    (see the module docstring)."""
+def _softmax_gamma(s, gam, p):
+    """psi(s) and log m(s) at s >= 0 (an array of any shape; s = inf reads
+    as the largest float in the weights, where psi has long reached
+    gamma_min), as a log-sum-exp: the weights p_i e^{-gamma_i s/2} are
+    divided by the smallest gamma's exponential, so none overflows and the
+    smallest gamma's never underflows. The weights are laid out one row per
+    atom and summed row by row (see the module docstring)."""
     lo = gam.min()
-    e = np.exp(np.multiply.outer(-0.5 * g2c * (gam - lo), a.ravel()))
+    e = np.exp(np.multiply.outer(-0.5 * (gam - lo), np.minimum(s, np.finfo(float).max).ravel()))
     e *= p[:, None]
-    total = e.sum(axis=0)
-    # the numerator as a plain sum of products: a BLAS gemv would round a
-    # node's last bits by its column's position in the block
-    e *= gam[:, None]
-    return (e.sum(axis=0) / total).reshape(a.shape), np.log(total).reshape(a.shape) - 0.5 * g2c * lo * a
+    total, num = e[0].copy(), e[0] * gam[0]
+    for e_i, gam_i in zip(e[1:], gam[1:]):
+        total += e_i
+        num += e_i * gam_i
+    shape = np.shape(s)
+    return (num / total).reshape(shape), np.log(total).reshape(shape) - 0.5 * lo * s
 
 
 def _gauss_legendre(n):
@@ -268,76 +295,102 @@ def _gauss_legendre(n):
 _GL_X, _GL_W = _gauss_legendre(_GL_NODES)
 
 
-def _integral(left, width, gam, p, g2c):
-    """int_left^{left+width} Phi^2, elementwise."""
-    phi, _ = _softmax_gamma(left[:, None] + width[:, None] * _GL_X, gam, p, g2c)
-    return (phi**2 @ _GL_W) * width
+def _integral(left, width, gam, p):
+    """int_left^{left+width} psi^2, elementwise. The Gauss-Legendre sum is
+    one stacked dot product per segment over a fresh C-contiguous stack,
+    which rounds each segment as a lone one; a 2-D ``@`` goes through gemv,
+    which rounds a row by its position in the block."""
+    psi, _ = _softmax_gamma(left[:, None] + width[:, None] * _GL_X, gam, p)
+    return (psi[:, None, :] ** 2 @ _GL_W[:, None])[:, 0, 0] * width
 
 
-def _panels(tau_max, gam, p, g2c):
-    """Edges of the Gauss-Legendre panels of F(A) = int_0^A Phi(a)^2 da up
-    to past A(tau_max), and F at them.
+def _panels(target_max, gam, p):
+    """Edges of the Gauss-Legendre panels of Psi(S) = int_0^S psi(s)^2 ds up
+    to past the root of Psi(S) = target_max, and Psi at them.
 
-    The edges first grow geometrically from below the fastest transition
-    scale 2/(G2*(gamma_max - gamma_min)) to twice A's bound
-    tau_max/gamma_min^2; then every panel whose two halves integrate
-    differently from the whole is halved, until none does, so each panel
-    is short next to the poles of the softmax it meets."""
-    a_hi = 2.0 * tau_max / gam.min() ** 2  # Phi >= gamma_min, so F(a_hi) >= 2*tau_max
-    fastest = 0.5 * g2c * (gam.max() - gam.min())
-    a_lo = min(a_hi, 1.0 / fastest if fastest > 0.0 else a_hi) / 8.0
-    n_geo = max(1, math.ceil(math.log2(a_hi / a_lo)))
-    edges = np.concatenate(([0.0], a_lo * (a_hi / a_lo) ** (np.arange(n_geo + 1) / n_geo)))
+    The edges first lie on the lattice 0, s_lo*2^k (k = 0, 1, ...). Its
+    base s_lo, a quarter of the fastest transition scale
+    1/(gamma_max - gamma_min), comes from the gammas alone, and it reaches
+    2*target_max/gamma_min^2 (psi >= gamma_min, so Psi there is at least
+    2*target_max) or its largest point a float holds. Then every panel
+    whose two halves integrate differently from the whole is halved, until
+    none does, so each panel is short next to the poles of the softmax it
+    meets. A split is decided by its own panel, so a larger target_max adds
+    edges past the old last one and moves none, nor Psi at one."""
+    lo, spread = float(gam.min()), float(gam.max() - gam.min())
+    s_lo = min(0.25 / spread, 2.0**_E_TOP) if spread > 0.0 else 1.0
+    ratio = min(2.0 * target_max / lo / lo / s_lo, 2.0**_E_TOP)
+    top = min(math.frexp(ratio)[1], _E_TOP + 1 - math.frexp(s_lo)[1])
+    edges = np.concatenate(([0.0], np.ldexp(s_lo, np.arange(max(top, 0) + 1))))
     for _ in range(_SPLIT_MAX):
         half = 0.5 * np.diff(edges)
-        whole = _integral(edges[:-1], 2.0 * half, gam, p, g2c)
-        halves = (_integral(edges[:-1], half, gam, p, g2c)
-                  + _integral(edges[:-1] + half, half, gam, p, g2c))
+        whole = _integral(edges[:-1], 2.0 * half, gam, p)
+        halves = _integral(edges[:-1], half, gam, p) + _integral(edges[:-1] + half, half, gam, p)
         rough = np.abs(whole - halves) > _PANEL_RTOL * halves
         if not rough.any():
             return edges, np.concatenate(([0.0], np.cumsum(whole)))
         edges = np.sort(np.concatenate((edges, edges[:-1][rough] + half[rough])))
-    raise EvaluationError(f"varpi integral not resolved in {_SPLIT_MAX} panel splits")
+        if len(edges) > _PANELS_MAX + 1:
+            break
+    raise EvaluationError(f"varpi integral not resolved in {_SPLIT_MAX} panel splits "
+                          f"and {_PANELS_MAX} panels")
 
 
-def _area(tau, edges, f_edges, gam, p, g2c):
-    """A(tau), the root of F(A) = tau, at every tau of the block. Each root
-    is bracketed by its panel's edges. One batched Newton (derivative
-    Phi^2) refines them, integrating one short segment from the panel's
-    left edge, and a step that would leave the bracket bisects it instead."""
-    j = np.minimum(np.searchsorted(f_edges, tau, side="right") - 1, len(edges) - 2)
-    a = np.interp(tau, f_edges, edges)
-    left, lo, hi = edges[j], edges[j], edges[j + 1]
+def _area(target, edges, f_edges, gam, p):
+    """S, the root of Psi(S) = target, at every target of the block: inf
+    past the last edge (above half the float range, where psi has reached
+    gamma_min). Each root is bracketed by its panel's edges. Newton
+    (derivative psi^2) refines them, integrating one short segment from the
+    panel's left edge, and a step that would leave the bracket bisects it
+    instead. Each node stops at its first converged step."""
+    s = np.full(len(target), np.inf)
+    live = np.flatnonzero(target <= f_edges[-1])
+    goal = target[live]
+    j = np.minimum(np.searchsorted(f_edges, goal, side="right") - 1, len(edges) - 2)
+    a, base, lo, hi = np.interp(goal, f_edges, edges), f_edges[j], edges[j], edges[j + 1]
+    left = lo
     for _ in range(_NEWTON_MAX):
-        miss = f_edges[j] + _integral(left, a - left, gam, p, g2c) - tau
+        miss = base + _integral(left, a - left, gam, p) - goal
         over = miss > 0.0
         lo, hi = np.where(over, lo, a), np.where(over, a, hi)
-        end, _ = _softmax_gamma(a, gam, p, g2c)
+        end, _ = _softmax_gamma(a, gam, p)
         new = a - miss / end**2
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        # 0.5*lo + 0.5*hi rounds as 0.5*(lo + hi) does, and cannot overflow
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * lo + 0.5 * hi)
         done = np.abs(new - a) <= _NEWTON_RTOL * new
-        a = new
-        if done.all():
-            return a
+        s[live[done]] = new[done]
+        live, goal, a, base, left, lo, hi = (v[~done] for v in (live, goal, new, base, left, lo, hi))
+        if not len(live):
+            return s
     raise EvaluationError(f"varpi integral did not converge in {_NEWTON_MAX} Newton steps")
+
+
+def _blocks(target, gam, p):
+    """(rows, S, psi(S), log m(S)) at the targets G2*tau >= 0 (inf where
+    G2*tau overflows), one block of rows at a time, all over one panel set."""
+    edges, f_edges = _panels(float(target.max(initial=0.0)), gam, p)
+    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
+    for k in range(0, len(target), block):
+        rows = slice(k, k + block)
+        s = _area(target[rows], edges, f_edges, gam, p)
+        yield (rows, s, *_softmax_gamma(s, gam, p))
 
 
 def _evaluate(params: ModelParams, tau: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Fill row j of g with the factors at tau[j] >= 0 (1 at tau = 0, inf
-    where one overflows) and return varpi = Phi(A(tau)). The panels reach
-    max(tau), or the horizon if that is 0; tau is evaluated in blocks
-    written straight into g, so the temporaries stay small."""
+    where one overflows) and return varpi = psi(S(G2*tau)). tau is
+    evaluated in blocks written straight into g, so the temporaries stay
+    small."""
     gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
-    g2c, kappa = params.g2, params.constants.kappa
-    edges, f_edges = _panels(tau.max(initial=0.0) or params.horizon, gam, p, g2c)
+    kappa = params.constants.kappa
+    with np.errstate(over="ignore"):
+        target = params.g2 * tau
     varpi = np.empty(len(tau))
-    block = max(1, _BLOCK_BYTES // (8 * _GL_NODES * len(gam)))
-    for s in range(0, len(tau), block):
-        rows = slice(s, s + block)
-        area = _area(tau[rows], edges, f_edges, gam, p, g2c)
-        varpi[rows], log_m = _softmax_gamma(area, gam, p, g2c)
-        bracket = (kappa * tau[rows] - 2.0 * log_m)[:, None] - 0.5 * g2c * area[:, None] * gam
-        with np.errstate(over="ignore"):
+    for rows, s, psi, log_m in _blocks(target, gam, p):
+        varpi[rows] = psi
+        # S = inf (G2*tau past the float range) makes the bracket inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = (kappa * tau[rows] - 2.0 * log_m)[:, None] - 0.5 * s[:, None] * gam
             g[rows] = np.exp((1.0 - gam) / gam * bracket)
     g[tau == 0.0] = 1.0
     return varpi
@@ -347,15 +400,18 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
     """The factor system evaluated in closed form at the nodes of the grid
     :func:`solve_growth_factors` marches (dt defaults to horizon/20000):
 
-        log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log M(A) - gamma_i*G2*A/2]
+        log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log m(S) - gamma_i*S/2]
 
-    with tau = T - t and A = A(tau) (see the module docstring). g(T) = 1 and
-    t[0] = 0 exactly. A node whose factors leave (0, inf) ends the solution
-    as an exploding march ends there: the solution keeps the nodes after the
-    last such node and is flagged as exploded."""
+    with tau = T - t of the node time t written and S = S(G2*tau) (see the
+    module docstring), so each row's g is ``factors`` at its t bit for bit;
+    its varpi aggregates that g, as a marched solution's does. g(T) = 1 and
+    t[0] = 0 exactly. A node whose factors leave (0, inf) ends
+    the solution as an exploding march ends there: the solution keeps the
+    nodes after the last such node and is flagged as exploded."""
     dt, n_steps = _grid(params, dt)
+    t = _node_times(params.horizon, dt, n_steps, 0)
     g = np.empty((n_steps + 1, params.dist.n), order="F")  # the layout OdeSolution keeps
-    _evaluate(params, dt * np.arange(n_steps + 1, dtype=float), g[::-1])  # ascending tau
+    _evaluate(params, params.horizon - t, g)
     bad = np.flatnonzero(~((g > 0.0) & (g < np.inf)).all(axis=1))
     k = int(bad[-1]) + 1 if len(bad) else 0
     return _solution(params, dt, n_steps, k, g[k:])
@@ -363,7 +419,7 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
 
 def factors(params: ModelParams, t, solution: OdeSolution | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(g, varpi) at the times t in [0, T] (a float or an array of any
-    shape): g[..., i] = g_i(t) and varpi = Phi(A(T - t)), with no grid.
+    shape): g[..., i] = g_i(t) and varpi = psi(S(G2*(T - t))), with no grid.
     Raises DomainError where a factor leaves (0, inf), naming
     ``growth_factors``' explosion time. Given a ``solution``, interpolates
     it instead (``_interpolate``). A solution records the gammas, probs and
@@ -392,17 +448,54 @@ def factors(params: ModelParams, t, solution: OdeSolution | None = None) -> tupl
     return g.reshape(t.shape + (params.dist.n,)), varpi.reshape(t.shape)
 
 
+def initial_strategies(models) -> list:
+    """Equilibrium (retention, invested amount) at t = 0 and the initial
+    state of each power model, or the DelarisError the model raises on its
+    own. varpi(0) = psi(S(G2*T)) reads a model only through its
+    distribution and its target G2*T, so the models of one distribution
+    share one panel set and one batched Newton, and each entry is the
+    one-model result bit for bit."""
+    results, groups = [None] * len(models), {}
+    for k, m in enumerate(models):
+        try:
+            w = _effective_wealth(m, m.x0, m.m1_0, "strategy")
+        except DelarisError as err:
+            results[k] = err
+        else:
+            groups.setdefault((m.dist.gammas, m.dist.probs), []).append((k, w))
+    for (gammas, probs), members in groups.items():
+        # Python floats: G2*T past the float range is inf, with no warning
+        targets = np.array([models[k].g2 * models[k].horizon for k, _ in members])
+        for (k, w), varpi in zip(members, _initial_varpi(targets, gammas, probs)):
+            results[k] = varpi if isinstance(varpi, DelarisError) else _controls(models[k], w, varpi)
+    return results
+
+
+def _initial_varpi(targets: np.ndarray, gammas, probs) -> list:
+    """psi(S(target)) at each target of one distribution, or the
+    EvaluationError of a target that fails when solved alone."""
+    gam, p = np.array(gammas, dtype=float), np.array(probs, dtype=float)
+    varpi = np.empty(len(targets))
+    try:
+        for rows, _, psi, _ in _blocks(targets, gam, p):
+            varpi[rows] = psi
+    except EvaluationError as err:
+        if len(targets) == 1:
+            return [err]
+        return [v for target in targets for v in _initial_varpi(np.array([target]), gammas, probs)]
+    return varpi.tolist()
+
+
 def initial_strategy(params: ModelParams) -> tuple[float, float]:
     """Equilibrium (retention, invested amount) at t = 0 and the initial
-    state: the controls at aggregate risk aversion varpi(0) = Phi(A(T)),
-    with no grid. Raises as :func:`strategy` on a solution would for a
-    model of the wrong family or a nonpositive initial effective wealth."""
-    w = _effective_wealth(params, params.x0, params.m1_0, "strategy")
-    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
-    g2c, tau = params.g2, np.array([params.horizon])
-    area = _area(tau, *_panels(params.horizon, gam, p, g2c), gam, p, g2c)
-    varpi, _ = _softmax_gamma(area, gam, p, g2c)
-    return _controls(params, w, float(varpi[0]))
+    state: the controls at aggregate risk aversion varpi(0) = psi(S(G2*T)),
+    with no grid; the one-model case of :func:`initial_strategies`. Raises
+    as :func:`strategy` on a solution would for a model of the wrong family
+    or a nonpositive initial effective wealth."""
+    (result,) = initial_strategies([params])
+    if isinstance(result, DelarisError):
+        raise result
+    return result
 
 
 def _interpolate(sol: OdeSolution, t) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,13 @@ and the two-point risk-aversion cases
     case II: gamma = (0.5, 0.9), p = (0.8, 0.2)
 
 Sweeps rebuild every point's model first. A power point's time-zero
-controls then come from the closed-form varpi(0) = Phi(A(T)) at its one
-node tau = T (``power.initial_strategy``), with no grid to choose.
-Invalid points are reported as marked rows, never dropped silently.
+controls then come from the closed-form varpi(0) = psi(S(G2*T)) at its
+one node tau = T, with no grid to choose. psi depends only on the
+risk-aversion distribution, so the valid power points of a sweep, and
+those of every figure sweep of one case, are solved together in one
+``power.initial_strategies`` call; each equals its one-model
+``power.initial_strategy`` bit for bit. Invalid points are reported as
+marked rows, with their own reasons, never dropped silently.
 
 ``FIGURE_TABLE`` is the single definition of the 29 figure panels and their
 shape claims; ``figure_data`` turns its rows into panels.
@@ -100,17 +104,41 @@ def apply_param(base: ModelParams, name: str, value: float) -> ModelParams:
     )
 
 
-def _initial_controls(base: ModelParams, param: str, value: float):
+def _models(base: ModelParams, param: str, values: np.ndarray) -> list:
+    """``base`` with ``param`` set to each value, or the DelarisError that
+    marks the point invalid."""
+    models = []
+    for v in values:
+        try:
+            models.append(apply_param(base, param, float(v)))
+        except DelarisError as err:
+            models.append(err)
+    return models
+
+
+def _initial_controls(models: list) -> list:
     """(retention, invested fraction) at time zero and the initial state of
-    ``base`` with ``param`` set to ``value``, or the DelarisError that marks
-    the point invalid."""
-    try:
-        m = apply_param(base, param, value)
-        q, amount = (powmod.initial_strategy(m) if m.dist.family == POWER
-                     else expmod.strategy(m, 0.0))
-    except DelarisError as err:
-        return err
-    return q, amount / m.x0
+    each model, or the DelarisError that marks its point invalid (an entry
+    that is already one stays). The power models go to one
+    ``power.initial_strategies`` call, which solves those of one
+    distribution together."""
+    power = iter(powmod.initial_strategies(
+        [m for m in models if isinstance(m, ModelParams) and m.dist.family == POWER]))
+    rows = []
+    for m in models:
+        row = m
+        if isinstance(m, ModelParams):
+            if m.dist.family == POWER:
+                row = next(power)
+            else:
+                try:
+                    row = expmod.strategy(m, 0.0)
+                except DelarisError as err:
+                    row = err
+            if not isinstance(row, DelarisError):
+                row = (row[0], row[1] / m.x0)
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -125,6 +153,21 @@ class SweepResult:
     reasons: tuple[str, ...]
 
 
+def _values(param: str, points: int, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+    if param not in SWEEP_RANGES:
+        raise DelarisError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_RANGES)}")
+    lo_d, hi_d = SWEEP_RANGES[param]
+    return np.linspace(lo_d if lo is None else lo, hi_d if hi is None else hi, points)
+
+
+def _result(values: np.ndarray, rows: list) -> SweepResult:
+    valid = np.array([not isinstance(r, DelarisError) for r in rows], dtype=bool)
+    q0, pi0 = (np.array([r[j] if ok else np.nan for r, ok in zip(rows, valid)], dtype=float)
+               for j in (0, 1))
+    reasons = tuple("" if ok else str(r) for r, ok in zip(rows, valid))
+    return SweepResult(values, q0, pi0, valid, reasons)
+
+
 def run_sweep(
     base: ModelParams,
     param: str,
@@ -132,16 +175,8 @@ def run_sweep(
     lo: float | None = None,
     hi: float | None = None,
 ) -> SweepResult:
-    if param not in SWEEP_RANGES:
-        raise DelarisError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_RANGES)}")
-    lo_d, hi_d = SWEEP_RANGES[param]
-    values = np.linspace(lo_d if lo is None else lo, hi_d if hi is None else hi, points)
-    rows = [_initial_controls(base, param, float(v)) for v in values]
-    valid = np.array([not isinstance(r, DelarisError) for r in rows], dtype=bool)
-    q0, pi0 = (np.array([r[j] if ok else np.nan for r, ok in zip(rows, valid)], dtype=float)
-               for j in (0, 1))
-    reasons = tuple("" if ok else str(r) for r, ok in zip(rows, valid))
-    return SweepResult(values, q0, pi0, valid, reasons)
+    values = _values(param, points, lo, hi)
+    return _result(values, _initial_controls(_models(base, param, values)))
 
 
 # ------------------------------------------------------------- figures
@@ -182,11 +217,17 @@ FIGURE_TABLE = (
 def figure_data(points: int = 25,
                 families: tuple[str, ...] = (EXPONENTIAL, POWER)) -> dict[str, dict]:
     """All bundled figure panels keyed by stem: one per FIGURE_TABLE row of
-    ``families``. Each (family, param, case) sweep is run once."""
+    ``families``. Each (family, param, case) sweep is run once, and the
+    time-zero controls of all their points in one ``_initial_controls``
+    call, so the power points of a case share one solve."""
     keys = dict.fromkeys((family, param, case) for _, family, param, _, cases, _ in FIGURE_TABLE
                          if family in families for case in cases)
-    sweep = {(family, param, case): run_sweep(baseline_params(family, case), param, points)
-             for family, param, case in keys}
+    values = {key: _values(key[1], points) for key in keys}
+    models = [_models(baseline_params(family, case), param, values[family, param, case])
+              for family, param, case in keys]
+    rows = iter(_initial_controls([m for sweep_models in models for m in sweep_models]))
+    sweep = {key: _result(values[key], [next(rows) for _ in sweep_models])
+             for key, sweep_models in zip(keys, models)}
 
     alpha_star, panels = baseline_sensitivity_threshold(), {}
     for stem, family, param, metric, cases, shape in FIGURE_TABLE:

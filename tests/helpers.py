@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from delaris.model import ModelParams, RiskAversionDist
+from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 from delaris.simulation import path_rng
 from delaris.utility import POWER
 
@@ -93,3 +93,23 @@ def three_state_euler(params, dt, seed, indices, controls, power_domain):
                  + fin.sigma * pi * math.sqrt(dt) * noise[k, :, 1],
                  m1 + (x - delay.alpha * m1 - math.exp(-delay.alpha * delay.h) * m2) * dt)
     return X, M1, M2, exit_t
+
+
+def random_power_models(count, seed, base):
+    """Seeded admissible power models with 2-10 atoms and random market and memory."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 11))
+        r = rng.uniform(0.01, 0.2)
+        yield ModelParams.build(
+            insurance=base.insurance,
+            financial=FinancialParams(r=r, mu=r + rng.uniform(0.0, 0.3),
+                                      sigma=rng.uniform(0.2, 1.0)),
+            delay=DelayParams(alpha=rng.uniform(0.0, 2.0), beta=rng.uniform(0.0, 1.0),
+                              h=rng.uniform(0.1, 5.0)),
+            dist=RiskAversionDist(family=POWER, points=tuple(zip(
+                rng.choice(np.linspace(0.02, 0.98, 49), n, replace=False),
+                rng.dirichlet(np.ones(n))))),
+            horizon=base.horizon,
+            x0=base.x0,
+        )

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,22 @@ def test_nonfinite_g2_sweep_point_is_invalid(tmp_path, capsys, argv, field):
     assert run_cli("strategy", "--config", str(tmp_path / "m.json"),
                    "--out", str(tmp_path / "c")) == 1
     assert "financial.sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo, hi, points", [("1e153", "4e153", "2"), ("7e153", "7e153", "1")],
+                         ids=["g2-near-float-max", "g2-tau-overflows"])
+def test_power_sweep_at_the_float_range_of_g2(tmp_path, lo, hi, points):
+    # G2 = 4.4e307 at mu = 4e153 overflowed the panel range, and at mu = 7e153
+    # G2*T itself overflows: every row is valid at varpi(0) = gamma_min,
+    # psi's limit, with no floating-point warning
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep", "--family", "power", "--param", "mu", "--lo", lo, "--hi", hi,
+                       "--points", points, "--out", str(out)) == 0
+    rows = [r.split(",") for r in (out / "sweep_mu.csv").read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["true"] * int(points)
+    assert [r[1] for r in rows] == ["0.19137817005891405"] * int(points)
 
 
 def test_simulate_writes_estimate_and_paths(tmp_path):

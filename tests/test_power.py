@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from delaris import power as powmod
-from delaris.exceptions import DomainError, ParameterError
-from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
+from delaris.exceptions import DomainError, EvaluationError, ParameterError
+from delaris.model import ModelParams, RiskAversionDist
 from delaris.utility import POWER, utility
-from helpers import levered
+from helpers import levered, random_power_models
 
 # frozen references: step-doubled first-order integration at dt = 1e-6
 # (helpers.richardson_growth), independent of the RK4 solver under test
@@ -182,31 +182,11 @@ def _reference_march(params, dt):
     return g, k
 
 
-def _random_power_models(count, seed, base):
-    """Seeded admissible power models with 2-10 atoms and random market and memory."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, 11))
-        r = rng.uniform(0.01, 0.2)
-        yield ModelParams.build(
-            insurance=base.insurance,
-            financial=FinancialParams(r=r, mu=r + rng.uniform(0.0, 0.3),
-                                      sigma=rng.uniform(0.2, 1.0)),
-            delay=DelayParams(alpha=rng.uniform(0.0, 2.0), beta=rng.uniform(0.0, 1.0),
-                              h=rng.uniform(0.1, 5.0)),
-            dist=RiskAversionDist(family=POWER, points=tuple(zip(
-                rng.choice(np.linspace(0.02, 0.98, 49), n, replace=False),
-                rng.dirichlet(np.ones(n))))),
-            horizon=base.horizon,
-            x0=base.x0,
-        )
-
-
 def test_solve_matches_reference_march(pow_case1):
     # a solve ends bit for bit where the plain 1-D reference march ends, and
     # its varpi rows agree with aggregate_gamma
     dt = 4e-3
-    for params in _random_power_models(20, seed=4242, base=pow_case1):
+    for params in random_power_models(20, seed=4242, base=pow_case1):
         sol = powmod.solve_growth_factors(params, dt=dt)
         ref_g, ref_k = _reference_march(params, dt)
         assert ref_k == round(2.0 / dt) - (len(sol.t) - 1)
@@ -219,13 +199,60 @@ def test_initial_strategy_matches_strategy_at_time_zero(pow_case1, pow_case2):
     # the one-node controls are the t = 0 controls of the closed form on its
     # default grid and of RK4 at dt 1e-4. RK4's own error there reaches
     # 1.5e-13 (random model 13; 8.9e-15 at dt 5e-5), hence its wider band
-    models = [pow_case1, pow_case2, *_random_power_models(20, seed=4242, base=pow_case1)]
+    models = [pow_case1, pow_case2, *random_power_models(20, seed=4242, base=pow_case1)]
     for params in models:
         got = powmod.initial_strategy(params)
         for sol, rtol in ((powmod.growth_factors(params), 5e-14),
                           (powmod.solve_growth_factors(params, dt=1e-4), 2e-13)):
             want = powmod.strategy(sol, params, 0.0, params.x0, params.m1_0)
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("dt", [None, 2.0 / 49])
+def test_time_zero_row_is_the_closed_form_at_zero(pow_case1, pow_case2, dt):
+    # the t = 0 row is evaluated at tau = T - 0, as factors(m, 0.0) is; at
+    # dt = 2/49 the node's dt*49 is 1.9999999999999998, not T, which moved
+    # the last bits of g(0) for 7 of these 10 random models. The time-zero
+    # controls read the closed-form varpi of factors(m, 0.0)
+    for params in (pow_case1, pow_case2, *random_power_models(10, seed=4242, base=pow_case1)):
+        sol = powmod.growth_factors(params, dt)
+        g, varpi = powmod.factors(params, 0.0)
+        assert sol.t[0] == 0.0
+        np.testing.assert_array_equal(sol.g[0], g)
+        assert powmod.initial_strategy(params) == powmod._controls(params, params.w0, float(varpi))
+
+
+def test_unresolvable_integral_fails_its_own_points(pow_case1):
+    # psi^2 is subnormal next to gamma_min = 1e-320 and its panels never
+    # settle: they stop at the panel cap with an EvaluationError instead of
+    # exhausting memory, and only the points of that distribution carry it
+    bad = ModelParams.build(
+        insurance=pow_case1.insurance, financial=pow_case1.financial, delay=pow_case1.delay,
+        dist=RiskAversionDist(family=POWER, points=((1e-320, 0.5), (0.9, 0.5))),
+        horizon=pow_case1.horizon, x0=pow_case1.x0)
+    err, good = powmod.initial_strategies([bad, pow_case1])
+    assert isinstance(err, EvaluationError) and "not resolved" in str(err)
+    assert good == powmod.initial_strategy(pow_case1)
+    with pytest.raises(EvaluationError, match="not resolved"):
+        powmod.initial_strategy(bad)
+
+
+def test_closed_form_nodes_do_not_depend_on_their_batch(pow_case1):
+    # a node's (g, varpi) is a function of its model and time alone: single
+    # times and random subsets read the rows of growth_factors, whose blocks
+    # partition the grid otherwise, bit for bit
+    rng = np.random.default_rng(23)
+    for params in random_power_models(40, seed=4242, base=pow_case1):
+        sol = powmod.growth_factors(params, dt=1e-3)
+        _, varpi_all = powmod.factors(params, sol.t)
+        for k in rng.choice(len(sol.t), 3, replace=False):
+            g, varpi = powmod.factors(params, sol.t[k])
+            np.testing.assert_array_equal(g, sol.g[k])
+            assert varpi == varpi_all[k]
+        subset = rng.choice(len(sol.t), int(rng.integers(2, len(sol.t))), replace=False)
+        g, varpi = powmod.factors(params, sol.t[subset])
+        np.testing.assert_array_equal(g, sol.g[subset])
+        np.testing.assert_array_equal(varpi, varpi_all[subset])
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (7,), (5, 3)])
@@ -347,7 +374,7 @@ def test_closed_form_single_gamma(pow_single):
 def test_rk4_contracts_toward_closed_form_at_fourth_order(pow_case1):
     # halving the RK4 step must cut its error in log g(0) about 16-fold
     # wherever that error is above the rounding floor
-    models = list(_random_power_models(40, seed=777, base=pow_case1))
+    models = list(random_power_models(40, seed=777, base=pow_case1))
     exact = [np.log(powmod.growth_factors(m, dt=1e-3).g[0]) for m in models]
     err = {}
     for dt in (1e-3, 2e-3):
@@ -434,7 +461,8 @@ def test_area_matches_mpmath_on_extreme_spread():
     gam = np.array([1e-4, 0.109, 0.189, 0.331, 0.371, 0.918])
     p = np.array([5.3e-7, 0.0118, 0.178, 0.295, 0.0457, 0.46949947])
     g2c, tau = 10.17, np.linspace(0.0, 2.0, 2001)
-    area = powmod._area(tau, *powmod._panels(tau[-1], gam, p, g2c), gam, p, g2c)
+    # the package solves on s = G2*a: S(G2*tau) = G2*A(tau)
+    area = powmod._area(g2c * tau, *powmod._panels(g2c * tau[-1], gam, p), gam, p) / g2c
     assert area[0] == 0.0 and np.all(np.diff(area) > 0.0) and area[-1] > 1e8
     with mpmath.workdps(20):
         g, pm = [mpmath.mpf(v) for v in gam], [mpmath.mpf(v) for v in p]
@@ -451,11 +479,11 @@ def test_area_matches_mpmath_on_extreme_spread():
             assert float(abs(f - tau[k]) / phi2(mpmath.mpf(a)) / a) < 1e-14
 
 
-def _softmax_atoms_last(a, gam, p, g2c):
+def _softmax_atoms_last(s, gam, p):
     """Reference: _softmax_gamma with the atoms on the last axis."""
-    e = p * np.exp(-0.5 * g2c * (gam - gam.min()) * a[..., None])
+    e = p * np.exp(-0.5 * (gam - gam.min()) * s[..., None])
     total = e.sum(axis=-1)
-    return (e @ gam) / total, np.log(total) - 0.5 * g2c * gam.min() * a
+    return (e @ gam) / total, np.log(total) - 0.5 * gam.min() * s
 
 
 def test_softmax_gamma_matches_atoms_last_formula():
@@ -469,9 +497,9 @@ def test_softmax_gamma_matches_atoms_last_formula():
             gam = rng.choice(np.linspace(0.02, 0.98, 49), n, replace=False)
             p, g2c = rng.dirichlet(np.ones(n)), rng.uniform(0.1, 20.0)
             for shape in ((), (1,), (7,), (341,), (5, 12)):
-                a = np.asarray(rng.exponential(5.0, shape))
-                phi, log_m = powmod._softmax_gamma(a, gam, p, g2c)
-                phi_ref, log_m_ref = _softmax_atoms_last(a, gam, p, g2c)
+                s = g2c * np.asarray(rng.exponential(5.0, shape))
+                phi, log_m = powmod._softmax_gamma(s, gam, p)
+                phi_ref, log_m_ref = _softmax_atoms_last(s, gam, p)
                 assert phi.shape == log_m.shape == shape
                 assert np.all(np.abs(phi - phi_ref) <= 8 * np.spacing(phi_ref)), (n, shape)
                 if n < 8:

@@ -21,8 +21,7 @@ from delaris.model import (
     ModelParams,
     RiskAversionDist,
 )
-from helpers import three_state_euler
-from test_power import _random_power_models
+from helpers import random_power_models, three_state_euler
 
 
 def _zero_strategy(t, w):
@@ -403,7 +402,7 @@ def test_power_noise_contract(monkeypatch, pow_case1, source):
         np.testing.assert_array_equal(w_s, w_term[subset])
         np.testing.assert_array_equal(exit_s, exit_t[subset])
     exits = 0
-    for params in _random_power_models(10, seed=4242, base=pow_case1):
+    for params in random_power_models(10, seed=4242, base=pow_case1):
         if source == "solution":
             strategy = powmod.solve_growth_factors(params, dt=0.01)
         cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
@@ -436,7 +435,7 @@ def test_run_paths_do_not_depend_on_worker_count(monkeypatch, exp_case1, exp_cas
     levered = _levered_power()
     cases = [(exp_case1, 0.01, None), (exp_case2, 0.01, None),
              (levered, 0.2, None), (levered, 0.2, powmod.solve_growth_factors(levered, dt=0.01)),
-             *((p, 0.2, None) for p in _random_power_models(10, seed=4242, base=pow_case1)),
+             *((p, 0.2, None) for p in random_power_models(10, seed=4242, base=pow_case1)),
              (pow_case1, 0.1, lambda t, w: (0.1, 0.3 * w))]
     calls = _thread_spy(monkeypatch)
     exits = 0

@@ -3,8 +3,9 @@ import pytest
 
 from delaris import power as powmod
 from delaris import sweeps
+from delaris.exceptions import DelarisError
 from delaris.utility import EXPONENTIAL, POWER
-from helpers import levered
+from helpers import levered, random_power_models
 
 
 def test_figure_table_stems_unique():
@@ -46,9 +47,9 @@ def _mpmath_varpi0(params):
     co, fin = params.coeffs, params.financial
     gam_f, p_f = np.array(params.dist.gammas), np.array(params.dist.probs)
     g2c_f = (fin.mu - fin.r) ** 2 / fin.sigma**2 + (co.a * co.eta2) ** 2 / co.b2
-    start = powmod._area(np.array([params.horizon]),
-                              *powmod._panels(params.horizon, gam_f, p_f, g2c_f),
-                              gam_f, p_f, g2c_f)[0]
+    target = g2c_f * params.horizon  # the package solves on s = G2*a
+    start = powmod._area(np.array([target]), *powmod._panels(target, gam_f, p_f),
+                         gam_f, p_f)[0] / g2c_f
     with mpmath.workdps(30):
         g2c = (mpmath.mpf(fin.mu) - fin.r) ** 2 / mpmath.mpf(fin.sigma) ** 2 \
             + (mpmath.mpf(co.a) * co.eta2) ** 2 / co.b2
@@ -89,3 +90,21 @@ def test_power_sweep_rows_mix_valid_and_rejected():
             co, w0 = params.coeffs, params.x0 + params.delay.beta * params.m1_0
             varpi = co.a * co.eta2 * w0 / (co.b2 * q)
             assert varpi == pytest.approx(_mpmath_varpi0(params), rel=1e-13, abs=0.0)
+
+
+def test_sweep_cells_equal_one_model_solves(pow_case1):
+    # a sweep solves its power points in one batch; each cell is still the
+    # one-model initial_strategy bit for bit, and a rejected point keeps its
+    # own reason (mu below a random r)
+    for base in random_power_models(40, seed=4242, base=pow_case1):
+        for param in ("mu", "sigma", "eta2", "beta"):
+            res = sweeps.run_sweep(base, param, points=5)
+            for v, q0, pi0, ok, reason in zip(res.values, res.q0, res.pi0, res.valid, res.reasons):
+                if not ok:
+                    with pytest.raises(DelarisError) as err:
+                        sweeps.apply_param(base, param, float(v))
+                    assert reason == str(err.value)
+                    continue
+                params = sweeps.apply_param(base, param, float(v))
+                q, amount = powmod.initial_strategy(params)
+                assert (q0, pi0) == (q, amount / params.x0)
