@@ -13,7 +13,6 @@ from .exceptions import (
     DelarisError,
     DomainError,
     EvaluationError,
-    InfeasibleError,
     ParameterError,
 )
 from .model import (
@@ -45,7 +44,6 @@ __all__ = [
     "DelarisError",
     "DomainError",
     "EvaluationError",
-    "InfeasibleError",
     "ParameterError",
     "DelayParams",
     "DerivedDelayConstants",

@@ -9,10 +9,6 @@ class ParameterError(DelarisError, ValueError):
     """A parameter or parameter combination is invalid. Message names the field."""
 
 
-class InfeasibleError(ParameterError):
-    """The delay-constant system has no admissible (nonnegative) solution."""
-
-
 class DomainError(DelarisError, ValueError):
     """An argument lies outside the mathematical domain of the function."""
 

@@ -1,4 +1,4 @@
-"""Model parameters, diffusion coefficients and the delay-constant system.
+"""Model parameters, diffusion coefficients and the delay constants.
 
 The insurer's surplus is approximated by a drifted diffusion with premium
 income rate ``a`` and volatility ``b`` derived from the claim-arrival
@@ -11,18 +11,27 @@ paid out or injected continuously. The structural condition
 
 with ``A = r - B - C`` closes the problem in the three states
 (wealth, running memory, lagged wealth) and yields the effective growth
-rate ``kappa = A + beta`` used by every closed form downstream.
+rate ``kappa = A + beta`` used by every closed form downstream. The
+condition has an explicit solution: with ``em1 = expm1(-alpha*h)`` and
+``s = beta/(1 + beta)``,
+
+    kappa = r - s*(r + alpha + em1),    B = beta*(alpha + kappa) = s*(alpha + r - beta*em1),
+
+``C = beta*exp(-alpha*h)`` and ``A = kappa - beta``. No ``exp(-alpha*h)``
+divides (it underflows to 0 past alpha*h of about 745), and every term of
+``B`` is nonnegative, so nothing cancels and ``B, C >= 0`` by construction.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .exceptions import InfeasibleError, ParameterError
+from .exceptions import ParameterError
 from .utility import EXPONENTIAL, FAMILIES, POWER
 
-# identity tolerance for the solved delay constants, relative
+# tolerance of the identity A = r - B - C the delay constants must meet, relative
 _IDENTITY_RTOL = 1e-12
 _GRID_RTOL = 1e-9  # a step must divide its span to this relative tolerance
 _GAMMA_MIN_EXP = 1e-3  # lower cutoff for exponential gammas
@@ -160,36 +169,26 @@ class DerivedDelayConstants:
 
 
 def kappa_closed_form(r: float, alpha: float, beta: float, h: float) -> float:
-    """Effective growth rate without solving the full system:
-    kappa = r - beta/(1+beta) * (r + alpha + exp(-alpha*h) - 1)."""
-    return r - beta / (1.0 + beta) * (r + alpha + math.exp(-alpha * h) - 1.0)
+    """Effective growth rate kappa = r - beta/(1+beta) * (r + alpha + expm1(-alpha*h)),
+    the closure condition solved for A + beta; expm1 keeps every digit of
+    exp(-alpha*h) - 1 where alpha*h is small."""
+    return r - beta / (1.0 + beta) * (r + alpha + math.expm1(-alpha * h))
 
 
 def solve_delay_constants(fin: FinancialParams, delay: DelayParams) -> DerivedDelayConstants:
-    """Solve for (A, B, C) under the structural closure condition.
-
-    The two conditions plus A = r - B - C give the closed form
-
-        C = beta * e,    B = C * (alpha + r + beta - C) / (e + C),    e = exp(-alpha*h).
-
-    Raises InfeasibleError if a weight comes out negative (cannot happen for
-    validated inputs, kept as a guard) and ParameterError if the solved
-    constants fail their defining identities at 1e-12 relative.
-    """
-    e = math.exp(-delay.alpha * delay.h)
-    c = delay.beta * e
-    b = c * (delay.alpha + fin.r + delay.beta - c) / (e + c)
-    a = fin.r - b - c
-    if b < 0.0 or c < 0.0:
-        raise InfeasibleError(f"delay-constant system infeasible: B={b}, C={c}")
-    kappa = a + delay.beta
-
-    scale = max(1.0, abs(b), abs(c))
-    if abs(b * e - (delay.alpha + a + delay.beta) * c) > _IDENTITY_RTOL * scale:
-        raise ParameterError("solved delay constants violate the closure identity")
-    k_ref = kappa_closed_form(fin.r, delay.alpha, delay.beta, delay.h)
-    if abs(kappa - k_ref) > _IDENTITY_RTOL * max(1.0, abs(k_ref)):
-        raise ParameterError("solved kappa disagrees with its closed form")
+    """(A, B, C, kappa) in closed form (see the module docstring): kappa from
+    :func:`kappa_closed_form`, A = kappa - beta, C = beta*exp(-alpha*h) and
+    B = beta*(alpha + kappa), the closure condition solved for B, in its
+    one-signed form. Raises ParameterError if A = r - B - C fails at 1e-12
+    relative to its largest term (at r = 1e5 and beta = 1e-8, A and
+    r - B - C each round by an ulp of r); the check ties kappa and B."""
+    r, alpha, beta, h = fin.r, delay.alpha, delay.beta, delay.h
+    kappa = kappa_closed_form(r, alpha, beta, h)
+    a, c = kappa - beta, beta * math.exp(-alpha * h)
+    b = beta / (1.0 + beta) * (alpha + r - beta * math.expm1(-alpha * h))
+    if abs(a - (r - b - c)) > _IDENTITY_RTOL * max(1.0, abs(a), b, c):
+        raise ParameterError("delay constants violate A = r - B - C "
+                             "(financial.r, delay.alpha, delay.beta and delay.h)")
     return DerivedDelayConstants(A=a, B=b, C=c, kappa=kappa)
 
 
@@ -336,10 +335,12 @@ class ModelParams:
     @property
     def m1_0(self) -> float:
         """Initial running memory under the constant pre-history x(s) = x0, s <= 0:
-        x0*(1 - exp(-alpha*h))/alpha, with the alpha -> 0 limit x0*h."""
-        if self.delay.alpha > 0.0:
-            return self.x0 * (1.0 - math.exp(-self.delay.alpha * self.delay.h)) / self.delay.alpha
-        return self.x0 * self.delay.h
+        -x0*expm1(-alpha*h)/alpha, or its alpha -> 0 limit x0*h wherever
+        alpha*h is below the normal floats (and keeps too few digits)."""
+        alpha, h = self.delay.alpha, self.delay.h
+        if alpha * h < sys.float_info.min:
+            return self.x0 * h
+        return -self.x0 * math.expm1(-alpha * h) / alpha
 
     @property
     def w0(self) -> float:

@@ -134,19 +134,22 @@ def _powers(g, gam):
     return np.exp(gam / (1.0 - gam) * np.log(g))
 
 
-def _mean_gamma(w, gam):
-    """w-weighted mean of gam over the last axis, kept as a length-1 axis.
-
-    The stacked matmul is one dot product per row and rounds as a 1-D
-    ``w @ gam`` does; a 2-D ``w @ gam`` goes through gemv and moves some
-    rows by an ulp."""
-    return (w[..., None, :] @ gam[..., None])[..., 0] / w.sum(axis=-1, keepdims=True)
+def _atom_sums(w, gam):
+    """(sum_i w_i*gam_i, sum_i w_i) over the leading (atom) axis of w,
+    summed atom by atom in order, so one row of factors and every row of a
+    grid of them round alike, whatever the grid's size or layout."""
+    total, num = w[0].copy(), w[0] * gam[0]
+    for w_i, gam_i in zip(w[1:], gam[1:]):
+        total += w_i
+        num += w_i * gam_i
+    return num, total
 
 
 def _varpi(g, gammas, probs):
     """Aggregate risk aversion of the factors g, over their last axis."""
     gam = np.asarray(gammas, dtype=float)
-    return _mean_gamma(_powers(g, gam) * np.asarray(probs, dtype=float), gam)[..., 0]
+    num, total = _atom_sums(np.moveaxis(_powers(g, gam) * np.asarray(probs, dtype=float), -1, 0), gam)
+    return num / total
 
 
 def _rate_fn(gam, p, kappa, g2c):
@@ -267,10 +270,7 @@ def _softmax_gamma(s, gam, p):
     lo = gam.min()
     e = np.exp(np.multiply.outer(-0.5 * (gam - lo), np.minimum(s, np.finfo(float).max).ravel()))
     e *= p[:, None]
-    total, num = e[0].copy(), e[0] * gam[0]
-    for e_i, gam_i in zip(e[1:], gam[1:]):
-        total += e_i
-        num += e_i * gam_i
+    num, total = _atom_sums(e, gam)
     shape = np.shape(s)
     return (num / total).reshape(shape), np.log(total).reshape(shape) - 0.5 * lo * s
 
@@ -589,7 +589,8 @@ def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
     0.5*G2/varpi^2 * (E_w[gamma^2] - varpi^2), with E_w the w_i-weighted mean."""
     gam = np.asarray(sol.gammas)
     w = _powers(factors(params, float(t), sol)[0], gam) * np.asarray(sol.probs)
-    varpi, second = (float(_mean_gamma(w, m)[0]) for m in (gam, gam * gam))
+    num, total = _atom_sums(w, gam)
+    varpi, second = float(num / total), float(_atom_sums(w, gam * gam)[0] / total)
     return 0.5 * params.g2 / varpi**2 * (second - varpi**2)
 
 

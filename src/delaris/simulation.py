@@ -45,7 +45,7 @@ factor linear in the step's noise, with G2 = a*eta2*cq + (mu - r)*cpi
 An unrecorded power path takes the running product of its factors
 (``np.multiply.accumulate``, a left fold that rounds as stepping w does) and
 exits the domain at the first w_k that is not positive: its exit time is
-k*dt and its terminal w is NaN.
+the step time t_k = min(k*dt, T) and its terminal w is NaN.
 
 An unrecorded run (``_run_paths``) shares its path indices out to
 W = min(``_max_workers()``, number of 32-path seeding blocks) workers, the
@@ -119,12 +119,13 @@ class SimConfig:
     :class:`~delaris.power.OdeSolution` of the power model, whose varpi
     ``power.factors`` interpolates at the step times; or a callable
     ``(t, w) -> (q, pi_amount)`` on a float effective wealth w, called once
-    per path-step. Any other value is rejected here. A Monte Carlo run
-    shares its paths out to worker threads, one per usable CPU, except
-    under a callable, which runs in the calling thread; each worker draws
-    32 paths at a time into one block and maps it to terminal wealth with
-    the source's one fold, so its results do not depend on the worker
-    count. ``n_paths`` and ``seed`` must be integers or finite whole reals."""
+    per path-step at the step time t = min(k*dt, T). Any other value is
+    rejected here. A Monte Carlo run shares its paths out to worker
+    threads, one per usable CPU, except under a callable, which runs in
+    the calling thread; each worker draws 32 paths at a time into one
+    block and maps it to terminal wealth with the source's one fold, so
+    its results do not depend on the worker count. ``n_paths`` and
+    ``seed`` must be integers or finite whole reals."""
 
     dt: float
     n_paths: int
@@ -150,7 +151,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimPath:
-    """One recorded path on the uniform grid t_k = k*dt."""
+    """One recorded path on the step times t_k = min(k*dt, T)."""
 
     t: np.ndarray
     X: np.ndarray
@@ -219,7 +220,8 @@ def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
         q_s, pi_s = np.array(expmod.schedule(params, _step_times(params, cfg.dt, n_steps))).tolist()
         return lambda k, w: (q_s[k], pi_s[k])
     if callable(strat):
-        return lambda k, w: strat(k * cfg.dt, w)
+        t_s = _step_times(params, cfg.dt, n_steps).tolist()
+        return lambda k, w: strat(t_s[k], w)
     varpi_s = powmod.factors(params, _step_times(params, cfg.dt, n_steps), strat)[1].tolist()
     return lambda k, w: powmod._controls(params, w, varpi_s[k]) if w > 0.0 else None
 
@@ -243,7 +245,7 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, 
         m1, e_ah = float(params.m1_0), math.exp(-alpha * delay.h)
     for k in range(n_steps + 1):
         if (step := controls(k, w)) is None:
-            return math.nan, k * dt
+            return math.nan, float(_step_times(params, dt, k)[k])
         q, pi = step
         if q < 0.0:
             raise DomainError("strategy returned a negative retention q (inadmissible)")
@@ -275,6 +277,7 @@ def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
         return lambda z: np.array([_path_chain(params, cfg, row.tolist(), controls)
                                    for row in z]).T
     f0, f12 = _power_factors(params, cfg, n_steps)
+    t = _step_times(params, cfg.dt, n_steps)
 
     def power(z):
         z *= f12
@@ -284,7 +287,7 @@ def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
         w[:, 1:] += f0
         np.multiply.accumulate(w, axis=1, out=w)
         k = np.argmin(w > 0.0, axis=1)  # the first w[:, k] <= 0 (or NaN); 0 if none, as w0 > 0
-        return np.where(k == 0, w[:, -1], math.nan), np.where(k == 0, math.nan, k * cfg.dt)
+        return np.where(k == 0, w[:, -1], math.nan), np.where(k == 0, math.nan, t[k])
 
     return power
 
@@ -381,7 +384,7 @@ def simulate_paths(params: ModelParams, cfg: SimConfig, indices) -> Iterator[Sim
             X, M1, M2, q, pi = (np.array(r) for r in rec)
             exited = not math.isnan(exit_t)
             yield SimPath(
-                t=np.arange(n_steps + 1) * cfg.dt, X=X, M1=M1, M2=M2, q=q, pi_x=pi,
+                t=_step_times(params, cfg.dt, n_steps), X=X, M1=M1, M2=M2, q=q, pi_x=pi,
                 seed=cfg.seed, path_index=int(idx), domain_exit=exited,
                 exit_time=exit_t if exited else None, terminal_effective_wealth=w,
             )

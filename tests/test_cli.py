@@ -244,6 +244,26 @@ def test_nonfinite_g2_sweep_point_is_invalid(tmp_path, capsys, argv, field):
     assert "financial.sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_memory_past_the_float_range_of_its_decay(tmp_path, family):
+    # exp(-alpha*h) underflows to 0 past alpha*h of about 745: at alpha = 400
+    # and h = 2, and at the sweeps' alpha = 400 and h = 2000 ends, the delay
+    # constants divided by it and every command exited 3
+    cfg = cli.config_dict(sweeps.baseline_params(family, "I"))
+    cfg["delay"]["alpha"] = 400.0
+    (tmp_path / "m.json").write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("strategy", "--config", str(tmp_path / "m.json"),
+                       "--out", str(tmp_path / "s")) == 0
+        for param, lo, hi in (("alpha", "0.05", "400"), ("h", "0.25", "2000")):
+            out = tmp_path / param
+            assert run_cli("sweep", "--family", family, "--param", param, "--lo", lo, "--hi", hi,
+                           "--points", "3", "--out", str(out)) == 0
+            rows = [r.split(",") for r in (out / f"sweep_{param}.csv").read_text().splitlines()[1:]]
+            assert [r[3] for r in rows] == ["true"] * 3
+
+
 @pytest.mark.parametrize("lo, hi, points", [("1e153", "4e153", "2"), ("7e153", "7e153", "1")],
                          ids=["g2-near-float-max", "g2-tau-overflows"])
 def test_power_sweep_at_the_float_range_of_g2(tmp_path, lo, hi, points):

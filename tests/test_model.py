@@ -58,6 +58,44 @@ def test_closure_identities_random_draws():
             kappa_closed_form(r, alpha, beta, h), rel=1e-12, abs=1e-15)
 
 
+def test_delay_constants_match_mpmath_over_admitted_inputs():
+    # log-uniform draws over r, alpha, beta in 1e-6..1e3, 1e-8..1e4, 1e-8..1e4
+    # and h in 1e-6..1e3, with alpha = 0 and beta = 0 mixed in; alpha*h reaches
+    # 1e7, where exp(-alpha*h) underflows to 0 and a division by it failed.
+    # alpha = 5e-324 puts alpha*h below the normal floats.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(2025)
+
+    def logu(lo, hi):
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    draws = [(0.1, 400.0, 0.05, 2.0), (0.1, 1e3, 0.05, 1e3), (0.1, 0.5, 0.05, 2e6),
+             (0.1, 5e-324, 0.05, 0.3), (0.1, 0.0, 0.05, 2.0), (0.1, 0.5, 0.0, 2.0)]
+    for i in range(2000):
+        draws.append((logu(1e-6, 1e3), 0.0 if i % 10 == 0 else logu(1e-8, 1e4),
+                      0.0 if i % 10 == 5 else logu(1e-8, 1e4), logu(1e-6, 1e3)))
+    worst = 0.0
+    for r, alpha, beta, h in draws:
+        params = ModelParams.build(
+            insurance=InsuranceParams(lambda1=1.0, mu1=0.1, mu2=0.2, eta1=0.3, eta2=0.5),
+            financial=FinancialParams(r=r, mu=r + 0.1, sigma=0.5),
+            delay=DelayParams(alpha=alpha, beta=beta, h=h),
+            dist=RiskAversionDist(family="exponential", points=((0.5, 1.0),)),
+            horizon=2.0, x0=0.6)
+        R, al, be, H = (mpmath.mpf(v) for v in (r, alpha, beta, h))
+        kappa = (R - be * (al + mpmath.expm1(-al * H))) / (1 + be)
+        want = {"A": kappa - be, "B": be * (al + kappa), "C": be * mpmath.exp(-al * H),
+                "kappa": kappa,
+                "m1_0": mpmath.mpf(0.6) * (H if alpha == 0.0 else -mpmath.expm1(-al * H) / al)}
+        cons = params.constants
+        got = {"A": cons.A, "B": cons.B, "C": cons.C, "kappa": cons.kappa, "m1_0": params.m1_0}
+        for name, value in want.items():
+            assert math.isfinite(got[name]), (name, r, alpha, beta, h)
+            worst = max(worst, float(abs(got[name] - value) / max(abs(value), 1)))
+    assert worst < 1e-12
+
+
 def test_zero_beta_collapses_constants():
     cons = solve_delay_constants(BASE_FIN, DelayParams(alpha=0.5, beta=0.0, h=2.0))
     assert cons.B == 0.0 and cons.C == 0.0

@@ -145,10 +145,15 @@ def test_explosion_is_quiet(pow_case1):
     assert sol.explosion_time == pytest.approx(1.5968)
 
 
-def test_varpi_rows_match_aggregate_gamma(pow_case2):
-    sol = powmod.solve_growth_factors(pow_case2, dt=1e-3)
-    for g_row, varpi in zip(sol.g, sol.varpi):
-        assert varpi == powmod.aggregate_gamma(g_row, sol.gammas, sol.probs)
+def test_varpi_rows_match_aggregate_gamma(pow_case1, pow_case2):
+    # a grid's varpi column and one row's aggregate sum the atoms in one
+    # order, also past three atoms, where a stacked matmul moved rows by an ulp
+    sols = [powmod.solve_growth_factors(pow_case2, dt=1e-3),
+            *(powmod.growth_factors(m, dt=1e-2)
+              for m in random_power_models(40, seed=4242, base=pow_case1))]
+    for sol in sols:
+        for g_row, varpi in zip(sol.g, sol.varpi):
+            assert varpi == powmod.aggregate_gamma(g_row, sol.gammas, sol.probs)
 
 
 def _reference_rate(g, gam, p, kappa, g2c):

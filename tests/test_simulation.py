@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -134,6 +135,24 @@ def test_deterministic_compound_growth():
     path = sim.simulate_path(params, cfg, path_index=0)
     assert path.terminal_effective_wealth == pytest.approx(exact, rel=1e-12)
     assert path.domain_exit is False and path.exit_time is None
+
+
+def test_callable_and_recorded_path_read_the_step_times(pow_case1):
+    # 3*0.1 is 0.30000000000000004: a callable was called there, past the
+    # horizon 0.3, and a recorded path wrote it, while the model's own
+    # sources read min(k*dt, T)
+    params = dataclasses.replace(pow_case1, horizon=0.3)
+    seen = []
+
+    def own(t, w):
+        seen.append(t)
+        return powmod.strategy(None, params, t, w, 0.0)
+
+    cfg = sim.SimConfig(dt=0.1, n_paths=3, seed=5, strategy=own)
+    own_mean = sim.mc_reward(params, sim.SimConfig(dt=0.1, n_paths=3, seed=5)).mean
+    assert sim.mc_reward(params, cfg).mean == pytest.approx(own_mean, rel=1e-12)
+    assert max(seen) == 0.3
+    np.testing.assert_array_equal(sim.simulate_path(params, cfg).t, [0.0, 0.1, 0.2, 0.3])
 
 
 def test_wealth_average_fixed_point():
