@@ -464,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="Monte Carlo estimate of the expected certainty equivalent")
     p.add_argument("--dt", type=float, default=None,
-                   help="Euler step; power factors are read at its times (default: horizon/2000)")
+                   help="Monte Carlo step: Euler (exponential) or exact in log wealth (power) "
+                        "(default: horizon/2000)")
     p.add_argument("--paths-csv", type=_count(0), default=0,
                    help="also write this many individual path files")
     p.set_defaults(func=cmd_simulate)
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="check the analytic solution against its defining equations")
     p.add_argument("--dt", type=float, default=None,
-                   help="Feynman-Kac Euler step (default: horizon/1000)")
+                   help="Feynman-Kac Monte Carlo step (default: horizon/1000)")
     p.add_argument("--check", choices=CHECKS, default="all")
     p.add_argument("--fault-kappa", type=float, default=0.0,
                    help="relative fault injected into the decay constant (diagnostic; "

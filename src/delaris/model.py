@@ -284,6 +284,10 @@ class ModelParams:
             raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
         if not math.isfinite(self.x0):
             raise ParameterError(f"x0 must be finite, got {self.x0}")
+        if not math.isfinite(self.w0):  # also where m1_0 is not: beta*m1_0 is then inf or NaN
+            raise ParameterError(
+                f"initial memory m1_0 = {self.m1_0} or effective wealth x0 + beta*m1_0 = "
+                f"{self.w0} is not finite: x0, delay.alpha, delay.beta and delay.h overflow")
         if self.dist.family == POWER:
             if self.insurance.eta1 != self.insurance.eta2:
                 raise ParameterError(

@@ -31,8 +31,8 @@ own target G2*tau. Psi is summed over composite Gauss-Legendre panels,
 and one batched Newton finds S at every node. :func:`factors` is the one
 reader of (g, varpi): it reads them at exactly the times a run reads
 (``strategy`` at its --t-points times, ``verify`` at its slice times and
-``simulate`` at its Euler step times) from the closed form or, given a
-grid solution of the same model, by interpolating it.
+``simulate`` at its step times and step midpoints) from the closed form
+or, given a grid solution of the same model, by interpolating it.
 :func:`growth_factors` evaluates the closed form at the nodes of a
 uniform grid, only for the ``growth_factors.csv`` artifact (the --dt grid
 of ``strategy``, by default horizon/20000). Sweep points and figure
@@ -542,24 +542,26 @@ def _controls(params: ModelParams, w: float, varpi: float) -> tuple[float, float
     return q, pi_x
 
 
-def certainty_factor(sol: OdeSolution, t: float) -> float:
-    """Probability-weighted sum of g_i^{gamma_i/(1-gamma_i)}; the value
+def certainty_factor(sol: OdeSolution | None, params: ModelParams, t: float) -> float:
+    """Probability-weighted sum of g_i^{gamma_i/(1-gamma_i)} (g from
+    ``factors(params, t, sol)``, so None is the closed form); the value
     function is this factor times effective wealth."""
-    return float(_powers(g_at(sol, t), np.asarray(sol.gammas)) @ np.asarray(sol.probs))
+    g = factors(params, float(t), sol)[0]
+    return float(_powers(g, np.asarray(params.dist.gammas)) @ np.asarray(params.dist.probs))
 
 
-def value(sol: OdeSolution, params: ModelParams, t: float, x: float, m1: float) -> float:
+def value(sol: OdeSolution | None, params: ModelParams, t: float, x: float, m1: float) -> float:
     """Aggregated certainty-equivalent value, linear in w = x + beta*m1 > 0."""
     w = _effective_wealth(params, x, m1, "value")
-    g = factors(params, float(t), sol)[0]
-    return w * float(_powers(g, np.asarray(sol.gammas)) @ np.asarray(sol.probs))
+    return w * certainty_factor(sol, params, t)
 
 
-def ansatz(sol: OdeSolution, params: ModelParams, i: int, t: float, x: float, m1: float) -> float:
+def ansatz(sol: OdeSolution | None, params: ModelParams, i: int, t: float, x: float,
+           m1: float) -> float:
     """Per-gamma expected utility of terminal effective wealth under the
     equilibrium strategy: g_i(t)^gamma_i * w^(1-gamma_i) / (1-gamma_i)."""
     w = _effective_wealth(params, x, m1, "ansatz")
-    return _ansatz(factors(params, float(t), sol)[0][i], sol.gammas[i], w)
+    return _ansatz(factors(params, float(t), sol)[0][i], params.dist.gammas[i], w)
 
 
 def _ansatz(g: float, gam: float, w: float) -> float:
@@ -584,11 +586,11 @@ def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1
     return w * math.exp(rate * (params.horizon - float(t)))
 
 
-def varpi_rate(sol: OdeSolution, params: ModelParams, t: float) -> float:
+def varpi_rate(sol: OdeSolution | None, params: ModelParams, t: float) -> float:
     """Analytic time derivative of the aggregate risk aversion:
     0.5*G2/varpi^2 * (E_w[gamma^2] - varpi^2), with E_w the w_i-weighted mean."""
-    gam = np.asarray(sol.gammas)
-    w = _powers(factors(params, float(t), sol)[0], gam) * np.asarray(sol.probs)
+    gam = np.asarray(params.dist.gammas)
+    w = _powers(factors(params, float(t), sol)[0], gam) * np.asarray(params.dist.probs)
     num, total = _atom_sums(w, gam)
     varpi, second = float(num / total), float(_atom_sums(w, gam * gam)[0] / total)
     return 0.5 * params.g2 / varpi**2 * (second - varpi**2)

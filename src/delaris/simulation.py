@@ -1,4 +1,4 @@
-"""Euler-Maruyama simulation of the delayed wealth dynamics.
+"""Monte Carlo simulation of the delayed wealth dynamics.
 
 Wealth X follows a delay equation in X, its running memory M1 (exponentially
 weighted average of the last h units of wealth) and the lagged wealth
@@ -6,79 +6,87 @@ M2(t) = X(t - h), with the constant pre-history X(s) = x0 for s <= 0: its
 drift is A*X + B*M1 + C*M2 plus the control terms, and
 M1' = X - alpha*M1 - exp(-alpha*h)*M2. The derived constants satisfy
 C = beta*exp(-alpha*h) and B = beta*(alpha + A + beta), so the delay cancels
-from the Euler step of the effective wealth w = X + beta*M1:
+from the dynamics of the effective wealth w = X + beta*M1, whose drift is
+(A + beta)*w plus the control terms. Every control is a function of (t, w),
+so w is the one state of a Monte Carlo path and memory does not depend on
+h. Runs step on t_k = min(k*dt, T).
+
+A run's strategy source (``SimConfig.strategy``) is None, the model's own
+equilibrium, whose family the model names; a power ``OdeSolution`` of the
+same model; or a callable. The exponential equilibrium and callables take
+the Euler-Maruyama step, which is weak order one:
 
     w_{k+1} = w_k + [(A + beta)*w_k + a*eta + a*eta2*q_k + pi_k*(mu - r)] dt
               + b*q_k*sqrt(dt)*Z1 + sigma*pi_k*sqrt(dt)*Z2
 
 where pi_k is the invested amount and Z1, Z2 are independent standard
-normals; the scheme is weak order one. Every control is a function of (t, w),
-so w is the one state of a Monte Carlo path and memory does not depend on h.
-
-A run's strategy source (``SimConfig.strategy``) is None, the model's own
-equilibrium, whose family the model names; a power ``OdeSolution`` of the
-same model; or a callable. Under the exponential equilibrium the controls
-are deterministic, so the chain is linear-Gaussian and its terminal value
-is an affine map of the path's noise (``_exp_affine``): with
-lam = 1 + (A + beta)*dt,
+normals. Under the exponential equilibrium the controls are deterministic,
+so the chain is linear-Gaussian and its terminal value is an affine map of
+the path's noise (``_exp_affine``): with lam = 1 + (A + beta)*dt,
 
     w_N = mean_N + Z.ravel() @ weights,
     mean_N = lam^N w_0 + dt sum_k lam^(N-1-k) (a*eta + a*eta2*q_k + pi_k*(mu - r)),
     weights[k] = sqrt(dt) lam^(N-1-k) (b*q_k, sigma*pi_k),
 
-for the path's (N, 2) draw Z, so an unrecorded exponential path takes no
-step loop. A block of P paths maps at once as ``z.reshape(P, 1, -1) @
-weights``, one 1xK by Kx1 dot per path, which rounds as Z.ravel() @ weights.
+for the path's (N, 2) draw Z.
 
 Under the power family's own equilibrium or an ``OdeSolution`` the controls
-are proportional to w, q_k = cq*w_k/varpi_k and pi_k = cpi*w_k/varpi_k with
+are proportional to w, q = cq*w/varpi(t) and pi = cpi*w/varpi(t) with
 cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2, and the power family has
-eta1 = eta2, so the net loading eta is 0. A step then multiplies w by a
-factor linear in the step's noise, with G2 = a*eta2*cq + (mu - r)*cpi
-(``ModelParams.g2``) and coefficients built once per run by
-``_power_factors``:
+eta1 = eta2, so the net loading eta is 0. Then
+dw = w [(A + beta + G2/varpi) dt + s(t) . dB] with s = (b*cq, sigma*cpi)/varpi
+and |s|^2 = G2/varpi^2 (G2 = a*eta2*cq + (mu - r)*cpi, ``ModelParams.g2``):
+a geometric Brownian motion with deterministic coefficients, which never
+reaches 0. These sources step log w exactly, with varpi_k read at the step
+midpoint t_k + dt/2 (``_power_log_step``):
 
-    w_N = w_0*F_0*...*F_{N-1},    F_k = f0_k + f1_k*Z1 + f2_k*Z2,
-    f0_k = 1 + dt*(A + beta + G2/varpi_k),
-    f1_k = sqrt(dt)*b*cq/varpi_k,    f2_k = sqrt(dt)*sigma*cpi/varpi_k.
+    log w_{k+1} = log w_k + (A + beta + G2/varpi_k - G2/(2 varpi_k^2)) dt
+                  + sqrt(dt) s_k . (Z1, Z2),
 
-An unrecorded power path takes the running product of its factors
-(``np.multiply.accumulate``, a left fold that rounds as stepping w does) and
-exits the domain at the first w_k that is not positive: its exit time is
-the step time t_k = min(k*dt, T) and its terminal w is NaN.
+so log w_N is affine in the path's noise too (``_power_affine``):
+w_N = exp(mean_N + Z.ravel() @ weights) with mean_N = log w_0 + the summed
+drifts and weights[k] = sqrt(dt) s_k. An unrecorded path of an affine
+source takes no step loop: a block of P paths maps at once as
+``z.reshape(P, 1, -1) @ weights``, one 1xK by Kx1 dot per path, which
+rounds as Z.ravel() @ weights. An exp that overflows gives inf, with no
+warning, and the estimate excludes it as non-finite.
+
+Only a callable's Euler chain can leave the power domain: under a power
+model a callable path exits at the first w_k that is not positive, its
+exit time is t_k and its terminal w is NaN.
 
 An unrecorded run (``_run_paths``) shares its path indices out to
-W = min(``_max_workers()``, number of 32-path seeding blocks) workers, the
+W = min(``_max_workers()``, number of 32-path blocks) workers, the
 calling thread among them, so W = 1 starts no thread. Each worker takes a
 contiguous run of whole blocks, with its own generator, and draws each
 block into one reused (32, N, 2) buffer. The strategy source gives one
 fold (``_path_kernel``) from a block of draws to its paths' terminal w and
-exit times: the affine map, the running product, or a callable's Euler
-chain row by row. The worker writes the fold's results by position. The
-draws and the numpy folds release the GIL; a callable runs in the calling
-thread alone: it holds the GIL anyway, and user code need not be
-thread-safe. Memory is W blocks' draws and products: flat in n_paths and
-linear in N.
+exit times: the affine map (through exp under power), or a callable's
+Euler chain row by row. The worker writes the fold's results by position.
+The draws and the numpy folds release the GIL; a callable runs in the
+calling thread alone: it holds the GIL anyway, and user code need not be
+thread-safe. Memory is W blocks' draws: flat in n_paths and linear in N.
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
-the Euler chain itself, one path at a time on Python floats
-(``_path_chain``), which round as numpy's elementwise float64 operations
-do. A recorded path also records X = w - beta*M1 and steps M1, reading the
-lagged wealth M2_k = X_{k - h/dt} from its own recorded X (x0 before the
-memory window fills): X, M1 and M2 exist only for recorded paths, and only
-they need dt to divide h.
+one path at a time on Python floats (``_path_chain``), which round as
+numpy's elementwise float64 operations do: the Euler step, or under the
+power model sources w_{k+1} = w_k*exp(...) with the log step's exponent,
+whose controls q_k and pi_k are those at (t_k, w_k). A recorded path also
+records X = w - beta*M1 and steps M1, reading the lagged wealth
+M2_k = X_{k - h/dt} from its own recorded X (x0 before the memory window
+fills): X, M1 and M2 exist only for recorded paths, and only they need dt
+to divide h.
 
 Reproducibility: path j draws its noise from ``numpy`` PCG64 seeded with
 ``SeedSequence((seed, j))``; ``path_rng`` is that definition. Z1 and Z2 are
 the two columns of a single (K, 2) standard-normal draw. Runs build no
 generator per path: ``seeding.path_rngs`` sets each path's state on one
-reused generator, from SeedSequence's mixing run for a block of paths at
-once, and the tests pin it to ``path_rng`` bit for bit. Results are
-bit-identical for a fixed (params, config, path index) regardless of how
-paths are batched or how many workers run them, and Monte Carlo
+reused generator, from SeedSequence's mixing run for up to 1024 path
+indices at once, and the tests pin it to ``path_rng`` bit for bit. Results
+are bit-identical for a fixed (params, config, path index) regardless of
+how paths are batched or how many workers run them, and Monte Carlo
 aggregation reduces in path-index order.
 """
-
 from __future__ import annotations
 
 import contextvars
@@ -97,7 +105,7 @@ from . import exponential as expmod
 from . import power as powmod
 from .exceptions import DomainError, ParameterError
 from .model import ModelParams, grid_steps
-from .seeding import _SEED_BLOCK, path_rngs
+from .seeding import path_rngs
 from .utility import (
     EXPONENTIAL,
     POWER,
@@ -106,6 +114,11 @@ from .utility import (
     utility,
 )
 
+# paths drawn and folded together: a worker holds one (32, n_steps, 2) block
+# of draws, so a run's memory is flat in n_paths, and runs share whole
+# blocks out to their workers
+_BLOCK = 32
+
 # strategy callbacks take (t, w), both floats, and return (q, pi_amount)
 StrategySource = Union[None, powmod.OdeSolution, Callable]
 
@@ -113,19 +126,22 @@ StrategySource = Union[None, powmod.OdeSolution, Callable]
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls. ``strategy`` is None, the model's own
-    equilibrium (exponential: the closed-form schedule, and an unrecorded
-    run evaluates terminal wealth as an affine map of each path's noise;
-    power: wealth-proportional controls at the closed-form varpi); a
-    :class:`~delaris.power.OdeSolution` of the power model, whose varpi
-    ``power.factors`` interpolates at the step times; or a callable
-    ``(t, w) -> (q, pi_amount)`` on a float effective wealth w, called once
-    per path-step at the step time t = min(k*dt, T). Any other value is
-    rejected here. A Monte Carlo run shares its paths out to worker
-    threads, one per usable CPU, except under a callable, which runs in
-    the calling thread; each worker draws 32 paths at a time into one
-    block and maps it to terminal wealth with the source's one fold, so
-    its results do not depend on the worker count. ``n_paths`` and
-    ``seed`` must be integers or finite whole reals."""
+    equilibrium (exponential: the closed-form schedule, stepped by Euler,
+    and an unrecorded run evaluates terminal wealth as an affine map of
+    each path's noise; power: wealth-proportional controls at the
+    closed-form varpi, stepped exactly in log w, so terminal log wealth is
+    such an affine map); a :class:`~delaris.power.OdeSolution` of the power
+    model, whose varpi ``power.factors`` interpolates and which steps as the
+    power equilibrium does; or a callable ``(t, w) -> (q, pi_amount)`` on a
+    float effective wealth w, called once per path-step at the step time
+    t = min(k*dt, T) and stepped by Euler, the one source whose power paths
+    can leave the domain. Any other value is rejected here. A Monte Carlo
+    run shares its paths out to worker threads, one per usable CPU, except
+    under a callable, which runs in the calling thread; each worker draws
+    32 paths at a time into one block and maps it to terminal wealth with
+    the source's one fold, so its results do not depend on the worker
+    count. ``n_paths`` and ``seed`` must be integers or finite whole
+    reals."""
 
     dt: float
     n_paths: int
@@ -199,41 +215,62 @@ def _exp_affine(params: ModelParams, dt: float, n_steps: int):
     return float(mean), weights.ravel()
 
 
-def _power_factors(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """The power Euler step as w_{k+1} = w_k*F_k with
-    F_k = f0[k] + f12[k] @ (Z1, Z2) (see the module docstring): returns
-    (f0, f12)."""
-    t = _step_times(params, cfg.dt, n_steps)
-    varpi = powmod.factors(params, t, cfg.strategy)[1][:-1]  # varpi at t_N acts on no step
-    co, fin = params.coeffs, params.financial
+def _power_log_step(params: ModelParams, cfg: SimConfig, n_steps: int):
+    """The exact log step of the power model sources as
+    log w_{k+1} = log w_k + drift[k] + noise[k] @ (Z1, Z2), with varpi at
+    the step midpoints t_k + dt/2 (see the module docstring): returns
+    (drift, noise), of shapes (n_steps,) and (n_steps, 2)."""
+    varpi = powmod.factors(params, (np.arange(n_steps) + 0.5) * cfg.dt, cfg.strategy)[1]
+    co, fin, g2 = params.coeffs, params.financial, params.g2
     cq, cpi = co.a * co.eta2 / co.b2, (fin.mu - fin.r) / fin.sigma**2
-    f0 = (params.g2 / varpi + _growth(params)) * cfg.dt + 1.0
-    return f0, np.outer(math.sqrt(cfg.dt) / varpi, (co.b * cq, fin.sigma * cpi))
+    drift = (_growth(params) + g2 / varpi - 0.5 * g2 / varpi**2) * cfg.dt
+    return drift, np.outer(math.sqrt(cfg.dt) / varpi, (co.b * cq, fin.sigma * cpi))
+
+
+def _power_affine(params: ModelParams, cfg: SimConfig, n_steps: int):
+    """Terminal log effective wealth of the power log step as an affine map
+    of a path's (n_steps, 2) noise Z: returns (mean_N, weights) with
+    log w_N = mean_N + Z.ravel() @ weights."""
+    drift, noise = _power_log_step(params, cfg, n_steps)
+    return math.log(params.w0) + float(drift.sum()), noise.ravel()
 
 
 def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
     """Normalize the strategy source to a per-step function (k, w) -> (q, pi)
-    on a float w. Under power controls it gives None where w is not
-    positive: the path exits the domain there."""
-    strat = cfg.strategy
+    on a float w, and the per-step multipliers exp(drift + noise @ Z) of
+    the power log step as a function of a path's (n_steps, 2) draw, or
+    None where the source steps by Euler. A callable under a power model
+    gives None where w is not positive: the path exits the domain there."""
+    strat, t = cfg.strategy, _step_times(params, cfg.dt, n_steps)
     if strat is None and params.dist.family == EXPONENTIAL:
-        q_s, pi_s = np.array(expmod.schedule(params, _step_times(params, cfg.dt, n_steps))).tolist()
-        return lambda k, w: (q_s[k], pi_s[k])
+        q_s, pi_s = np.array(expmod.schedule(params, t)).tolist()
+        return (lambda k, w: (q_s[k], pi_s[k])), None
     if callable(strat):
-        t_s = _step_times(params, cfg.dt, n_steps).tolist()
-        return lambda k, w: strat(t_s[k], w)
-    varpi_s = powmod.factors(params, _step_times(params, cfg.dt, n_steps), strat)[1].tolist()
-    return lambda k, w: powmod._controls(params, w, varpi_s[k]) if w > 0.0 else None
+        t_s = t.tolist()
+        if params.dist.family == POWER:
+            return (lambda k, w: strat(t_s[k], w) if w > 0.0 else None), None
+        return (lambda k, w: strat(t_s[k], w)), None
+    varpi_s = powmod.factors(params, t, strat)[1].tolist()
+    drift, noise = _power_log_step(params, cfg, n_steps)
+
+    def multipliers(z):
+        with np.errstate(over="ignore"):  # inf: the estimate excludes the path
+            return np.exp(drift + (z * noise).sum(axis=1)).tolist()
+
+    return (lambda k, w: powmod._controls(params, w, varpi_s[k])), multipliers
 
 
-def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, n_lag: int = 0):
-    """Step one path's Euler chain on Python floats from its rows of noise
-    (Z1, Z2) under ``controls`` of ``_path_controls``; returns terminal
-    effective wealth and exit time (NaN if none). With ``rec``, five
-    NaN-filled lists X, M1, M2, q, pi, the path also records X = w - beta*M1
-    and steps M1, reading M2 from X n_lag rows back; rows from a domain exit
-    on stay NaN. The operations and their order are those of the Euler
-    step in the module docstring, so a float loop rounds as numpy does."""
+def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, multipliers=None,
+                rec=None, n_lag: int = 0):
+    """Step one path on Python floats from its rows of noise (Z1, Z2) under
+    ``controls`` of ``_path_controls``: by Euler, or given the path's
+    ``multipliers`` of the power log step, as w_{k+1} = w_k*multipliers[k].
+    Returns terminal effective wealth and exit time (NaN if none). With
+    ``rec``, five NaN-filled lists X, M1, M2, q, pi, the path also records
+    X = w - beta*M1 and steps M1, reading M2 from X n_lag rows back; rows
+    from a domain exit on stay NaN. The operations and their order are
+    those of the Euler step in the module docstring, so a float loop
+    rounds as numpy does."""
     dt, sq_dt = cfg.dt, math.sqrt(cfg.dt)
     co, fin, delay = params.coeffs, params.financial, params.delay
     beta, alpha, growth = delay.beta, delay.alpha, _growth(params)
@@ -256,6 +293,9 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, rec=None, 
             m1 = m1 + (x - alpha * m1 - e_ah * m2) * dt
         if k == n_steps:
             break
+        if multipliers is not None:
+            w *= multipliers[k]
+            continue
         z1, z2 = noise[k]
         drift = growth * w + a_eta + a_eta2 * q + pi * mu_r
         w = w + drift * dt + co.b * q * sq_dt * z1 + fin.sigma * pi * sq_dt * z2
@@ -267,29 +307,23 @@ def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
     (paths, n_steps, 2) block of draws, which fold may overwrite, and it
     gives each path's terminal effective wealth and exit time (NaN where
     there is none)."""
-    if cfg.strategy is None and params.dist.family == EXPONENTIAL:
-        mean, weights = _exp_affine(params, cfg.dt, n_steps)
-        # one 1xK by Kx1 product per path: it rounds as row.ravel() @ weights
-        return lambda z: (mean + (z.reshape(len(z), 1, -1) @ weights)[:, 0],
-                          np.full(len(z), math.nan))
     if callable(cfg.strategy):
-        controls = _path_controls(params, cfg, n_steps)
+        controls = _path_controls(params, cfg, n_steps)[0]
         return lambda z: np.array([_path_chain(params, cfg, row.tolist(), controls)
                                    for row in z]).T
-    f0, f12 = _power_factors(params, cfg, n_steps)
-    t = _step_times(params, cfg.dt, n_steps)
+    power = cfg.strategy is not None or params.dist.family == POWER  # factors checks the family
+    mean, weights = (_power_affine(params, cfg, n_steps) if power
+                     else _exp_affine(params, cfg.dt, n_steps))
 
-    def power(z):
-        z *= f12
-        w = np.empty((len(z), n_steps + 1))  # w[:, k] = w0*F_0*...*F_{k-1}
-        w[:, 0] = params.w0
-        np.add(z[..., 0], z[..., 1], out=w[:, 1:])
-        w[:, 1:] += f0
-        np.multiply.accumulate(w, axis=1, out=w)
-        k = np.argmin(w > 0.0, axis=1)  # the first w[:, k] <= 0 (or NaN); 0 if none, as w0 > 0
-        return np.where(k == 0, w[:, -1], math.nan), np.where(k == 0, math.nan, t[k])
+    def affine(z):
+        # one 1xK by Kx1 product per path: it rounds as row.ravel() @ weights
+        w = mean + (z.reshape(len(z), 1, -1) @ weights)[:, 0]
+        if power:
+            with np.errstate(over="ignore"):  # inf: the estimate excludes the path
+                np.exp(w, out=w)
+        return w, np.full(len(z), math.nan)
 
-    return power
+    return affine
 
 
 def _max_workers() -> int:
@@ -338,7 +372,7 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices):
     """Terminal effective wealth (NaN after a domain exit) and exit times
     (NaN if none) of the given path indices, unrecorded; a path's result
     depends only on its index. The indices are shared out in runs of whole
-    seeding blocks to W = min(``_max_workers()``, number of blocks)
+    32-path blocks to W = min(``_max_workers()``, number of blocks)
     workers, the calling thread among them; a callable runs in the calling
     thread alone. Each worker draws a block into its one reused buffer,
     the only unrecorded draw, folds it with ``_path_kernel``'s fold and
@@ -350,18 +384,18 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices):
     w_term, exit_time = np.empty(n), np.empty(n)
 
     def work(lo, hi):
-        z, rngs = np.empty((_SEED_BLOCK, n_steps, 2)), path_rngs(cfg.seed, indices[lo:hi])
-        for start in range(lo, hi, _SEED_BLOCK):
-            stop = min(start + _SEED_BLOCK, hi)
+        z, rngs = np.empty((_BLOCK, n_steps, 2)), path_rngs(cfg.seed, indices[lo:hi])
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
             block = z[:stop - start]
             for row, rng in zip(block, rngs):
                 rng.standard_normal(out=row)
             w_term[start:stop], exit_time[start:stop] = fold(block)
             yield
 
-    n_blocks = -(-n // _SEED_BLOCK)
+    n_blocks = -(-n // _BLOCK)
     workers = 1 if callable(cfg.strategy) else max(1, min(_max_workers(), n_blocks))
-    cuts = [min(n, _SEED_BLOCK * (n_blocks * i // workers)) for i in range(workers + 1)]
+    cuts = [min(n, _BLOCK * (n_blocks * i // workers)) for i in range(workers + 1)]
     _in_workers(work, list(zip(cuts, cuts[1:])))
     return w_term, exit_time
 
@@ -374,13 +408,14 @@ def simulate_paths(params: ModelParams, cfg: SimConfig, indices) -> Iterator[Sim
     documented scheme."""
     n_steps, n_lag = (grid_steps(params.horizon, cfg.dt, "horizon"),
                       grid_steps(params.delay.h, cfg.dt, "delay.h"))
-    controls = _path_controls(params, cfg, n_steps)
+    controls, multipliers = _path_controls(params, cfg, n_steps)
 
     def record():
         for idx, rng in zip(indices, path_rngs(cfg.seed, indices)):
             rec = [[math.nan] * (n_steps + 1) for _ in range(5)]
-            noise = rng.standard_normal((n_steps, 2)).tolist()
-            w, exit_t = _path_chain(params, cfg, noise, controls, rec, n_lag)
+            z = rng.standard_normal((n_steps, 2))
+            w, exit_t = _path_chain(params, cfg, z.tolist(), controls,
+                                    None if multipliers is None else multipliers(z), rec, n_lag)
             X, M1, M2, q, pi = (np.array(r) for r in rec)
             exited = not math.isnan(exit_t)
             yield SimPath(

@@ -179,6 +179,25 @@ def test_overflowing_coefficient_config_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("family, fields", [
+    ("exponential", {"delay": {"alpha": 0.0, "h": 1e300}, "x0": 1e10}),
+    ("power", {"delay": {"alpha": 0.0, "beta": 1e10, "h": 1e300}, "x0": 1.0})],
+    ids=["m1_0", "beta*m1_0"])
+@pytest.mark.parametrize("command", ["strategy", "simulate"])
+def test_overflowing_initial_memory_config_rejected(tmp_path, capsys, family, fields, command):
+    # x0*h overflows m1_0, or beta*m1_0 overflows w0: the model was built
+    # with w0 = inf, and simulate exited 1 with "only 0 usable paths"
+    config = cli.config_dict(sweeps.baseline_params(family, "I"))
+    config["delay"] |= fields["delay"]
+    config["x0"] = fields["x0"]
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "x0" in err and "delay.h" in err and "delay.beta" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_monte_carlo_runs_leave_no_thread(tmp_path, monkeypatch, capsys):
     # 100 paths are four seeding blocks, shared out to two workers; a run
     # that fails inside the second worker's block exits 1 all the same

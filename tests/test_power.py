@@ -95,7 +95,26 @@ def test_terminal_value_and_ansatz(sol1, pow_case1):
         for i, gamma in enumerate(pow_case1.dist.gammas):
             got = powmod.ansatz(sol1, pow_case1, i, 2.0, x, m1)
             assert got == pytest.approx(utility(POWER, gamma, w), rel=1e-12)
-    assert powmod.certainty_factor(sol1, 2.0) == pytest.approx(1.0, abs=1e-14)
+    assert powmod.certainty_factor(sol1, pow_case1, 2.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_none_is_the_closed_form_for_every_reader(pow_case1, pow_case2):
+    # a solution of None reads gammas and probs from the model, as
+    # ``strategy`` and ``factors`` do: each reader equals its value on the
+    # closed-form grid solution, whose nodes are ``factors`` bit for bit
+    x, m1 = 0.7, 0.4
+    for params in (pow_case1, pow_case2):
+        grid = powmod.growth_factors(params, dt=0.5)
+        w = x + params.delay.beta * m1
+        for t in grid.t.tolist():
+            cf = powmod.certainty_factor(None, params, t)
+            assert cf == powmod.certainty_factor(grid, params, t)
+            assert powmod.value(None, params, t, x, m1) == w * cf
+            assert powmod.value(None, params, t, x, m1) == powmod.value(grid, params, t, x, m1)
+            for i in range(params.dist.n):
+                assert (powmod.ansatz(None, params, i, t, x, m1)
+                        == powmod.ansatz(grid, params, i, t, x, m1))
+            assert powmod.varpi_rate(None, params, t) == powmod.varpi_rate(grid, params, t)
 
 
 def test_varpi_rate_residual_small(pow_case1):

@@ -140,7 +140,8 @@ def test_deterministic_compound_growth():
 def test_callable_and_recorded_path_read_the_step_times(pow_case1):
     # 3*0.1 is 0.30000000000000004: a callable was called there, past the
     # horizon 0.3, and a recorded path wrote it, while the model's own
-    # sources read min(k*dt, T)
+    # sources read min(k*dt, T). The callable's Euler chain is the
+    # three-state Euler chain of the same controls at t_k = min(k*dt, T)
     params = dataclasses.replace(pow_case1, horizon=0.3)
     seen = []
 
@@ -149,8 +150,11 @@ def test_callable_and_recorded_path_read_the_step_times(pow_case1):
         return powmod.strategy(None, params, t, w, 0.0)
 
     cfg = sim.SimConfig(dt=0.1, n_paths=3, seed=5, strategy=own)
-    own_mean = sim.mc_reward(params, sim.SimConfig(dt=0.1, n_paths=3, seed=5)).mean
-    assert sim.mc_reward(params, cfg).mean == pytest.approx(own_mean, rel=1e-12)
+    X, M1, _, _ = three_state_euler(
+        params, 0.1, 5, range(3),
+        lambda k, w: powmod.strategy(None, params, min(k * 0.1, 0.3), w, 0.0), True)
+    np.testing.assert_allclose(sim._run_paths(params, cfg, range(3))[0],
+                               X[-1] + params.delay.beta * M1[-1], rtol=1e-12, atol=0.0)
     assert max(seen) == 0.3
     np.testing.assert_array_equal(sim.simulate_path(params, cfg).t, [0.0, 0.1, 0.2, 0.3])
 
@@ -253,9 +257,12 @@ def _levered_power():
 
 
 def test_domain_exit_propagates_nan():
+    # only a callable's Euler chain leaves the domain: here the solution's
+    # own controls, stepped by Euler
     params = _levered_power()
     sol = powmod.solve_growth_factors(params, dt=0.01)
-    cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=sol)
+    cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4,
+                        strategy=lambda t, w: powmod.strategy(sol, params, t, w, 0.0))
     paths = [sim.simulate_path(params, cfg, i) for i in range(cfg.n_paths)]
     exited = [p for p in paths if p.domain_exit]
     assert 0 < len(exited) < cfg.n_paths - 1
@@ -356,40 +363,35 @@ def test_exponential_noise_contract(monkeypatch, exp_case1):
                          ids=["1-word", "2-words", "5-words"])
 def test_path_seeding_is_path_rng(seed):
     # seeds of one, two and five 32-bit words; an index of 2**32 or more
-    # adds an entropy word, and 46 indices cross a seeding block. The fast
+    # adds an entropy word, and 46 indices cross a seeding block. The range
+    # crosses both 2**32 and the 1024-index edge of a mixing pass. The fast
     # route restates numpy's SeedSequence mixing and PCG64 seeding, so a
     # change to either in numpy fails here
-    indices = [0, 2**31 - 1, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, *range(1, 40)]
-    words = seeding.seed_words(seed, indices)
-    for j, i in enumerate(indices):
-        want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
-        np.testing.assert_array_equal(words[:, j], want)
-    for rng, i in zip(sim.path_rngs(seed, indices), indices, strict=True):
-        ref = sim.path_rng(seed, i)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+    for indices in ([0, 2**31 - 1, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1,
+                     *range(1, 40)],
+                    range(2**32 - 1040, 2**32 + 20)):
+        words = seeding.seed_words(seed, indices)
+        for j, i in enumerate(indices):
+            want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words[:, j], want)
+        for rng, i in zip(sim.path_rngs(seed, indices), indices, strict=True):
+            ref = sim.path_rng(seed, i)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
-def _power_chain(params, cfg, f0, f12, index):
-    """(terminal w, exit time) of one power path, stepped one scalar at a time
-    from the path's own draw folded as the kernel folds it."""
-    z = sim.path_rng(cfg.seed, index).standard_normal((len(f0), 2)) * f12
-    factor = z[:, 0] + z[:, 1] + f0
-    w, c = params.w0, params.coeffs.a * params.coeffs.eta * cfg.dt
-    for k in range(len(f0) + 1):
-        if not w > 0.0:
-            return math.nan, k * cfg.dt
-        if k == len(f0):
-            return w, math.nan
-        w = w * factor[k] + c
+def _power_terminal(cfg, mean, weights, index):
+    """Terminal w of one power path: its own draw through the log-affine map."""
+    return np.exp(mean + sim.path_rng(cfg.seed, index).standard_normal((len(weights) // 2, 2))
+                  .ravel() @ weights)
 
 
 @pytest.mark.parametrize("source", [pytest.param(None, id="power"), "solution"])
 def test_power_noise_contract(monkeypatch, pow_case1, source):
-    # Monte Carlo terminal wealth and exit times are path i's own draw
-    # through its factors, bit for bit whatever the order and subset, and
-    # path i draws from the state path_rng(seed, i) starts in; most of these
-    # paths exit, and so do some on random power models
+    # Monte Carlo terminal wealth is path i's own draw through the
+    # log-affine map, bit for bit whatever the order and subset, and path i
+    # draws from the state path_rng(seed, i) starts in; no model-source path
+    # exits, here (where most Euler paths did) or on random power models
     params = _levered_power()
     strategy = None if source is None else powmod.solve_growth_factors(params, dt=0.01)
     cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
@@ -408,29 +410,67 @@ def test_power_noise_contract(monkeypatch, pow_case1, source):
         (i, sim.path_rng(4, i).bit_generator.state) for i in range(40)]
     monkeypatch.setattr(sim, "path_rngs", path_rngs)
     ((w_term, exit_t),) = seen
-    assert 0 < np.isfinite(exit_t).sum() < 40
-    assert est.excluded_paths == np.isfinite(exit_t).sum()
-    f0, f12 = sim._power_factors(params, cfg, 10)
+    assert np.isnan(exit_t).all() and est.excluded_paths == 0
+    mean, weights = sim._power_affine(params, cfg, 10)
     for i in range(40):
         w_i, exit_i = run_paths(params, cfg, [i])
         np.testing.assert_array_equal(w_i, w_term[i])
         np.testing.assert_array_equal(exit_i, exit_t[i])
-        np.testing.assert_array_equal(_power_chain(params, cfg, f0, f12, i), (w_term[i], exit_t[i]))
+        np.testing.assert_array_equal(_power_terminal(cfg, mean, weights, i), w_term[i])
     for subset in ([7, 2, 31, 0, 5], [39, 10, 3], list(range(40))[::-1]):
         w_s, exit_s = run_paths(params, cfg, subset)
         np.testing.assert_array_equal(w_s, w_term[subset])
         np.testing.assert_array_equal(exit_s, exit_t[subset])
-    exits = 0
     for params in random_power_models(10, seed=4242, base=pow_case1):
         if source == "solution":
             strategy = powmod.solve_growth_factors(params, dt=0.01)
         cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
-        f0, f12 = sim._power_factors(params, cfg, 10)
+        mean, weights = sim._power_affine(params, cfg, 10)
         w_term, exit_t = run_paths(params, cfg, range(40))
         for i in range(40):
-            np.testing.assert_array_equal(_power_chain(params, cfg, f0, f12, i), (w_term[i], exit_t[i]))
-        exits += np.isfinite(exit_t).sum()
-    assert exits > 0
+            np.testing.assert_array_equal(_power_terminal(cfg, mean, weights, i), w_term[i])
+        assert np.isnan(exit_t).all() and (w_term > 0.0).all()
+
+
+@pytest.mark.parametrize("dt", [0.2, 0.01])
+@pytest.mark.parametrize("source", [pytest.param(None, id="power"), "solution"])
+def test_levered_power_paths_stay_in_the_domain(source, dt):
+    # the Euler factor of a step is Gaussian and can be negative: the Euler
+    # chain lost 1656 of these 2000 paths at dt 0.2 and 9 at dt 0.01
+    params = _levered_power()
+    strategy = None if source is None else powmod.solve_growth_factors(params, dt=0.01)
+    est = sim.mc_reward(params, sim.SimConfig(dt=dt, n_paths=2000, seed=4, strategy=strategy))
+    assert est.excluded_paths == 0
+
+
+# relative gap of the log step's exact discrete law to the ansatz at dt T/1000:
+# measured at most 4.5e-14 on the baselines and 7.7e-8 over
+# random_power_models(40, seed=4242); the midpoint varpi makes it second
+# order in dt (it falls by 4 as dt halves), where a left-end varpi leaves a
+# first-order gap of about 2e-8 on the baselines
+_LAW_RTOL = {"baseline": 1e-13, "random": 2e-7}
+
+
+def _power_discrete_gap(params, n_steps):
+    """Largest relative gap over the atoms between E[u_i(w_N)] of the log
+    step, exp((1-gamma)*mean_N + (1-gamma)^2*|weights|^2/2)/(1-gamma) with
+    log w_N ~ N(mean_N, |weights|^2), and the ansatz at (0, x0, m1_0)."""
+    cfg = sim.SimConfig(dt=params.horizon / n_steps, n_paths=1, seed=0)
+    mean, weights = sim._power_affine(params, cfg, n_steps)
+    gaps = []
+    for i, gamma in enumerate(params.dist.gammas):
+        a = 1 - gamma
+        exact = math.exp(a * mean + 0.5 * a**2 * (weights @ weights)) / a
+        ref = powmod.ansatz(None, params, i, 0.0, params.x0, params.m1_0)
+        gaps.append(abs(exact - ref) / abs(ref))
+    return max(gaps)
+
+
+def test_power_discrete_law_matches_ansatz(pow_case1, pow_case2):
+    for params in (pow_case1, pow_case2):
+        assert _power_discrete_gap(params, 1000) < _LAW_RTOL["baseline"]
+    for params in random_power_models(40, seed=4242, base=pow_case1):
+        assert _power_discrete_gap(params, 1000) < _LAW_RTOL["random"]
 
 
 def _thread_spy(monkeypatch):
@@ -450,14 +490,13 @@ def _thread_spy(monkeypatch):
 def test_run_paths_do_not_depend_on_worker_count(monkeypatch, exp_case1, exp_case2, pow_case1):
     # 100 paths are four seeding blocks, so up to four workers share them;
     # every result is bit for bit the one-worker result, and a callable
-    # runs in the calling thread alone
+    # runs in the calling thread alone; no model-source path exits
     levered = _levered_power()
     cases = [(exp_case1, 0.01, None), (exp_case2, 0.01, None),
              (levered, 0.2, None), (levered, 0.2, powmod.solve_growth_factors(levered, dt=0.01)),
              *((p, 0.2, None) for p in random_power_models(10, seed=4242, base=pow_case1)),
              (pow_case1, 0.1, lambda t, w: (0.1, 0.3 * w))]
     calls = _thread_spy(monkeypatch)
-    exits = 0
     for params, dt, strategy in cases:
         cfg = sim.SimConfig(dt=dt, n_paths=100, seed=4, strategy=strategy)
         results = {}
@@ -473,8 +512,7 @@ def test_run_paths_do_not_depend_on_worker_count(monkeypatch, exp_case1, exp_cas
         for workers in (2, 3):
             for got, want in zip(results[workers], results[1], strict=True):
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        exits += np.isfinite(results[1][1]).sum()
-    assert exits > 0
+        assert callable(strategy) or np.isnan(results[1][1]).all()
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
@@ -607,16 +645,28 @@ def _oracle_controls(params, source, dt):
     return lambda k, w: powmod._controls(params, w, varpi[k])
 
 
+def _euler_callable(params, source, dt):
+    """The power controls of ``_oracle_controls`` as a callable strategy
+    (t, w) -> (q, pi), which the simulation steps by Euler."""
+    n_steps = round(params.horizon / dt)
+    t = np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
+    varpi = dict(zip(t.tolist(), powmod.factors(params, t, source)[1].tolist()))
+    return lambda t, w: powmod._controls(params, w, varpi[t])
+
+
 @pytest.mark.parametrize(
     "case", ["exponential", "exponential-h0.3", "exponential-kappa-fault", "power",
              "power-closed-form", "levered-dt0.2", "levered-dt0.01"])
 def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1, case):
     # the delay cancels from the step of w only through the identities
     # C = beta*e^{-alpha*h} and B = beta*(alpha + A + beta), so w matches the
-    # three-state step at roundoff, and recorded X, M1, M2 match it too
+    # three-state step at roundoff, and recorded X, M1, M2 match it too. The
+    # power model sources step log w exactly, so the power cases run their
+    # controls as a callable, which the simulation steps by Euler
     params, source, dt, n_paths = _oracle_case(case, exp_case1, pow_case1)
-    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=source)
     power_domain = params.dist.family == "power"
+    strategy = _euler_callable(params, source, dt) if power_domain else source
+    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=strategy)
     X, M1, M2, exit_ref = three_state_euler(
         params, dt, cfg.seed, range(n_paths), _oracle_controls(params, source, dt), power_domain)
     w_term, exit_t = sim._run_paths(params, cfg, range(n_paths))
@@ -629,6 +679,44 @@ def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1,
         assert path.exit_time == (None if np.isnan(exit_ref[i]) else exit_ref[i])
         for got, want in ((path.X, X), (path.M1, M1), (path.M2, M2)):
             np.testing.assert_allclose(got, want[:, i], rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["power", "power-closed-form", "levered-dt0.2", "levered-dt0.01"])
+def test_power_model_sources_take_the_exact_log_step(exp_case1, pow_case1, case):
+    # the oracle steps w_{k+1} = w_k*exp((A + beta + G2/v - G2/(2 v^2))*dt
+    # + sqrt(dt)*(b*cq*Z1 + sigma*cpi*Z2)/v) one path at a time, with v the
+    # source's varpi at the step midpoint; Monte Carlo terminal wealth and
+    # recorded paths match it at roundoff, no path exits, recorded q and pi
+    # are the controls at (t_k, w_k) and recorded M1 takes its Euler step
+    params, source, dt, n_paths = _oracle_case(case, exp_case1, pow_case1)
+    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=source)
+    n_steps = round(params.horizon / dt)
+    t = np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
+    v_mid = powmod.factors(params, (t[:-1] + t[1:]) / 2, source)[1]
+    co, fin, delay, g2 = params.coeffs, params.financial, params.delay, params.g2
+    cq, cpi = co.a * co.eta2 / co.b**2, (fin.mu - fin.r) / fin.sigma**2
+    rate = params.constants.A + delay.beta + g2 / v_mid - g2 / (2 * v_mid**2)
+    w = np.empty((n_steps + 1, n_paths))
+    w[0] = params.w0
+    for i in range(n_paths):
+        z = sim.path_rng(cfg.seed, i).standard_normal((n_steps, 2))
+        shock = math.sqrt(dt) * (co.b * cq * z[:, 0] + fin.sigma * cpi * z[:, 1]) / v_mid
+        w[1:, i] = params.w0 * np.cumprod(np.exp(rate * dt + shock))
+    w_term, exit_t = sim._run_paths(params, cfg, range(n_paths))
+    assert np.isnan(exit_t).all()
+    np.testing.assert_allclose(w_term, w[-1], rtol=1e-11, atol=0.0)
+    varpi = powmod.factors(params, t, source)[1]
+    for i in (0, 1, 2):
+        path = sim.simulate_path(params, cfg, path_index=i)
+        assert not path.domain_exit
+        assert path.terminal_effective_wealth == pytest.approx(w[-1, i], rel=1e-11, abs=0.0)
+        np.testing.assert_allclose(path.X + delay.beta * path.M1, w[:, i], rtol=1e-11, atol=0.0)
+        q, pi = powmod._controls(params, path.X + delay.beta * path.M1, varpi)
+        np.testing.assert_allclose(path.q, q, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(path.pi_x, pi, rtol=1e-12, atol=0.0)
+        m1_step = path.M1[:-1] + (path.X[:-1] - delay.alpha * path.M1[:-1]
+                                  - math.exp(-delay.alpha * delay.h) * path.M2[:-1]) * dt
+        np.testing.assert_allclose(path.M1[1:], m1_step, rtol=1e-12, atol=0.0)
 
 
 def test_negative_retention_rejected(exp_case1):
