@@ -315,12 +315,14 @@ def _verify_checks(params, args):
     if want("optimality"):
         res = ver.optimality_residual(params, t_vals, x_vals, m1_vals, m2=params.x0)
         checks["optimality"] = {
-            "passed": bool(res.max_scaled_sup <= 1e-6 and res.max_cell_distance <= 1.0
-                           and res.concave),
+            "passed": bool(res.max_scaled_sup <= 1e-6 and res.concave
+                           and res.max_first_order_gap <= ver.OPTIMALITY_GAP_TOL),
             "max_scaled_sup_gap": res.max_scaled_sup,
+            "max_first_order_gap": res.max_first_order_gap,
             "max_argmax_cell_distance": res.max_cell_distance,
             "concave": res.concave,
             "tolerance": 1e-6,
+            "gap_tolerance": ver.OPTIMALITY_GAP_TOL,
         }
     if want("coefficients"):
         if power:

@@ -6,8 +6,8 @@ the (wealth, running memory) dynamics:
 * expectation PDE: each per-gamma expected-utility ansatz is annihilated
   by the generator under the equilibrium controls;
 * optimality: the aggregated value solves the sup-form equation -- the
-  swept objective is nonpositive, vanishes at the closed-form controls,
-  and is concave in each control;
+  control objective is a concave quadratic whose vertex is the
+  closed-form controls and whose value there vanishes;
 * coefficient split: the exponential ansatz residual, as a function of
   effective wealth, is affine with both coefficients zero;
 
@@ -24,13 +24,15 @@ w-derivatives; the m1-derivative is beta*phi_w). Each time is evaluated
 once, as arrays over the whole state grid: a slice evaluates the
 family's time-only factors (exponent slopes and drift rates, or the
 growth factors at that time, their rates and the certainty factor) and
-returns the controls, the per-gamma ansatz jets and the value jet at
-every w of the grid. A power check reads its factors at all its times in
-one ``power.factors`` call before its first slice: the closed form, or a
-solution of the same model interpolated. :func:`generator_terms` is affine
+returns the controls, the per-gamma ansatz jets, the value jet and the
+certainty-equivalent curvature at every w of the grid. A power check
+reads its factors at all its times in one ``power.factors`` call before
+its first slice: the closed form, or a solution of the same model
+interpolated. :func:`generator_terms` is affine
 in (x, m1, m2), so it applies to the whole grid at once too. The
-optimality objective is a q part plus a pi part, so each control is swept
-on its own mesh. The closed forms themselves stay in
+optimality objective is a quadratic in (q, pi), so its sup is read at its
+vertex; its curvature sum_i p_i (u_i^{-1})''(phi_i) phi_i,w^2 is a closed
+form in which phi cancels. The closed forms themselves stay in
 :mod:`delaris.exponential` and :mod:`delaris.power`.
 """
 
@@ -48,7 +50,7 @@ from . import power as powmod
 from .exceptions import ParameterError
 from .model import ModelParams
 from .simulation import SimConfig, mc_reward
-from .utility import EXPONENTIAL, inverse_utility, inverse_utility_d2
+from .utility import EXPONENTIAL, inverse_utility
 
 _TINY = 1e-300
 
@@ -58,6 +60,12 @@ _TINY = 1e-300
 # 25x margin while still being negligible next to the 3-sigma statistical
 # band at the default step sizes.
 FK_DT_COEFF = 0.5
+
+# first-order gap allowance of the optimality check. The clean gap is at most
+# 8.4e-16 on the four baselines and 5.2e-15 over hundreds of seeded random
+# admitted models of both families; a candidate control off by 0.1% reads
+# 1e-3. 1e-10 sits 10^4x above the first and at 1e-7 of the second.
+OPTIMALITY_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,11 @@ def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, floa
 def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w):
     """The family's closed forms at each of the times t_vals and effective
     wealth w (a float or an array), one time after another: yields
-    ((q, pi_x), one ansatz jet per gamma, the value jet). Every time-only
-    factor is evaluated once: power reads (g, varpi) at all the times in
+    ((q, pi_x), one ansatz jet per gamma, the value jet, the curvature
+    sum_i p_i (u_i^{-1})''(phi_i) * phi_i,w^2, in which phi cancels:
+    sum_i p_i g1_i^2/gamma_i for exponential, sum_i p_i gamma_i
+    g_i^{gamma_i/(1-gamma_i)} / w for power). Every time-only factor is
+    evaluated once: power reads (g, varpi) at all the times in
     one ``power.factors`` call on ``solution`` (None: the closed
     form) before it checks w, and dg/dt from the factor system at them.
     An exploded closed form raises from ``factors``, which names the
@@ -129,12 +140,14 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
             e = math.exp(kappa * (params.horizon - t))
             controls = tuple(np.full(np.shape(w), c) for c in expmod.strategy(params, t))
             jets = []
-            for gamma in params.dist.gammas:
+            curvature = 0.0
+            for gamma, p in params.dist.points:
                 g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
                 phi = expmod.ansatz(params, gamma, t, w, 0.0)
                 jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
+                curvature += p * g1**2 / gamma
             u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
-            yield controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0)
+            yield controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0), curvature
         return
 
     gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
@@ -155,7 +168,8 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
             )
             for gm, gi, gi_dot in zip(params.dist.gammas, g, g_dot)
         ]
-        yield powmod._controls(params, w, varpi), jets, Jet(w * factor, w * rate, factor, 0.0)
+        u = Jet(w * factor, w * rate, factor, 0.0)
+        yield powmod._controls(params, w, varpi), jets, u, float((gam * gc) @ p) / w
 
 
 def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w):
@@ -215,7 +229,7 @@ def expectation_pde_residual(
     shape = (len(params.dist.gammas), len(t_vals), *w.shape)
     residual = np.empty(shape)
     scaled = np.empty(shape)
-    for a, ((q, pi_x), jets, _) in enumerate(_slices(params, solution, t_vals, w)):
+    for a, ((q, pi_x), jets, _, _) in enumerate(_slices(params, solution, t_vals, w)):
         for i, jet in enumerate(jets):
             terms = generator_terms(jet, params, x, m1, m2, q, pi_x)
             residual[i, a] = res = np.abs(sum(terms))
@@ -236,44 +250,33 @@ def expectation_pde_residual(
 
 @dataclass(frozen=True)
 class OptimalityResult:
-    """Sup-form verification over a control sweep.
+    """Sup-form verification at the vertex of the control objective.
 
-    max_scaled_sup: worst swept objective value over all nodes, scaled
-    max_cell_distance: worst distance between the sweep argmax and the
-        closed-form controls, in units of one coarse-grid cell
+    max_scaled_sup: worst objective value at the vertex over all nodes, scaled
+    max_first_order_gap: worst |c* - c_cand| / width over both controls,
+        the width being |c_cand|, else |w|, else 1
+    max_cell_distance: the same distance in coarse cells of 0.1 width (q)
+        and 0.15 width (pi), the unit of the one-cell criterion
     concave: quadratic control coefficient negative at every node
     """
 
     max_scaled_sup: float
+    max_first_order_gap: float
     max_cell_distance: float
     concave: bool
     n_nodes: int
 
 
-_N_MESH = 41  # coarse mesh nodes per control
-# relative offsets of the refined nodes around the candidate
-_OFFSETS = np.array([0.0, 1e-5, -1e-5, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1])
-
-
-def _mesh(cand, lo: float, hi: float, w):
-    """Control meshes from lo*|cand| to hi*|cand| along a last axis, one per
-    node; a zero candidate takes the node's effective wealth (or 1) as its
-    width, so no sweep collapses to a point."""
+def _maximize(lin, quad, cand, w, lower=-math.inf):
+    """Maximize lin*c + quad*c^2 over c >= lower at every node from its
+    vertex: (max, worst gap of the maximizer from the candidate over the
+    candidate's width |cand|, else the node's |w|, else 1). Where quad >= 0
+    the check fails on concavity and the candidate stands in for the
+    vertex, so every number stays finite."""
+    concave = quad < 0.0
+    star = np.maximum(np.where(concave, -lin / (2.0 * np.where(concave, quad, -1.0)), cand), lower)
     width = np.where(cand != 0.0, np.abs(cand), np.where(w != 0.0, np.abs(w), 1.0))
-    return np.linspace(lo * width, hi * width, _N_MESH, axis=-1)
-
-
-def _sweep(cand, lo: float, hi: float, w, lin, quad):
-    """Maximize lin*c + quad*c^2 over one control c at every node, on the
-    coarse mesh plus the candidate's relative offsets: (max, distance of the
-    argmax from the candidate in coarse cells)."""
-    mesh = _mesh(cand, lo, hi, w)
-    c = np.concatenate([mesh, cand[..., None] * (1.0 + _OFFSETS)], axis=-1)
-    vals = np.asarray(lin)[..., None] * c + quad[..., None] * c**2
-    k = vals.argmax(axis=-1)[..., None]
-    star = np.take_along_axis(c, k, axis=-1)[..., 0]
-    dist = np.abs(star - cand) / (mesh[..., 1] - mesh[..., 0])
-    return np.take_along_axis(vals, k, axis=-1)[..., 0], dist
+    return lin * star + quad * star**2, np.max(np.abs(star - cand) / width, initial=0.0)
 
 
 def optimality_residual(
@@ -284,37 +287,32 @@ def optimality_residual(
     m2: float = 0.6,
     solution: powmod.OdeSolution | None = None,
 ) -> OptimalityResult:
-    """Sweep the control objective
+    """Maximize the control objective
 
         generator(U; q, pi) - 0.5*(b^2 q^2 + sigma^2 pi^2) *
             sum_i p_i * d2(u_i^{-1})(Y_i) * (dY_i/dw)^2
 
-    over a coarse global grid q in [0, 4*q_cand], pi in [-2, 4]*pi_cand plus
-    a multiplicatively refined local grid around the closed-form candidate.
-    The objective is base + (q part) + (pi part), so its sup is base plus
-    the two one-control maxima. The sup must vanish (scaled) and the argmax
-    must land within one coarse cell of the candidate."""
-    family, gammas, probs = params.dist.family, params.dist.gammas, params.dist.probs
+    over q >= 0 and pi at every node. It is base + cq*q + quad*b^2*q^2 +
+    cpi*pi + quad*sigma^2*pi^2, concave where quad < 0, so its sup is at
+    the vertex q* = max(-cq/(2*quad*b^2), 0), pi* = -cpi/(2*quad*sigma^2).
+    The sup must vanish (scaled) and the vertex must be the closed-form
+    candidate, up to a first-order gap at roundoff."""
     co, fin = params.coeffs, params.financial
     x, m1, w = _state_grid(params, x_vals, m1_vals)
 
     worst_sup = -math.inf
-    worst_dist = 0.0
+    worst_gap = worst_dist = 0.0
     concave = True
-    for (q_cand, pi_cand), jets, u in _slices(params, solution, np.asarray(t_vals, dtype=float), w):
-        penalty = 0.0
-        for gamma, p, jet in zip(gammas, probs, jets):
-            penalty += p * inverse_utility_d2(family, gamma, jet.phi) * jet.phi_w * jet.phi_w
-        quad = 0.5 * (u.phi_ww - penalty)
+    for (q_cand, pi_cand), _, u, curv in _slices(params, solution, np.asarray(t_vals, float), w):
+        quad = 0.5 * (u.phi_ww - curv)
         concave = concave and not np.any(quad >= 0.0)
         # the generator of U with both controls at zero
         base = sum(generator_terms(u, params, x, m1, m2, 0.0, 0.0))
         cq = co.a * co.eta2 * u.phi_w
         cpi = (fin.mu - fin.r) * u.phi_w
-        best_q, dist_q = _sweep(q_cand, 0.0, 4.0, w, cq, quad * co.b2)
-        best_pi, dist_pi = _sweep(pi_cand, -2.0, 4.0, w, cpi, quad * fin.sigma**2)
+        best_q, gap_q = _maximize(cq, quad * co.b2, q_cand, w, lower=0.0)
+        best_pi, gap_pi = _maximize(cpi, quad * fin.sigma**2, pi_cand, w)
         sup = base + best_q + best_pi
-
         scale = (
             np.abs(u.phi_t)
             + np.abs(base - u.phi_t)
@@ -324,9 +322,11 @@ def optimality_residual(
         )
         scaled = np.abs(sup) / np.maximum(scale, _TINY)
         worst_sup = max(worst_sup, np.max(scaled, initial=-math.inf))
-        worst_dist = max(worst_dist, np.max(dist_q, initial=0.0), np.max(dist_pi, initial=0.0))
+        worst_gap = max(worst_gap, gap_q, gap_pi)
+        worst_dist = max(worst_dist, gap_q / 0.1, gap_pi / 0.15)
     return OptimalityResult(
         max_scaled_sup=float(worst_sup),
+        max_first_order_gap=float(worst_gap),
         max_cell_distance=float(worst_dist),
         concave=bool(concave),
         n_nodes=len(t_vals) * w.size,
@@ -352,11 +352,13 @@ def coefficient_split_check(
     t: float,
     g1_factor: float = 1.0,
 ) -> CoefficientSplit:
-    """Evaluate the exponent-level residual at effective wealth 0.5 and 1.5
-    and split it into slope and intercept. Both vanish for the closed
-    forms; ``g1_factor`` != 1 injects a multiplicative fault into the
-    wealth-slope value (its analytic derivative stays unperturbed), which
-    the slope coefficient must detect. Exponential family only."""
+    """The exponent-level residual of the ansatz, g1_dot*w + g2_dot +
+    kappa*g1*w + (control terms), is affine in effective wealth: its slope
+    is g1_dot + kappa*g1 and its intercept g2_dot plus the control terms.
+    Both vanish for the closed forms; ``g1_factor`` != 1 injects a
+    multiplicative fault into the wealth-slope value (its analytic
+    derivative stays unperturbed), which the slope coefficient must
+    detect. Exponential family only."""
     co, fin = params.coeffs, params.financial
     kappa = params.constants.kappa
     g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
@@ -364,13 +366,8 @@ def coefficient_split_check(
     q_hat, pi_hat = expmod.strategy(params, t)
     control_lin = (pi_hat * (fin.mu - fin.r) + co.a * co.eta + co.a * co.eta2 * q_hat) * g1
     control_quad = 0.5 * (co.b2 * q_hat**2 + fin.sigma**2 * pi_hat**2) * g1**2
-
-    def residual(w):
-        return g1_dot * w + g2_dot + kappa * w * g1 + control_lin + control_quad
-
-    w1, w2 = 0.5, 1.5
-    slope = (residual(w1) - residual(w2)) / (w1 - w2)
-    intercept = residual(w1) - slope * w1
+    slope = g1_dot + kappa * g1
+    intercept = g2_dot + control_lin + control_quad
     slope_scale = abs(g1_dot) + abs(kappa * g1)
     intercept_scale = abs(g2_dot) + abs(control_lin) + abs(control_quad)
     return CoefficientSplit(
@@ -417,7 +414,7 @@ def feynman_kac_check(
 
     Pass criterion per gamma: |mc - ansatz| <= 3*SE + FK_DT_COEFF*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
-    _, jets, _ = _slice(params, solution, 0.0, params.w0)
+    _, jets, _, _ = _slice(params, solution, 0.0, params.w0)
     cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=solution)
     est = mc_reward(params, cfg)
     results = []
@@ -457,7 +454,7 @@ def aggregated_value_identity(
 ) -> tuple[float, float]:
     """(probability-weighted certainty equivalent of the per-gamma ansatz,
     closed-form aggregated value); the two must agree."""
-    _, jets, u = _slice(params, solution, t, x + params.delay.beta * m1)
+    _, jets, u, _ = _slice(params, solution, t, x + params.delay.beta * m1)
     h = math.fsum(
         p * inverse_utility(params.dist.family, g, jet.phi)
         for (g, p), jet in zip(params.dist.points, jets)

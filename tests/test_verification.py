@@ -1,15 +1,21 @@
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
+from delaris import cli
 from delaris import power as powmod
 from delaris import sweeps
 from delaris import verification as ver
-from delaris.exceptions import ParameterError
+from delaris.exceptions import EvaluationError, ParameterError
 from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
+from delaris.utility import EXPONENTIAL, inverse_utility_d2
+from test_cli import _models
 
 T_GRID = np.linspace(0.0, 2.0, 6)
 X_GRID = np.linspace(0.2, 1.2, 6)
@@ -69,9 +75,10 @@ def test_power_closed_form_route(pow_case1, pow_sol):
     assert opt.max_scaled_sup < 1e-12 and opt.max_cell_distance <= 1.0 and opt.concave
     w = np.linspace(0.3, 1.5, 5)
     for t in pow_sol.t[::250]:
-        (q, pi_x), jets, u = ver._slice(pow_case1, None, t, w)
-        (q_rk, pi_rk), jets_rk, u_rk = ver._slice(pow_case1, pow_sol, t, w)
+        (q, pi_x), jets, u, curv = ver._slice(pow_case1, None, t, w)
+        (q_rk, pi_rk), jets_rk, u_rk, curv_rk = ver._slice(pow_case1, pow_sol, t, w)
         np.testing.assert_allclose([q, pi_x], [q_rk, pi_rk], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(curv, curv_rk, rtol=1e-12, atol=0.0)
         for jet, jet_rk in zip([*jets, u], [*jets_rk, u_rk]):
             for field, field_rk in zip(dataclasses.astuple(jet), dataclasses.astuple(jet_rk)):
                 np.testing.assert_allclose(field, field_rk, rtol=1e-12, atol=0.0)
@@ -108,6 +115,7 @@ def test_optimality_exponential(exp_case1):
     res = ver.optimality_residual(exp_case1, T_GRID, X_GRID, M1_GRID, m2=0.6)
     assert res.max_scaled_sup < 1e-12
     assert res.max_cell_distance <= 1.0
+    assert res.max_first_order_gap <= ver.OPTIMALITY_GAP_TOL
     assert res.concave
     assert res.n_nodes == 216
 
@@ -117,6 +125,7 @@ def test_optimality_power(pow_case1, pow_sol):
         pow_case1, T_GRID, X_GRID, M1_GRID, m2=0.6, solution=pow_sol)
     assert res.max_scaled_sup < 1e-12
     assert res.max_cell_distance <= 1.0
+    assert res.max_first_order_gap <= ver.OPTIMALITY_GAP_TOL
     assert res.concave
 
 
@@ -175,8 +184,8 @@ def test_feynman_kac_detects_wrong_reference(exp_case1):
 
 @pytest.mark.parametrize("family", ["exponential", "power"])
 def test_optimality_with_zero_candidate(family):
-    # mu == r is admissible and makes the invested amount zero; the pi
-    # sweep must still span a mesh and the argmax distance stay finite
+    # mu == r is admissible and makes the invested amount zero; its
+    # first-order gap is measured on the node's wealth and stays finite
     base = sweeps.baseline_params(family, "I")
     params = ModelParams.build(
         insurance=base.insurance,
@@ -189,6 +198,7 @@ def test_optimality_with_zero_candidate(family):
             params, T_GRID[::2], X_GRID[::2], M1_GRID[::2], m2=0.6, solution=sol)
     assert math.isfinite(res.max_cell_distance)
     assert res.max_cell_distance <= 1.0
+    assert res.max_first_order_gap <= ver.OPTIMALITY_GAP_TOL
     assert res.max_scaled_sup < 1e-12
     assert res.concave
 
@@ -244,9 +254,115 @@ def test_checks_read_the_factors_in_one_call(pow_case1, pow_case2):
             g_t, varpi_t = powmod.factors(params, t)
             np.testing.assert_allclose(g_a, g_t, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(varpi_a, varpi_t, rtol=1e-15, atol=0.0)
-            (q, pi_x), jets, u = slc
-            (q_t, pi_t), jets_t, u_t = ver._slice(params, None, t, w)
+            (q, pi_x), jets, u, curv = slc
+            (q_t, pi_t), jets_t, u_t, curv_t = ver._slice(params, None, t, w)
             np.testing.assert_allclose([q, pi_x], [q_t, pi_t], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(curv, curv_t, rtol=1e-14, atol=0.0)
             for jet, jet_t in zip([*jets, u], [*jets_t, u_t]):
                 for field, field_t in zip(dataclasses.astuple(jet), dataclasses.astuple(jet_t)):
                     np.testing.assert_allclose(field, field_t, rtol=1e-14, atol=0.0)
+
+
+def _cli_grid(params):
+    """The (t, x, m1) grid of ``verify``."""
+    return (np.linspace(0.0, params.horizon, 10), np.linspace(0.2, 1.2, 10),
+            np.linspace(0.3, 1.2, 10))
+
+
+def _passes(res):
+    """The optimality gate of ``verify``."""
+    return (res.max_scaled_sup <= 1e-6 and res.concave
+            and res.max_first_order_gap <= ver.OPTIMALITY_GAP_TOL)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_curvature_is_the_inverse_utility_form(family, case):
+    # the phi-free curvature equals sum_i p_i (u_i^{-1})''(phi_i) phi_i,w^2
+    # read through the inverse utility itself
+    params = sweeps.baseline_params(family, case)
+    w = np.linspace(0.3, 1.5, 5)
+    for _, jets, _, curvature in ver._slices(params, None, T_GRID, w):
+        direct = sum(p * inverse_utility_d2(family, gamma, jet.phi) * jet.phi_w**2
+                     for (gamma, p), jet in zip(params.dist.points, jets))
+        np.testing.assert_allclose(curvature, direct, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("control", [0, 1], ids=["q", "pi"])
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_optimality_detects_control_off_by_a_tenth_percent(family, control, monkeypatch,
+                                                          tmp_path):
+    # the vertex's value does not read the candidate, so the sup stays at
+    # roundoff; the first-order gap reads the candidate's 0.1% error
+    slices = ver._slices
+
+    def faulted(*args):
+        for controls, jets, u, curvature in slices(*args):
+            controls = list(controls)
+            controls[control] = controls[control] * (1.0 + 1e-3)
+            yield tuple(controls), jets, u, curvature
+
+    monkeypatch.setattr(ver, "_slices", faulted)
+    params = sweeps.baseline_params(family, "I")
+    res = ver.optimality_residual(params, T_GRID, X_GRID, M1_GRID, m2=0.6)
+    assert res.concave and res.max_scaled_sup < 1e-12
+    assert res.max_first_order_gap == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-9)
+    assert not _passes(res)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--family", family, "--check", "optimality",
+                     "--out", str(out)]) == 2
+    report = json.loads((out / "verify_report.json").read_text())["checks"]["optimality"]
+    assert report["max_first_order_gap"] > report["gap_tolerance"] == ver.OPTIMALITY_GAP_TOL
+
+
+@pytest.mark.parametrize("family", ["exponential", "power"])
+@pytest.mark.parametrize("sign", [0.0, -1.0], ids=["flat", "convex"])
+def test_optimality_without_concavity_fails_finite(family, sign, monkeypatch):
+    # a curvature that leaves quad >= 0 has no vertex to read: the check
+    # fails on concavity alone, warning-free and with every number finite
+    slices = ver._slices
+
+    def flipped(*args):
+        for controls, jets, u, curvature in slices(*args):
+            yield controls, jets, u, sign * curvature
+
+    monkeypatch.setattr(ver, "_slices", flipped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ver.optimality_residual(sweeps.baseline_params(family, "I"),
+                                      T_GRID, X_GRID, M1_GRID, m2=0.6)
+    assert not res.concave
+    assert all(map(math.isfinite, (res.max_scaled_sup, res.max_first_order_gap,
+                                   res.max_cell_distance)))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_optimality_on_exponential_models_past_the_ansatz_range(index, tmp_path):
+    # each model's ansatz underflows or overflows at some nodes, which
+    # raised DomainError or a RuntimeWarning while the curvature read phi
+    models = json.loads(Path(__file__).with_name("optimality_models.json").read_text())
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(models[index]))
+    params = cli.load_config(str(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = ver.optimality_residual(params, *_cli_grid(params), m2=params.x0)
+        assert _passes(res), res
+        assert cli.main(["verify", "--case", "custom", "--config", str(config),
+                         "--check", "optimality", "--out", str(tmp_path / "out")]) == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=_models())
+def test_optimality_verdict_on_admitted_exponential_models(params):
+    # every admitted exponential model passes the check, warning-free, unless
+    # its ansatz itself leaves the float range (a defect of the ansatz)
+    assume(params.dist.family == EXPONENTIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = ver.optimality_residual(params, *_cli_grid(params), m2=params.x0)
+        except EvaluationError as err:
+            assert "ansatz exponent" in str(err)
+            return
+    assert _passes(res), res
