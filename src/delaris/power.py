@@ -153,14 +153,14 @@ def _varpi(g, gammas, probs):
 
 
 def _rate_fn(gam, p, kappa, g2c):
-    """Right-hand side dg/dt of the factor system as a function of the 1-D
-    factors g; varpi is a NumPy scalar."""
+    """d(log g)/dt of the factor system as a function of the 1-D factors g
+    (dg/dt is it times g); varpi is a NumPy scalar."""
     expo, lead, half, neg_kappa = gam / (1.0 - gam), (1.0 - gam) / gam, 0.5 * gam * g2c, -kappa
 
     def rate(g):
         w = np.exp(expo * np.log(g)) * p
         varpi = (w @ gam) / w.sum()
-        return lead * (neg_kappa - g2c / varpi + half / (varpi * varpi)) * g
+        return lead * (neg_kappa - g2c / varpi + half / (varpi * varpi))
 
     return rate
 
@@ -189,8 +189,12 @@ def _march(params: ModelParams, dt: float, n_steps: int) -> tuple[int, np.ndarra
     Returns the node k it stopped at (0 when it reached t = 0) and the
     factors at nodes k, k+1, ..., n_steps."""
     gam = np.array(params.dist.gammas, dtype=float)
-    rate = _rate_fn(gam, np.array(params.dist.probs, dtype=float),
-                    params.constants.kappa, params.g2)
+    log_rate = _rate_fn(gam, np.array(params.dist.probs, dtype=float),
+                        params.constants.kappa, params.g2)
+
+    def rate(g):
+        return log_rate(g) * g
+
     g = np.empty((n_steps + 1, len(gam)))
     g[n_steps] = y = np.ones(len(gam))
     with np.errstate(all="ignore"):
@@ -215,15 +219,16 @@ def _node_times(horizon: float, dt: float, n_steps: int, k: int) -> np.ndarray:
     return t
 
 
-def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarray) -> OdeSolution:
-    """The solution whose rows g hold nodes k, k+1, ..., n_steps of the
-    grid; a march that stopped at node k > 0 has exploded there."""
+def _solution(params: ModelParams, dt: float, n_steps: int, k: int, g: np.ndarray,
+              varpi: np.ndarray) -> OdeSolution:
+    """The solution whose rows g and varpi hold nodes k, k+1, ..., n_steps
+    of the grid; a march that stopped at node k > 0 has exploded there."""
     t = _node_times(params.horizon, dt, n_steps, k)
     exploded = k > 0
     return OdeSolution(
         t=t,
         g=np.asfortranarray(g),
-        varpi=_varpi(g, params.dist.gammas, params.dist.probs),
+        varpi=varpi,
         gammas=params.dist.gammas,
         probs=params.dist.probs,
         dt=dt,
@@ -240,7 +245,7 @@ def solve_growth_factors(params: ModelParams, dt: float | None = None) -> OdeSol
     """
     dt, n_steps = _grid(params, dt)
     k, g = _march(params, dt, n_steps)
-    return _solution(params, dt, n_steps, k, g)
+    return _solution(params, dt, n_steps, k, g, _varpi(g, params.dist.gammas, params.dist.probs))
 
 
 _GL_NODES = 12  # Gauss-Legendre nodes per panel of the varpi integral
@@ -403,18 +408,18 @@ def growth_factors(params: ModelParams, dt: float | None = None) -> OdeSolution:
         log g_i = (1-gamma_i)/gamma_i * [kappa*tau - 2 log m(S) - gamma_i*S/2]
 
     with tau = T - t of the node time t written and S = S(G2*tau) (see the
-    module docstring), so each row's g is ``factors`` at its t bit for bit;
-    its varpi aggregates that g, as a marched solution's does. g(T) = 1 and
+    module docstring), so each row's (g, varpi) is ``factors`` at its t bit
+    for bit: varpi is psi(S), as the controls read it. g(T) = 1 and
     t[0] = 0 exactly. A node whose factors leave (0, inf) ends
     the solution as an exploding march ends there: the solution keeps the
     nodes after the last such node and is flagged as exploded."""
     dt, n_steps = _grid(params, dt)
     t = _node_times(params.horizon, dt, n_steps, 0)
     g = np.empty((n_steps + 1, params.dist.n), order="F")  # the layout OdeSolution keeps
-    _evaluate(params, params.horizon - t, g)
+    varpi = _evaluate(params, params.horizon - t, g)
     bad = np.flatnonzero(~((g > 0.0) & (g < np.inf)).all(axis=1))
     k = int(bad[-1]) + 1 if len(bad) else 0
-    return _solution(params, dt, n_steps, k, g[k:])
+    return _solution(params, dt, n_steps, k, g[k:], varpi[k:])
 
 
 def factors(params: ModelParams, t, solution: OdeSolution | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -561,11 +566,7 @@ def ansatz(sol: OdeSolution | None, params: ModelParams, i: int, t: float, x: fl
     """Per-gamma expected utility of terminal effective wealth under the
     equilibrium strategy: g_i(t)^gamma_i * w^(1-gamma_i) / (1-gamma_i)."""
     w = _effective_wealth(params, x, m1, "ansatz")
-    return _ansatz(factors(params, float(t), sol)[0][i], params.dist.gammas[i], w)
-
-
-def _ansatz(g: float, gam: float, w: float) -> float:
-    """g^gamma * w^(1-gamma) / (1-gamma) for one atom's factor value g."""
+    g, gam = factors(params, float(t), sol)[0][i], params.dist.gammas[i]
     return g**gam * w ** (1.0 - gam) / (1.0 - gam)
 
 

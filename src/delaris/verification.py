@@ -19,20 +19,26 @@ blow the residuals up by orders of magnitude.
 
 Every candidate, in both families, depends on the state (x, m1) only
 through the effective wealth w = x + beta*m1, so a field is a
-:class:`Jet` in w (value, time derivative, first and second
-w-derivatives; the m1-derivative is beta*phi_w). Each time is evaluated
-once, as arrays over the whole state grid: a slice evaluates the
-family's time-only factors (exponent slopes and drift rates, or the
-growth factors at that time, their rates and the certainty factor) and
-returns the controls, the per-gamma ansatz jets, the value jet and the
-certainty-equivalent curvature at every w of the grid. A power check
-reads its factors at all its times in one ``power.factors`` call before
-its first slice: the closed form, or a solution of the same model
-interpolated. :func:`generator_terms` is affine
-in (x, m1, m2), so it applies to the whole grid at once too. The
+:class:`Jet` in w (time derivative, first and second w-derivatives; the
+m1-derivative is beta*phi_w). The generator is linear in the jet, so a
+scaled residual is unchanged by dividing the jet by the field: each
+per-gamma ansatz phi_i enters as its log-derivatives, (g1_dot*w + g2_dot,
+g1, g1^2) for the exponential and (gamma_i dlog g_i/dt, (1-gamma_i)/w,
+-gamma_i(1-gamma_i)/w^2) for the power, and its value, which can leave
+the float range, is never formed; the aggregated value keeps its
+absolute derivatives. Each time is evaluated once, as arrays over the
+whole state grid: a slice evaluates the family's time-only factors
+(exponent slopes and drift rates, or the growth factors at that time,
+their log-rates and the certainty factor) and returns the controls, the
+per-gamma jets, the value jet and the certainty-equivalent curvature at
+every w of the grid. A power check reads its factors at all its times in
+one ``power.factors`` call before its first slice: the closed form, or a
+solution of the same model interpolated. :func:`generator_terms` is
+affine in (x, m1, m2), so it applies to the whole grid at once too. The
 optimality objective is a quadratic in (q, pi), so its sup is read at its
 vertex; its curvature sum_i p_i (u_i^{-1})''(phi_i) phi_i,w^2 is a closed
-form in which phi cancels. The closed forms themselves stay in
+form in which phi cancels. The closed forms themselves, and the values
+the Feynman-Kac reference and the aggregated-value identity read, stay in
 :mod:`delaris.exponential` and :mod:`delaris.power`.
 """
 
@@ -70,12 +76,11 @@ OPTIMALITY_GAP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Jet:
-    """A field that depends on the state (t, x, m1) only through effective
-    wealth w = x + beta*m1: its value, time derivative and first two
-    w-derivatives, each a float or an array over a grid of w. The
-    m1-derivative is beta*phi_w."""
+    """A field phi that depends on the state (t, x, m1) only through
+    effective wealth w = x + beta*m1: its time derivative and first two
+    w-derivatives, each a float or an array over a grid of w, or all three
+    divided by phi. The m1-derivative is beta*phi_w."""
 
-    phi: float
     phi_t: float
     phi_w: float
     phi_ww: float
@@ -123,16 +128,16 @@ def _exp_rates(params: ModelParams, gamma: float, t: float) -> tuple[float, floa
 def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w):
     """The family's closed forms at each of the times t_vals and effective
     wealth w (a float or an array), one time after another: yields
-    ((q, pi_x), one ansatz jet per gamma, the value jet, the curvature
-    sum_i p_i (u_i^{-1})''(phi_i) * phi_i,w^2, in which phi cancels:
-    sum_i p_i g1_i^2/gamma_i for exponential, sum_i p_i gamma_i
+    ((q, pi_x), one ansatz log-derivative jet per gamma, the value jet,
+    the curvature sum_i p_i (u_i^{-1})''(phi_i) * phi_i,w^2, in which phi
+    cancels: sum_i p_i g1_i^2/gamma_i for exponential, sum_i p_i gamma_i
     g_i^{gamma_i/(1-gamma_i)} / w for power). Every time-only factor is
-    evaluated once: power reads (g, varpi) at all the times in
-    one ``power.factors`` call on ``solution`` (None: the closed
-    form) before it checks w, and dg/dt from the factor system at them.
+    evaluated once: power reads (g, varpi) at all the times in one
+    ``power.factors`` call on ``solution`` (None: the closed form) before
+    it checks w, and dlog g/dt from the factor system at them.
     An exploded closed form raises from ``factors``, which names the
-    model's explosion time whatever t_vals are. The family routines take
-    (x, m1) and see only x + beta*m1, so w enters as (w, 0)."""
+    model's explosion time whatever t_vals are. The power wealth check
+    takes (x, m1) and sees only x + beta*m1, so w enters it as (w, 0)."""
     if params.dist.family == EXPONENTIAL:
         co, kappa = params.coeffs, params.constants.kappa
         g_const = params.g2 / params.mean_gamma
@@ -143,38 +148,24 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
             curvature = 0.0
             for gamma, p in params.dist.points:
                 g1, g1_dot, g2_dot = _exp_rates(params, gamma, t)
-                phi = expmod.ansatz(params, gamma, t, w, 0.0)
-                jets.append(Jet(phi, phi * (g1_dot * w + g2_dot), g1 * phi, g1**2 * phi))
+                jets.append(Jet(g1_dot * w + g2_dot, g1, g1**2))
                 curvature += p * g1**2 / gamma
             u_t = -kappa * w * e - co.a * co.eta * e - 0.5 * g_const
-            yield controls, jets, Jet(expmod.value(params, t, w, 0.0), u_t, e, 0.0), curvature
+            yield controls, jets, Jet(u_t, e, 0.0), curvature
         return
 
     gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
     factors = zip(*powmod.factors(params, t_vals, solution))
-    rate_fn = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)
+    log_rate = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)
     w = powmod._effective_wealth(params, w, 0.0, "verification")
     for g, varpi in factors:
-        g_dot = rate_fn(g)
+        lr = log_rate(g)
         gc = powmod._powers(g, gam)
-        factor = float(gc @ p)  # certainty_factor(t)
-        rate = float((gam / (1.0 - gam) * gc / g * g_dot) @ p)  # its time derivative
-        jets = [
-            Jet(
-                powmod._ansatz(gi, gm, w),
-                gm * gi ** (gm - 1.0) * gi_dot * w ** (1.0 - gm) / (1.0 - gm),
-                gi**gm * w ** (-gm),
-                -gm * gi**gm * w ** (-gm - 1.0),
-            )
-            for gm, gi, gi_dot in zip(params.dist.gammas, g, g_dot)
-        ]
-        u = Jet(w * factor, w * rate, factor, 0.0)
+        rate = float((gam / (1.0 - gam) * gc * lr) @ p)  # d/dt of certainty_factor(t)
+        jets = [Jet(gm * lr_i, (1.0 - gm) / w, -gm * (1.0 - gm) / w**2)
+                for gm, lr_i in zip(params.dist.gammas, lr)]
+        u = Jet(w * rate, float(gc @ p), 0.0)
         yield powmod._controls(params, w, varpi), jets, u, float((gam * gc) @ p) / w
-
-
-def _slice(params: ModelParams, solution: powmod.OdeSolution | None, t: float, w):
-    """:func:`_slices` at the one time t."""
-    return next(_slices(params, solution, [t], w))
 
 
 def _state_grid(params: ModelParams, x_vals, m1_vals):
@@ -191,16 +182,16 @@ def _state_grid(params: ModelParams, x_vals, m1_vals):
 class ResidualGrid:
     """Per-gamma generator residuals of the equilibrium ansatz on a grid.
 
-    residual[i, a, b, c] is |generator applied to ansatz gamma_i| at
-    (t_vals[a], x_vals[b], m1_vals[c]); scaled divides by the sum of the
-    absolute generator terms at the node (cancellation scale)."""
+    scaled[i, a, b, c] is |generator applied to ansatz gamma_i| at
+    (t_vals[a], x_vals[b], m1_vals[c]) over the sum of the absolute
+    generator terms there (cancellation scale), both read from the
+    ansatz's log-derivatives."""
 
     t_vals: np.ndarray
     x_vals: np.ndarray
     m1_vals: np.ndarray
     m2: float
     gammas: tuple[float, ...]
-    residual: np.ndarray
     scaled: np.ndarray
 
     @property
@@ -227,20 +218,17 @@ def expectation_pde_residual(
     t_vals = np.asarray(t_vals, dtype=float)
     x, m1, w = _state_grid(params, x_vals, m1_vals)
     shape = (len(params.dist.gammas), len(t_vals), *w.shape)
-    residual = np.empty(shape)
     scaled = np.empty(shape)
     for a, ((q, pi_x), jets, _, _) in enumerate(_slices(params, solution, t_vals, w)):
         for i, jet in enumerate(jets):
             terms = generator_terms(jet, params, x, m1, m2, q, pi_x)
-            residual[i, a] = res = np.abs(sum(terms))
-            scaled[i, a] = res / np.maximum(sum(np.abs(v) for v in terms), _TINY)
+            scaled[i, a] = np.abs(sum(terms)) / np.maximum(sum(np.abs(v) for v in terms), _TINY)
     return ResidualGrid(
         t_vals=t_vals,
         x_vals=x[:, 0],
         m1_vals=m1,
         m2=m2,
         gammas=params.dist.gammas,
-        residual=residual,
         scaled=scaled,
     )
 
@@ -414,11 +402,11 @@ def feynman_kac_check(
 
     Pass criterion per gamma: |mc - ansatz| <= 3*SE + FK_DT_COEFF*dt*|ansatz|
     (statistical error plus the weak-order-one discretization allowance)."""
-    _, jets, _, _ = _slice(params, solution, 0.0, params.w0)
+    refs = _ansatz_values(params, solution, 0.0, params.x0, params.m1_0)
     cfg = SimConfig(dt=dt, n_paths=n_paths, seed=seed, strategy=solution)
     est = mc_reward(params, cfg)
     results = []
-    for ref, pg in zip((jet.phi for jet in jets), est.per_gamma):
+    for ref, pg in zip(refs, est.per_gamma):
         diff = abs(pg.y_mean - ref)
         tol = 3.0 * pg.y_se + FK_DT_COEFF * dt * abs(ref)
         results.append(
@@ -445,6 +433,14 @@ def feynman_kac_check(
 # ------------------------------------------------------------- utilities
 
 
+def _ansatz_values(params: ModelParams, solution: powmod.OdeSolution | None, t, x, m1) -> list:
+    """The per-gamma ansatz at (t, x, m1), read from the family's closed
+    form (power: from ``solution`` if one is given)."""
+    if params.dist.family == EXPONENTIAL:
+        return [expmod.ansatz(params, gamma, t, x, m1) for gamma in params.dist.gammas]
+    return [powmod.ansatz(solution, params, i, t, x, m1) for i in range(params.dist.n)]
+
+
 def aggregated_value_identity(
     params: ModelParams,
     t: float,
@@ -454,12 +450,13 @@ def aggregated_value_identity(
 ) -> tuple[float, float]:
     """(probability-weighted certainty equivalent of the per-gamma ansatz,
     closed-form aggregated value); the two must agree."""
-    _, jets, u, _ = _slice(params, solution, t, x + params.delay.beta * m1)
     h = math.fsum(
-        p * inverse_utility(params.dist.family, g, jet.phi)
-        for (g, p), jet in zip(params.dist.points, jets)
+        p * inverse_utility(params.dist.family, g, phi)
+        for (g, p), phi in zip(params.dist.points, _ansatz_values(params, solution, t, x, m1))
     )
-    return h, u.phi
+    if params.dist.family == EXPONENTIAL:
+        return h, expmod.value(params, t, x, m1)
+    return h, powmod.value(solution, params, t, x, m1)
 
 
 def perturb_constants(params: ModelParams, name: str, rel: float) -> ModelParams:

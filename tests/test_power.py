@@ -165,14 +165,15 @@ def test_explosion_is_quiet(pow_case1):
 
 
 def test_varpi_rows_match_aggregate_gamma(pow_case1, pow_case2):
-    # a grid's varpi column and one row's aggregate sum the atoms in one
-    # order, also past three atoms, where a stacked matmul moved rows by an ulp
-    sols = [powmod.solve_growth_factors(pow_case2, dt=1e-3),
-            *(powmod.growth_factors(m, dt=1e-2)
-              for m in random_power_models(40, seed=4242, base=pow_case1))]
-    for sol in sols:
-        for g_row, varpi in zip(sol.g, sol.varpi):
-            assert varpi == powmod.aggregate_gamma(g_row, sol.gammas, sol.probs)
+    # a marched grid's varpi column and one row's aggregate sum the atoms in
+    # one order; a closed-form grid's column is the varpi ``factors`` reads
+    # at its times, also past three atoms
+    rk4 = powmod.solve_growth_factors(pow_case2, dt=1e-3)
+    for g_row, varpi in zip(rk4.g, rk4.varpi):
+        assert varpi == powmod.aggregate_gamma(g_row, rk4.gammas, rk4.probs)
+    for m in random_power_models(40, seed=4242, base=pow_case1):
+        sol = powmod.growth_factors(m, dt=1e-2)
+        np.testing.assert_array_equal(sol.varpi, powmod.factors(m, sol.t)[1])
 
 
 def _reference_rate(g, gam, p, kappa, g2c):
@@ -382,8 +383,7 @@ def test_closed_form_matches_rk4_on_baselines(sol1, pow_case1, pow_case2):
         assert exact.varpi[0] == pytest.approx(varpi0, rel=1e-9)
         assert (exact.dt, exact.gammas, exact.probs) == (rk4.dt, rk4.gammas, rk4.probs)
         assert all(col.flags.c_contiguous for col in exact.g.T)
-        for g_row, varpi in zip(exact.g[::97], exact.varpi[::97]):
-            assert varpi == powmod.aggregate_gamma(g_row, exact.gammas, exact.probs)
+        np.testing.assert_array_equal(exact.varpi[::97], powmod.factors(params, exact.t[::97])[1])
     default = powmod.growth_factors(pow_case1)
     assert default.dt == pow_case1.horizon / 20000 and len(default.t) == 20001
 
