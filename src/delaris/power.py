@@ -152,19 +152,6 @@ def _varpi(g, gammas, probs):
     return num / total
 
 
-def _rate_fn(gam, p, kappa, g2c):
-    """d(log g)/dt of the factor system as a function of the 1-D factors g
-    (dg/dt is it times g); varpi is a NumPy scalar."""
-    expo, lead, half, neg_kappa = gam / (1.0 - gam), (1.0 - gam) / gam, 0.5 * gam * g2c, -kappa
-
-    def rate(g):
-        w = np.exp(expo * np.log(g)) * p
-        varpi = (w @ gam) / w.sum()
-        return lead * (neg_kappa - g2c / varpi + half / (varpi * varpi))
-
-    return rate
-
-
 def aggregate_gamma(g, gammas, probs) -> float:
     """Aggregate risk aversion induced by factor values g (one grid row)."""
     return float(_varpi(g, gammas, probs))
@@ -188,12 +175,15 @@ def _march(params: ModelParams, dt: float, n_steps: int) -> tuple[int, np.ndarra
     step that leaves (0, inf): overflow, or the log of a nonpositive stage.
     Returns the node k it stopped at (0 when it reached t = 0) and the
     factors at nodes k, k+1, ..., n_steps."""
-    gam = np.array(params.dist.gammas, dtype=float)
-    log_rate = _rate_fn(gam, np.array(params.dist.probs, dtype=float),
-                        params.constants.kappa, params.g2)
+    gam, p = np.array(params.dist.gammas, dtype=float), np.array(params.dist.probs, dtype=float)
+    g2c, neg_kappa = params.g2, -params.constants.kappa
+    expo, lead, half = gam / (1.0 - gam), (1.0 - gam) / gam, 0.5 * gam * g2c
 
     def rate(g):
-        return log_rate(g) * g
+        """dg/dt at the 1-D factors g; varpi is a NumPy scalar."""
+        w = np.exp(expo * np.log(g)) * p
+        varpi = (w @ gam) / w.sum()
+        return lead * (neg_kappa - g2c / varpi + half / (varpi * varpi)) * g
 
     g = np.empty((n_steps + 1, len(gam)))
     g[n_steps] = y = np.ones(len(gam))

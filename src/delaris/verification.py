@@ -21,18 +21,23 @@ Every candidate, in both families, depends on the state (x, m1) only
 through the effective wealth w = x + beta*m1, so a field is a
 :class:`Jet` in w (time derivative, first and second w-derivatives; the
 m1-derivative is beta*phi_w). The generator is linear in the jet, so a
-scaled residual is unchanged by dividing the jet by the field: each
-per-gamma ansatz phi_i enters as its log-derivatives, (g1_dot*w + g2_dot,
-g1, g1^2) for the exponential and (gamma_i dlog g_i/dt, (1-gamma_i)/w,
+scaled residual is unchanged by dividing the jet by a positive factor of
+the field: each per-gamma ansatz phi_i enters as its log-derivatives,
+(g1_dot*w + g2_dot, g1, g1^2) for the exponential and
+((1-gamma_i)*(-kappa - G2/varpi + gamma_i*G2/(2 varpi^2)), (1-gamma_i)/w,
 -gamma_i(1-gamma_i)/w^2) for the power, and its value, which can leave
-the float range, is never formed; the aggregated value keeps its
-absolute derivatives. Each time is evaluated once, as arrays over the
-whole state grid: a slice evaluates the family's time-only factors
-(exponent slopes and drift rates, or the growth factors at that time,
-their log-rates and the certainty factor) and returns the controls, the
+the float range, is never formed. The exponential aggregated value keeps
+its absolute derivatives. The power one is w times the certainty factor
+cf = sum_i p_i g_i^{gamma_i/(1-gamma_i)}, of rate -cf*(kappa + G2/(2 varpi)),
+so it and the curvature enter divided by cf, which cancels from the
+optimality objective's scaled sup and vertex: a power slice reads varpi
+alone, never g nor a weight g_i^{gamma_i/(1-gamma_i)}, which can overflow
+where g does not. Each time is evaluated once, as arrays over the whole
+state grid: a slice evaluates the family's time-only factors (exponent
+slopes and drift rates, or varpi) and returns the controls, the
 per-gamma jets, the value jet and the certainty-equivalent curvature at
-every w of the grid. A power check reads its factors at all its times in
-one ``power.factors`` call before its first slice: the closed form, or a
+every w of the grid. A power check reads varpi at all its times in one
+``power.factors`` call before its first slice: the closed form, or a
 solution of the same model interpolated. :func:`generator_terms` is
 affine in (x, m1, m2), so it applies to the whole grid at once too. The
 optimality objective is a quadratic in (q, pi), so its sup is read at its
@@ -79,7 +84,8 @@ class Jet:
     """A field phi that depends on the state (t, x, m1) only through
     effective wealth w = x + beta*m1: its time derivative and first two
     w-derivatives, each a float or an array over a grid of w, or all three
-    divided by phi. The m1-derivative is beta*phi_w."""
+    divided by phi or by a positive factor of phi that depends on t alone.
+    The m1-derivative is beta*phi_w."""
 
     phi_t: float
     phi_w: float
@@ -130,14 +136,15 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
     wealth w (a float or an array), one time after another: yields
     ((q, pi_x), one ansatz log-derivative jet per gamma, the value jet,
     the curvature sum_i p_i (u_i^{-1})''(phi_i) * phi_i,w^2, in which phi
-    cancels: sum_i p_i g1_i^2/gamma_i for exponential, sum_i p_i gamma_i
-    g_i^{gamma_i/(1-gamma_i)} / w for power). Every time-only factor is
-    evaluated once: power reads (g, varpi) at all the times in one
+    cancels: sum_i p_i g1_i^2/gamma_i for exponential; for power the value
+    jet (-w*(kappa + G2/(2 varpi)), 1, 0) and the curvature varpi/w, both
+    divided by the certainty factor). Every time-only factor is evaluated
+    once: power reads varpi, and nothing else, at all the times in one
     ``power.factors`` call on ``solution`` (None: the closed form) before
-    it checks w, and dlog g/dt from the factor system at them.
-    An exploded closed form raises from ``factors``, which names the
-    model's explosion time whatever t_vals are. The power wealth check
-    takes (x, m1) and sees only x + beta*m1, so w enters it as (w, 0)."""
+    it checks w. An exploded closed form raises from ``factors``, which
+    names the model's explosion time whatever t_vals are. The power wealth
+    check takes (x, m1) and sees only x + beta*m1, so w enters it as
+    (w, 0)."""
     if params.dist.family == EXPONENTIAL:
         co, kappa = params.coeffs, params.constants.kappa
         g_const = params.g2 / params.mean_gamma
@@ -154,18 +161,15 @@ def _slices(params: ModelParams, solution: powmod.OdeSolution | None, t_vals, w)
             yield controls, jets, Jet(u_t, e, 0.0), curvature
         return
 
-    gam, p = np.asarray(params.dist.gammas), np.asarray(params.dist.probs)
-    factors = zip(*powmod.factors(params, t_vals, solution))
-    log_rate = powmod._rate_fn(gam, p, params.constants.kappa, params.g2)
+    kappa, g2c = params.constants.kappa, params.g2
+    varpis = powmod.factors(params, t_vals, solution)[1]
     w = powmod._effective_wealth(params, w, 0.0, "verification")
-    for g, varpi in factors:
-        lr = log_rate(g)
-        gc = powmod._powers(g, gam)
-        rate = float((gam / (1.0 - gam) * gc * lr) @ p)  # d/dt of certainty_factor(t)
-        jets = [Jet(gm * lr_i, (1.0 - gm) / w, -gm * (1.0 - gm) / w**2)
-                for gm, lr_i in zip(params.dist.gammas, lr)]
-        u = Jet(w * rate, float(gc @ p), 0.0)
-        yield powmod._controls(params, w, varpi), jets, u, float((gam * gc) @ p) / w
+    for varpi in varpis:
+        jets = [Jet((1.0 - gm) * (-kappa - g2c / varpi + gm * g2c / (2.0 * varpi**2)),
+                    (1.0 - gm) / w, -gm * (1.0 - gm) / w**2)
+                for gm in params.dist.gammas]
+        u = Jet(-w * (kappa + g2c / (2.0 * varpi)), 1.0, 0.0)
+        yield powmod._controls(params, w, varpi), jets, u, varpi / w
 
 
 def _state_grid(params: ModelParams, x_vals, m1_vals):
@@ -288,12 +292,14 @@ def optimality_residual(
     co, fin = params.coeffs, params.financial
     x, m1, w = _state_grid(params, x_vals, m1_vals)
 
-    worst_sup = -math.inf
-    worst_gap = worst_dist = 0.0
+    # each slice's worst values are reduced by NumPy's max, which keeps a
+    # NaN where Python's max drops it, and NaN < 0 is false: a NaN anywhere
+    # fails the verdict
+    sups, gaps = [], []
     concave = True
     for (q_cand, pi_cand), _, u, curv in _slices(params, solution, np.asarray(t_vals, float), w):
         quad = 0.5 * (u.phi_ww - curv)
-        concave = concave and not np.any(quad >= 0.0)
+        concave = concave and bool(np.all(quad < 0.0))
         # the generator of U with both controls at zero
         base = sum(generator_terms(u, params, x, m1, m2, 0.0, 0.0))
         cq = co.a * co.eta2 * u.phi_w
@@ -309,13 +315,13 @@ def optimality_residual(
             + np.abs(quad) * (co.b2 * q_cand**2 + fin.sigma**2 * pi_cand**2)
         )
         scaled = np.abs(sup) / np.maximum(scale, _TINY)
-        worst_sup = max(worst_sup, np.max(scaled, initial=-math.inf))
-        worst_gap = max(worst_gap, gap_q, gap_pi)
-        worst_dist = max(worst_dist, gap_q / 0.1, gap_pi / 0.15)
+        sups.append(np.max(scaled, initial=-math.inf))
+        gaps.append((gap_q, gap_pi))
+    gaps = np.reshape(gaps, (-1, 2))
     return OptimalityResult(
-        max_scaled_sup=float(worst_sup),
-        max_first_order_gap=float(worst_gap),
-        max_cell_distance=float(worst_dist),
+        max_scaled_sup=float(np.max(sups, initial=-math.inf)),
+        max_first_order_gap=float(np.max(gaps, initial=0.0)),
+        max_cell_distance=float(np.max(gaps / [0.1, 0.15], initial=0.0)),
         concave=bool(concave),
         n_nodes=len(t_vals) * w.size,
     )

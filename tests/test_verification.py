@@ -6,15 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from delaris import cli
 from delaris import power as powmod
 from delaris import sweeps
 from delaris import verification as ver
-from delaris.exceptions import ParameterError
+from delaris.exceptions import DomainError, ParameterError
 from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
-from delaris.utility import EXPONENTIAL, inverse_utility_d2
+from delaris.utility import EXPONENTIAL, POWER, inverse_utility_d2
 from test_cli import _models
 
 T_GRID = np.linspace(0.0, 2.0, 6)
@@ -280,13 +280,16 @@ def _passes(res):
 def test_curvature_is_the_inverse_utility_form(family, case):
     # the phi-free curvature equals sum_i p_i (u_i^{-1})''(phi_i) phi_i,w^2
     # read through the inverse utility itself, phi_i from the family's
-    # ansatz and phi_i,w as the jet's log-derivative times phi_i
+    # ansatz and phi_i,w as the jet's log-derivative times phi_i; the power
+    # curvature is divided by the certainty factor, as the value jet is
     params = sweeps.baseline_params(family, case)
     w = np.linspace(0.3, 1.5, 5)
     for t, (_, jets, _, curvature) in zip(T_GRID, ver._slices(params, None, T_GRID, w)):
         phis = ver._ansatz_values(params, None, t, w, 0.0)
         direct = sum(p * inverse_utility_d2(family, gamma, phi) * (jet.phi_w * phi)**2
                      for (gamma, p), jet, phi in zip(params.dist.points, jets, phis))
+        if family != EXPONENTIAL:
+            curvature = curvature * powmod.certainty_factor(None, params, t)
         np.testing.assert_allclose(curvature, direct, rtol=1e-13, atol=0.0)
 
 
@@ -338,14 +341,36 @@ def test_optimality_without_concavity_fails_finite(family, sign, monkeypatch):
                                    res.max_cell_distance)))
 
 
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_optimality_fails_on_a_nan_slice(family, monkeypatch):
+    # one time whose controls, value jet and curvature are NaN, as where a
+    # factor's weight overflowed, fails the verdict instead of being skipped
+    slices = ver._slices
+
+    def one_nan(*args):
+        for k, (controls, jets, u, curvature) in enumerate(slices(*args)):
+            if k == 2:
+                nan = np.full(np.shape(controls[0]), np.nan)
+                controls, u, curvature = (nan, nan), ver.Jet(nan, nan, nan), nan
+            yield controls, jets, u, curvature
+
+    monkeypatch.setattr(ver, "_slices", one_nan)
+    res = ver.optimality_residual(sweeps.baseline_params(family, "I"),
+                                  T_GRID, X_GRID, M1_GRID, m2=0.6)
+    assert math.isnan(res.max_scaled_sup) and math.isnan(res.max_first_order_gap)
+    assert not res.concave and not _passes(res)
+
+
 _PAST_RANGE = json.loads(Path(__file__).with_name("optimality_models.json").read_text())
 
 
 @pytest.mark.parametrize("index", range(len(_PAST_RANGE)))
 def test_optimality_on_exponential_models_past_the_ansatz_range(index, tmp_path):
-    # each model's ansatz underflows or overflows at some nodes, which
-    # raised DomainError or a RuntimeWarning while the curvature read phi,
-    # and EvaluationError while the jets read phi
+    # each exponential model's ansatz underflows or overflows at some nodes,
+    # which raised DomainError or a RuntimeWarning while the curvature read
+    # phi, and EvaluationError while the jets read phi; each power model has
+    # a finite factor whose weight g^{gamma/(1-gamma)} overflowed while the
+    # slices read the factors and not varpi alone
     config = tmp_path / "model.json"
     config.write_text(json.dumps(_PAST_RANGE[index]))
     params = cli.load_config(str(config))
@@ -370,5 +395,34 @@ def test_optimality_verdict_on_admitted_exponential_models(params):
         warnings.simplefilter("error", RuntimeWarning)
         res = ver.optimality_residual(params, *_cli_grid(params), m2=params.x0)
         grid = ver.expectation_pde_residual(params, *_cli_grid(params), m2=params.x0)
+    assert _passes(res), res
+    assert grid.max_scaled <= 1e-6, grid.max_scaled
+
+
+def _model_of(config):
+    """The model ``load_config`` builds from a JSON config dict."""
+    return ModelParams.build(
+        **{name: cls(**config[name]) for name, cls in cli._CONFIG_SECTIONS.items()},
+        dist=RiskAversionDist(config["risk_aversion"]["family"],
+                              tuple(map(tuple, config["risk_aversion"]["points"]))),
+        horizon=config["horizon"], x0=config["x0"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=_models())
+@example(params=_model_of(_PAST_RANGE[-1]))
+def test_optimality_verdict_on_admitted_power_models(params):
+    # every admitted power model passes the optimality and expectation
+    # checks, warning-free, also where a factor's weight leaves the float
+    # range, or raises the DomainError that names its explosion time
+    assume(params.dist.family == POWER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = ver.optimality_residual(params, *_cli_grid(params), m2=params.x0)
+            grid = ver.expectation_pde_residual(params, *_cli_grid(params), m2=params.x0)
+        except DomainError as err:
+            assert f"exploded at t={powmod.growth_factors(params).explosion_time}" in str(err)
+            return
     assert _passes(res), res
     assert grid.max_scaled <= 1e-6, grid.max_scaled
