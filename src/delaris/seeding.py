@@ -31,6 +31,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # seeding costs well under a microsecond per path and its memory is one
 # workspace whatever n_paths is
 _MIX_BLOCK = 1024
+# paths whose words one list holds: a Python int costs some 36 B, so a
+# pass-wide list would outweigh the workspace
+_LIST_BLOCK = 32
 
 
 def _word_count(i: int) -> int:
@@ -160,12 +163,14 @@ def path_rngs(seed: int, indices):
     seed_w, ws = _seed_list(seed), _Workspace()
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = state["state"]
     for lo in range(0, len(indices), _MIX_BLOCK):
         words = ws.seed_words(seed_w, indices[lo:lo + _MIX_BLOCK])
-        for j in range(words.shape[1]):
-            s_hi, s_lo, i_hi, i_lo = words[:, j].tolist()
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield rng
+        for j in range(0, words.shape[1], _LIST_BLOCK):
+            for s_hi, s_lo, i_hi, i_lo in words[:, j:j + _LIST_BLOCK].T.tolist():
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+                pcg["inc"] = inc
+                pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+                bitgen.state = state
+                yield rng

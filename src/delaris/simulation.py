@@ -46,10 +46,10 @@ midpoint t_k + dt/2 (``_power_log_step``):
 so log w_N is affine in the path's noise too (``_power_affine``):
 w_N = exp(mean_N + Z.ravel() @ weights) with mean_N = log w_0 + the summed
 drifts and weights[k] = sqrt(dt) s_k. An unrecorded path of an affine
-source takes no step loop: a block of P paths maps at once as
-``z.reshape(P, 1, -1) @ weights``, one 1xK by Kx1 dot per path, which
-rounds as Z.ravel() @ weights. An exp that overflows gives inf, with no
-warning, and the estimate excludes it as non-finite.
+source takes no step loop: its draw maps as one dot, mean_N +
+Z.ravel() @ weights, and under power an exp runs in place over each 32
+paths' results. An exp that overflows gives inf, with no warning, and the
+estimate excludes it as non-finite.
 
 Only a callable's Euler chain can leave the power domain: under a power
 model a callable path exits at the first w_k that is not positive, its
@@ -59,13 +59,15 @@ An unrecorded run (``_run_paths``) shares its path indices out to
 W = min(``_max_workers()``, number of 32-path blocks) workers, the
 calling thread among them, so W = 1 starts no thread. Each worker takes a
 contiguous run of whole blocks, with its own generator, and draws each
-block into one reused (32, N, 2) buffer. The strategy source gives one
-fold (``_path_kernel``) from a block of draws to its paths' terminal w and
-exit times: the affine map (through exp under power), or a callable's
-Euler chain row by row. The worker writes the fold's results by position.
-The draws and the numpy folds release the GIL; a callable runs in the
-calling thread alone: it holds the GIL anyway, and user code need not be
-thread-safe. Memory is W blocks' draws: flat in n_paths and linear in N.
+path into one reused row, its (N, 2) draw held flat. The strategy source
+gives one fold (``_path_kernel``) from a row to its terminal w and exit
+time: the affine map, or a callable's Euler chain. The worker folds each
+row as soon as it is drawn and writes the results by position. The draws
+and the numpy folds release the GIL; a callable runs in the calling
+thread alone: it holds the GIL anyway, and user code need not be
+thread-safe. Memory is flat in n_paths. In N it is W rows of draws (16 B
+per step each) and the source's weights, built once per run (at most
+72 B per step while built).
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
 one path at a time on Python floats (``_path_chain``), which round as
@@ -114,9 +116,9 @@ from .utility import (
     utility,
 )
 
-# paths drawn and folded together: a worker holds one (32, n_steps, 2) block
-# of draws, so a run's memory is flat in n_paths, and runs share whole
-# blocks out to their workers
+# paths per unit of work: runs share whole blocks out to their workers,
+# which check for a stop and, under the power affine map, exponentiate
+# their results a block at a time
 _BLOCK = 32
 
 # strategy callbacks take (t, w), both floats, and return (q, pi_amount)
@@ -138,8 +140,8 @@ class SimConfig:
     can leave the domain. Any other value is rejected here. A Monte Carlo
     run shares its paths out to worker threads, one per usable CPU, except
     under a callable, which runs in the calling thread; each worker draws
-    32 paths at a time into one block and maps it to terminal wealth with
-    the source's one fold, so its results do not depend on the worker
+    one path at a time into one reused row and maps it to terminal wealth
+    with the source's one fold, so its results do not depend on the worker
     count. ``n_paths`` and ``seed`` must be integers or finite whole
     reals."""
 
@@ -303,27 +305,18 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, multiplier
 
 
 def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """The strategy source as fold(z) -> (w_N, exit_times): z is a
-    (paths, n_steps, 2) block of draws, which fold may overwrite, and it
-    gives each path's terminal effective wealth and exit time (NaN where
-    there is none)."""
+    """The strategy source as (fold, log): fold(z) maps one path's draw z,
+    its (n_steps, 2) noise Z as Z.ravel(), to its terminal effective
+    wealth and exit time (NaN where there is none), or under ``log`` (the
+    power affine map) to its terminal log effective wealth, which the
+    caller exponentiates."""
     if callable(cfg.strategy):
         controls = _path_controls(params, cfg, n_steps)[0]
-        return lambda z: np.array([_path_chain(params, cfg, row.tolist(), controls)
-                                   for row in z]).T
+        return (lambda z: _path_chain(params, cfg, z.reshape(-1, 2).tolist(), controls)), False
     power = cfg.strategy is not None or params.dist.family == POWER  # factors checks the family
     mean, weights = (_power_affine(params, cfg, n_steps) if power
                      else _exp_affine(params, cfg.dt, n_steps))
-
-    def affine(z):
-        # one 1xK by Kx1 product per path: it rounds as row.ravel() @ weights
-        w = mean + (z.reshape(len(z), 1, -1) @ weights)[:, 0]
-        if power:
-            with np.errstate(over="ignore"):  # inf: the estimate excludes the path
-                np.exp(w, out=w)
-        return w, np.full(len(z), math.nan)
-
-    return affine
+    return (lambda z: (mean + z.dot(weights), math.nan)), power  # dot: as @, with less dispatch
 
 
 def _max_workers() -> int:
@@ -374,23 +367,26 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices):
     depends only on its index. The indices are shared out in runs of whole
     32-path blocks to W = min(``_max_workers()``, number of blocks)
     workers, the calling thread among them; a callable runs in the calling
-    thread alone. Each worker draws a block into its one reused buffer,
-    the only unrecorded draw, folds it with ``_path_kernel``'s fold and
-    writes the results by position, so they do not depend on W. No run
-    reads the memory window, so dt need only divide the horizon."""
+    thread alone. Each worker draws each path into its one reused row of
+    2*n_steps normals, the only unrecorded draw, folds it at once with
+    ``_path_kernel``'s fold and writes the results by position, so they
+    do not depend on W. No run reads the memory window, so dt need only
+    divide the horizon."""
     n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
-    fold = _path_kernel(params, cfg, n_steps)
+    fold, log = _path_kernel(params, cfg, n_steps)
     n = len(indices)
     w_term, exit_time = np.empty(n), np.empty(n)
 
     def work(lo, hi):
-        z, rngs = np.empty((_BLOCK, n_steps, 2)), path_rngs(cfg.seed, indices[lo:hi])
+        z, rngs = np.empty(2 * n_steps), path_rngs(cfg.seed, indices[lo:hi])
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            block = z[:stop - start]
-            for row, rng in zip(block, rngs):
-                rng.standard_normal(out=row)
-            w_term[start:stop], exit_time[start:stop] = fold(block)
+            for j, rng in zip(range(start, stop), rngs):
+                rng.standard_normal(out=z)
+                w_term[j], exit_time[j] = fold(z)
+            if log:
+                with np.errstate(over="ignore"):  # inf: the estimate excludes the path
+                    np.exp(w_term[start:stop], out=w_term[start:stop])
             yield
 
     n_blocks = -(-n // _BLOCK)

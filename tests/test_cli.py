@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -217,6 +218,29 @@ def test_monte_carlo_runs_leave_no_thread(tmp_path, monkeypatch, capsys):
     assert run_cli(*argv, "--out", str(tmp_path / "fail")) == 1
     assert "path 70 failed" in capsys.readouterr().err
     assert threading.active_count() == started
+
+
+# the address space a million-step run fits: streaming each path through
+# one (N, 2) row, `simulate --n-paths 64 --dt 2e-6` reads VmPeak 316 MB
+# (exponential) and 324 MB (power) on two workers, where one (32, N, 2)
+# block of draws per worker read 684 MB on one worker and 1258 MB on two
+_FINE_DT_ADDRESS_SPACE = 512 * 2**20
+
+
+@pytest.mark.parametrize("family", ["exponential", "power"])
+def test_fine_dt_run_fits_a_fixed_address_space(tmp_path, family):
+    # in a child under RLIMIT_AS, with one BLAS thread so that the cap does
+    # not depend on the CPU count; block draws exit 3 here on any number of
+    # workers, "Unable to allocate 488. MiB"
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({_FINE_DT_ADDRESS_SPACE},) * 2)\n"
+            "from delaris import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    out = subprocess.run([sys.executable, "-c", code, "simulate", "--family", family,
+                          "--n-paths", "64", "--dt", "2e-6", "--out", str(tmp_path)],
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_case_config_conflict(tmp_path, capsys):

@@ -275,9 +275,9 @@ def test_domain_exit_propagates_nan():
     assert sim.mc_reward(params, cfg).excluded_paths == len(exited)
 
 
-def _working_peak(params, strategy, n_paths):
+def _working_peak(params, strategy, n_paths, dt=1e-2):
     """Peak traced memory of one unrecorded run beyond the arrays it returns."""
-    cfg = sim.SimConfig(dt=1e-2, n_paths=n_paths, seed=4, strategy=strategy)
+    cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=strategy)
     tracemalloc.start()
     try:
         result = sim._run_paths(params, cfg, range(n_paths))  # held: ``current`` counts it
@@ -289,7 +289,7 @@ def _working_peak(params, strategy, n_paths):
 
 @pytest.mark.parametrize("source", [pytest.param(None, id="power"), "solution"])
 def test_power_mc_memory_flat_in_paths(monkeypatch, source):
-    # one worker holds one seeding block's draws and products whatever
+    # one worker holds one path's draw row and one seeding pass whatever
     # n_paths is: beyond the arrays it returns, its peak grows by less than
     # three paths' factors (8 B per path-step) from 40 to 400 paths, where a
     # run holding every path's factors at once grows by 360 paths' worth.
@@ -306,16 +306,32 @@ def test_power_mc_memory_flat_in_paths(monkeypatch, source):
 
 
 def test_exponential_mc_memory_flat_in_paths(monkeypatch, exp_case1):
-    # an unrecorded exponential worker holds one (32, n_steps, 2) block of
-    # draws for all its paths: beyond the arrays it returns (8 B per path
-    # each), its peak does not grow with the path count (one worker pinned,
-    # as in the power test; two hold at most twice its working set)
+    # an unrecorded exponential worker draws all its paths into one reused
+    # (n_steps, 2) row: beyond the arrays it returns (8 B per path each),
+    # its peak does not grow with the path count (one worker pinned, as in
+    # the power test; two hold at most twice its working set)
     monkeypatch.setattr(sim, "_max_workers", lambda: 1)
     _working_peak(exp_case1, None, 40)  # the first call also allocates one-time caches
     one = _working_peak(exp_case1, None, 4000)
     assert one <= 1.1 * _working_peak(exp_case1, None, 40)
     monkeypatch.setattr(sim, "_max_workers", lambda: 2)
     assert _working_peak(exp_case1, None, 4000) <= 2 * one + 16_000
+
+
+# a worker's peak at N = 2000 steps beyond the arrays it returns: it read
+# 146 to 178 KB from 40 to 4000 paths (the affine map's setup alone takes
+# 72 B per step), where one (32, N, 2) block of draws takes 512 B per step
+_PEAK_AT_2000_STEPS = 128 * 2000
+
+
+def test_mc_worker_holds_one_draw_row(monkeypatch, exp_case1):
+    # the exponential mc-exp shape on one worker: drawing a 32-path block
+    # at a time peaked at 1132 KB, streaming each path through one row at
+    # 172 KB
+    monkeypatch.setattr(sim, "_max_workers", lambda: 1)
+    dt = exp_case1.horizon / 2000
+    _working_peak(exp_case1, None, 40, dt)  # the first call also allocates one-time caches
+    assert _working_peak(exp_case1, None, 400, dt) < _PEAK_AT_2000_STEPS
 
 
 def _recording_rngs(states):
