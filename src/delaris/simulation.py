@@ -316,7 +316,7 @@ def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
     power = cfg.strategy is not None or params.dist.family == POWER  # factors checks the family
     mean, weights = (_power_affine(params, cfg, n_steps) if power
                      else _exp_affine(params, cfg.dt, n_steps))
-    return (lambda z: (mean + z.dot(weights), math.nan)), power  # dot: as @, with less dispatch
+    return (lambda z: (mean + z.dot(weights), math.nan)), power  # .dot rounds as @, dispatches faster
 
 
 def _max_workers() -> int:
