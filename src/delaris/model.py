@@ -52,8 +52,13 @@ _G2_TERMS = (
 
 
 def grid_steps(span: float, dt: float, name: str) -> int:
-    """Number of steps dt in span; dt must divide it (1e-9 relative)."""
-    n = int(round(span / dt))
+    """Number of steps dt in span; dt must divide it (1e-9 relative), and
+    one array of 16-byte rows must be able to index the steps."""
+    steps = span / dt
+    if not steps <= sys.maxsize // 16:
+        raise ParameterError(f"dt={dt} is too small for {name}={span}: one array cannot "
+                             f"index its {steps:.3g} steps")
+    n = int(round(steps))
     if n < 1 or abs(n * dt - span) > _GRID_RTOL * max(1.0, span):
         raise ParameterError(f"dt={dt} must divide {name}={span}")
     return n

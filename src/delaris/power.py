@@ -569,14 +569,6 @@ def single_gamma_growth(params: ModelParams, gamma: float, t: float) -> float:
     return math.exp((1.0 - gamma) / gamma * rate * tau)
 
 
-def single_gamma_value(params: ModelParams, gamma: float, t: float, x: float, m1: float) -> float:
-    """Closed-form value for a one-point distribution:
-    w * exp((kappa + 0.5*G2/gamma)*(T - t))."""
-    w = _effective_wealth(params, x, m1, "value")
-    rate = params.constants.kappa + 0.5 * params.g2 / gamma
-    return w * math.exp(rate * (params.horizon - float(t)))
-
-
 def varpi_rate(sol: OdeSolution | None, params: ModelParams, t: float) -> float:
     """Analytic time derivative of the aggregate risk aversion:
     0.5*G2/varpi^2 * (E_w[gamma^2] - varpi^2), with E_w the w_i-weighted mean."""

@@ -20,19 +20,9 @@ the Euler-Maruyama step, which is weak order one:
               + b*q_k*sqrt(dt)*Z1 + sigma*pi_k*sqrt(dt)*Z2
 
 where pi_k is the invested amount and Z1, Z2 are independent standard
-normals. Under the exponential equilibrium the controls are deterministic,
-so the chain is linear-Gaussian and its terminal value is an affine map of
-the path's noise (``_exp_affine``): with lam = 1 + (A + beta)*dt,
-
-    w_N = mean_N + Z.ravel() @ weights,
-    mean_N = lam^N w_0 + dt sum_k lam^(N-1-k) (a*eta + a*eta2*q_k + pi_k*(mu - r)),
-    weights[k] = sqrt(dt) lam^(N-1-k) (b*q_k, sigma*pi_k),
-
-for the path's (N, 2) draw Z.
-
-Under the power family's own equilibrium or an ``OdeSolution`` the controls
-are proportional to w, q = cq*w/varpi(t) and pi = cpi*w/varpi(t) with
-cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2, and the power family has
+normals. Under the power family's own equilibrium or an ``OdeSolution`` the
+controls are proportional to w, q = cq*w/varpi(t) and pi = cpi*w/varpi(t)
+with cq = a*eta2/b^2 and cpi = (mu - r)/sigma^2, and the power family has
 eta1 = eta2, so the net loading eta is 0. Then
 dw = w [(A + beta + G2/varpi) dt + s(t) . dB] with s = (b*cq, sigma*cpi)/varpi
 and |s|^2 = G2/varpi^2 (G2 = a*eta2*cq + (mu - r)*cpi, ``ModelParams.g2``):
@@ -41,16 +31,18 @@ reaches 0. These sources step log w exactly, with varpi_k read at the step
 midpoint t_k + dt/2 (``_power_log_step``):
 
     log w_{k+1} = log w_k + (A + beta + G2/varpi_k - G2/(2 varpi_k^2)) dt
-                  + sqrt(dt) s_k . (Z1, Z2),
+                  + sqrt(dt) s_k . (Z1, Z2).
 
-so log w_N is affine in the path's noise too (``_power_affine``):
-w_N = exp(mean_N + Z.ravel() @ weights) with mean_N = log w_0 + the summed
-drifts and weights[k] = sqrt(dt) s_k. An unrecorded path of an affine
-source takes no step loop: its draw maps as one dot, mean_N +
-Z.ravel() @ weights, and under power an exp runs in place over each 32
-paths' results. An exp that overflows gives inf, with no warning, and the
-estimate excludes it as non-finite.
+Either model source's step is affine in the path's (N, 2) draw Z, so its
+``terminal_law`` is one affine map, exactly normal:
 
+    mean + Z.ravel() @ weights ~ N(mean, weights @ weights),
+
+of w_N under the exponential Euler chain (deterministic controls) and of
+log w_N under the power log step (``TerminalLaw.log``). Exponential: with
+lam = 1 + (A + beta)*dt, weights[k] = sqrt(dt) lam^(N-1-k) (b*q_k, sigma*pi_k)
+and mean = lam^N w_0 + dt sum_k lam^(N-1-k) (a*eta + a*eta2*q_k + pi_k*(mu - r)).
+Power: weights[k] = sqrt(dt) s_k and mean = log w_0 + the summed drifts.
 Only a callable's Euler chain can leave the power domain: under a power
 model a callable path exits at the first w_k that is not positive, its
 exit time is t_k and its terminal w is NaN.
@@ -58,16 +50,16 @@ exit time is t_k and its terminal w is NaN.
 An unrecorded run (``_run_paths``) shares its path indices out to
 W = min(``_max_workers()``, number of 32-path blocks) workers, the
 calling thread among them, so W = 1 starts no thread. Each worker takes a
-contiguous run of whole blocks, with its own generator, and draws each
-path into one reused row, its (N, 2) draw held flat. The strategy source
-gives one fold (``_path_kernel``) from a row to its terminal w and exit
-time: the affine map, or a callable's Euler chain. The worker folds each
-row as soon as it is drawn and writes the results by position. The draws
-and the numpy folds release the GIL; a callable runs in the calling
-thread alone: it holds the GIL anyway, and user code need not be
-thread-safe. Memory is flat in n_paths. In N it is W rows of draws (16 B
-per step each) and the source's weights, built once per run (at most
-72 B per step while built).
+contiguous run of whole blocks, with its own generator, draws each path
+into one reused row, its (N, 2) draw held flat, and folds the row at once
+to terminal w: one dot through the law, with an exp in place over each 32
+paths' results under ``log``, or a callable's Euler chain. An exp that
+overflows gives inf, with no warning, and the estimate excludes it as
+non-finite. The worker writes the results by position. The draws and the
+dots release the GIL; a callable runs in the calling thread alone: it holds
+the GIL anyway, and user code need not be thread-safe. Memory is flat in
+n_paths. In N it is W rows of draws (16 B per step each) and the law's
+weights, built once per run (at most 72 B per step while built).
 
 Recorded paths (``simulate_paths``, ``simulate_path``) and callables step
 one path at a time on Python floats (``_path_chain``), which round as
@@ -117,8 +109,8 @@ from .utility import (
 )
 
 # paths per unit of work: runs share whole blocks out to their workers,
-# which check for a stop and, under the power affine map, exponentiate
-# their results a block at a time
+# which check for a stop and, under a log law, exponentiate their results
+# a block at a time
 _BLOCK = 32
 
 # strategy callbacks take (t, w), both floats, and return (q, pi_amount)
@@ -128,21 +120,19 @@ StrategySource = Union[None, powmod.OdeSolution, Callable]
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls. ``strategy`` is None, the model's own
-    equilibrium (exponential: the closed-form schedule, stepped by Euler,
-    and an unrecorded run evaluates terminal wealth as an affine map of
-    each path's noise; power: wealth-proportional controls at the
-    closed-form varpi, stepped exactly in log w, so terminal log wealth is
-    such an affine map); a :class:`~delaris.power.OdeSolution` of the power
+    equilibrium (exponential: the closed-form schedule, stepped by Euler;
+    power: wealth-proportional controls at the closed-form varpi, stepped
+    exactly in log w); a :class:`~delaris.power.OdeSolution` of the power
     model, whose varpi ``power.factors`` interpolates and which steps as the
     power equilibrium does; or a callable ``(t, w) -> (q, pi_amount)`` on a
     float effective wealth w, called once per path-step at the step time
     t = min(k*dt, T) and stepped by Euler, the one source whose power paths
     can leave the domain. Any other value is rejected here. A Monte Carlo
-    run shares its paths out to worker threads, one per usable CPU, except
-    under a callable, which runs in the calling thread; each worker draws
-    one path at a time into one reused row and maps it to terminal wealth
-    with the source's one fold, so its results do not depend on the worker
-    count. ``n_paths`` and ``seed`` must be integers or finite whole
+    run maps each path's draw to terminal wealth through a model source's
+    ``terminal_law`` or a callable's Euler chain. It shares its paths out
+    to worker threads, one per usable CPU, except under a callable, which
+    runs in the calling thread, and its results do not depend on the
+    worker count. ``n_paths`` and ``seed`` must be integers or finite whole
     reals."""
 
     dt: float
@@ -203,20 +193,6 @@ def _step_times(params: ModelParams, dt: float, n_steps: int) -> np.ndarray:
     return np.minimum(np.arange(n_steps + 1) * dt, params.horizon)
 
 
-def _exp_affine(params: ModelParams, dt: float, n_steps: int):
-    """Terminal effective wealth of the exponential Euler chain as an affine
-    map of a path's (n_steps, 2) noise Z: returns (mean_N, weights) with
-    w_N = mean_N + Z.ravel() @ weights (see the module docstring)."""
-    q, pi = expmod.schedule(params, _step_times(params, dt, n_steps - 1))  # t_N acts on no step
-    co, fin = params.coeffs, params.financial
-    lam = 1.0 + _growth(params) * dt
-    decay = lam ** np.arange(n_steps - 1, -1, -1)  # lam^(N-1-k)
-    drift = co.a * co.eta + co.a * co.eta2 * q + pi * (fin.mu - fin.r)
-    mean = lam**n_steps * params.w0 + dt * (decay @ drift)
-    weights = np.column_stack((co.b * q, fin.sigma * pi)) * (math.sqrt(dt) * decay)[:, None]
-    return float(mean), weights.ravel()
-
-
 def _power_log_step(params: ModelParams, cfg: SimConfig, n_steps: int):
     """The exact log step of the power model sources as
     log w_{k+1} = log w_k + drift[k] + noise[k] @ (Z1, Z2), with varpi at
@@ -229,12 +205,34 @@ def _power_log_step(params: ModelParams, cfg: SimConfig, n_steps: int):
     return drift, np.outer(math.sqrt(cfg.dt) / varpi, (co.b * cq, fin.sigma * cpi))
 
 
-def _power_affine(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """Terminal log effective wealth of the power log step as an affine map
-    of a path's (n_steps, 2) noise Z: returns (mean_N, weights) with
-    log w_N = mean_N + Z.ravel() @ weights."""
-    drift, noise = _power_log_step(params, cfg, n_steps)
-    return math.log(params.w0) + float(drift.sum()), noise.ravel()
+@dataclass(frozen=True)
+class TerminalLaw:
+    """A model source's terminal effective wealth as an affine map of a
+    path's (N, 2) draw Z: mean + Z.ravel() @ weights is w_N, or log w_N
+    under ``log``, so it is normal with variance weights @ weights."""
+
+    mean: float
+    weights: np.ndarray
+    log: bool
+
+
+def terminal_law(params: ModelParams, cfg: SimConfig) -> TerminalLaw:
+    """The law of a model source's Monte Carlo step (see the module
+    docstring): the exponential Euler chain under the exponential
+    equilibrium, else the power log step (``power.factors`` checks the
+    family)."""
+    dt, n_steps = cfg.dt, grid_steps(params.horizon, cfg.dt, "horizon")
+    if cfg.strategy is not None or params.dist.family == POWER:
+        drift, noise = _power_log_step(params, cfg, n_steps)
+        return TerminalLaw(math.log(params.w0) + float(drift.sum()), noise.ravel(), True)
+    q, pi = expmod.schedule(params, _step_times(params, dt, n_steps - 1))  # t_N acts on no step
+    co, fin = params.coeffs, params.financial
+    lam = 1.0 + _growth(params) * dt
+    decay = lam ** np.arange(n_steps - 1, -1, -1)  # lam^(N-1-k)
+    drift = co.a * co.eta + co.a * co.eta2 * q + pi * (fin.mu - fin.r)
+    weights = np.column_stack((co.b * q, fin.sigma * pi)) * (math.sqrt(dt) * decay)[:, None]
+    return TerminalLaw(float(lam**n_steps * params.w0 + dt * (decay @ drift)), weights.ravel(),
+                       False)
 
 
 def _path_controls(params: ModelParams, cfg: SimConfig, n_steps: int):
@@ -304,21 +302,6 @@ def _path_chain(params: ModelParams, cfg: SimConfig, noise, controls, multiplier
     return w, math.nan
 
 
-def _path_kernel(params: ModelParams, cfg: SimConfig, n_steps: int):
-    """The strategy source as (fold, log): fold(z) maps one path's draw z,
-    its (n_steps, 2) noise Z as Z.ravel(), to its terminal effective
-    wealth and exit time (NaN where there is none), or under ``log`` (the
-    power affine map) to its terminal log effective wealth, which the
-    caller exponentiates."""
-    if callable(cfg.strategy):
-        controls = _path_controls(params, cfg, n_steps)[0]
-        return (lambda z: _path_chain(params, cfg, z.reshape(-1, 2).tolist(), controls)), False
-    power = cfg.strategy is not None or params.dist.family == POWER  # factors checks the family
-    mean, weights = (_power_affine(params, cfg, n_steps) if power
-                     else _exp_affine(params, cfg.dt, n_steps))
-    return (lambda z: (mean + z.dot(weights), math.nan)), power  # .dot rounds as @, dispatches faster
-
-
 def _max_workers() -> int:
     """The most threads one Monte Carlo run shares its paths out to: the
     CPUs this process may run on."""
@@ -362,20 +345,26 @@ def _in_workers(work, spans) -> None:
 
 
 def _run_paths(params: ModelParams, cfg: SimConfig, indices):
-    """Terminal effective wealth (NaN after a domain exit) and exit times
-    (NaN if none) of the given path indices, unrecorded; a path's result
-    depends only on its index. The indices are shared out in runs of whole
-    32-path blocks to W = min(``_max_workers()``, number of blocks)
-    workers, the calling thread among them; a callable runs in the calling
-    thread alone. Each worker draws each path into its one reused row of
-    2*n_steps normals, the only unrecorded draw, folds it at once with
-    ``_path_kernel``'s fold and writes the results by position, so they
-    do not depend on W. No run reads the memory window, so dt need only
-    divide the horizon."""
+    """Terminal effective wealth of the given path indices, unrecorded (NaN
+    after a callable's domain exit); a path's result depends only on its
+    index. The indices are shared out in runs of whole 32-path blocks to
+    W = min(``_max_workers()``, number of blocks) workers, the calling
+    thread among them; a callable runs in the calling thread alone. Each
+    worker draws each path into its one reused row of 2*n_steps normals,
+    the only unrecorded draw, folds it at once through the model source's
+    ``terminal_law`` or the callable's Euler chain and writes the result by
+    position, so it does not depend on W. No run reads the memory window,
+    so dt need only divide the horizon."""
     n_steps = grid_steps(params.horizon, cfg.dt, "horizon")
-    fold, log = _path_kernel(params, cfg, n_steps)
+    if callable(cfg.strategy):
+        controls, log = _path_controls(params, cfg, n_steps)[0], False
+        fold = lambda z: _path_chain(params, cfg, z.reshape(-1, 2).tolist(), controls)[0]
+    else:
+        law = terminal_law(params, cfg)
+        mean, weights, log = law.mean, law.weights, law.log
+        fold = lambda z: mean + z.dot(weights)  # .dot rounds as @, dispatches faster
     n = len(indices)
-    w_term, exit_time = np.empty(n), np.empty(n)
+    w_term = np.empty(n)
 
     def work(lo, hi):
         z, rngs = np.empty(2 * n_steps), path_rngs(cfg.seed, indices[lo:hi])
@@ -383,7 +372,7 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices):
             stop = min(start + _BLOCK, hi)
             for j, rng in zip(range(start, stop), rngs):
                 rng.standard_normal(out=z)
-                w_term[j], exit_time[j] = fold(z)
+                w_term[j] = fold(z)
             if log:
                 with np.errstate(over="ignore"):  # inf: the estimate excludes the path
                     np.exp(w_term[start:stop], out=w_term[start:stop])
@@ -393,7 +382,7 @@ def _run_paths(params: ModelParams, cfg: SimConfig, indices):
     workers = 1 if callable(cfg.strategy) else max(1, min(_max_workers(), n_blocks))
     cuts = [min(n, _BLOCK * (n_blocks * i // workers)) for i in range(workers + 1)]
     _in_workers(work, list(zip(cuts, cuts[1:])))
-    return w_term, exit_time
+    return w_term
 
 
 def simulate_paths(params: ModelParams, cfg: SimConfig, indices) -> Iterator[SimPath]:
@@ -429,24 +418,6 @@ def simulate_path(params: ModelParams, cfg: SimConfig, path_index: int = 0) -> S
     return next(simulate_paths(params, cfg, [int(path_index)]))
 
 
-def m1_quadrature(params: ModelParams, path: SimPath, k: int) -> float:
-    """Trapezoid evaluation of the memory integral
-    int_{-h}^{0} e^{alpha*s} X(t_k + s) ds on the path's grid, using the
-    constant pre-history for times before zero. Cross-check for the
-    ODE-propagated M1."""
-    dt = float(path.t[1] - path.t[0])
-    n_lag = int(round(params.delay.h / dt))
-    vals = np.empty(n_lag + 1)
-    for j in range(n_lag + 1):
-        idx = k - n_lag + j
-        x_j = path.X[idx] if idx >= 0 else params.x0
-        s = -params.delay.h + j * dt
-        vals[j] = math.exp(params.delay.alpha * s) * x_j
-    weights = np.full(n_lag + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    return float(vals @ weights)
-
-
 @dataclass(frozen=True)
 class PerGammaEstimate:
     gamma: float
@@ -478,7 +449,7 @@ def mc_reward(params: ModelParams, cfg: SimConfig) -> McEstimate:
     family: w <= 0 or an earlier domain exit) are excluded and counted,
     never clamped."""
     family = params.dist.family
-    w_all, _ = _run_paths(params, cfg, range(cfg.n_paths))
+    w_all = _run_paths(params, cfg, range(cfg.n_paths))
     valid = np.isfinite(w_all)
     if family == POWER:
         valid &= w_all > 0.0

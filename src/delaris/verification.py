@@ -43,8 +43,8 @@ affine in (x, m1, m2), so it applies to the whole grid at once too. The
 optimality objective is a quadratic in (q, pi), so its sup is read at its
 vertex; its curvature sum_i p_i (u_i^{-1})''(phi_i) phi_i,w^2 is a closed
 form in which phi cancels. The closed forms themselves, and the values
-the Feynman-Kac reference and the aggregated-value identity read, stay in
-:mod:`delaris.exponential` and :mod:`delaris.power`.
+the Feynman-Kac reference reads, stay in :mod:`delaris.exponential` and
+:mod:`delaris.power`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from . import power as powmod
 from .exceptions import ParameterError
 from .model import ModelParams
 from .simulation import SimConfig, mc_reward
-from .utility import EXPONENTIAL, inverse_utility
+from .utility import EXPONENTIAL
 
 _TINY = 1e-300
 
@@ -445,24 +445,6 @@ def _ansatz_values(params: ModelParams, solution: powmod.OdeSolution | None, t, 
     if params.dist.family == EXPONENTIAL:
         return [expmod.ansatz(params, gamma, t, x, m1) for gamma in params.dist.gammas]
     return [powmod.ansatz(solution, params, i, t, x, m1) for i in range(params.dist.n)]
-
-
-def aggregated_value_identity(
-    params: ModelParams,
-    t: float,
-    x: float,
-    m1: float,
-    solution: powmod.OdeSolution | None = None,
-) -> tuple[float, float]:
-    """(probability-weighted certainty equivalent of the per-gamma ansatz,
-    closed-form aggregated value); the two must agree."""
-    h = math.fsum(
-        p * inverse_utility(params.dist.family, g, phi)
-        for (g, p), phi in zip(params.dist.points, _ansatz_values(params, solution, t, x, m1))
-    )
-    if params.dist.family == EXPONENTIAL:
-        return h, expmod.value(params, t, x, m1)
-    return h, powmod.value(solution, params, t, x, m1)
 
 
 def perturb_constants(params: ModelParams, name: str, rel: float) -> ModelParams:

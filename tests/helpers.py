@@ -4,7 +4,9 @@ The reference integrators here are deliberately independent of the package's
 solvers: plain-Python first-order Euler with Richardson extrapolation, used
 to cross-check the RK4 march at a far finer step, and a plain three-state
 Euler step of the delayed wealth, used to cross-check the simulation kernel
-that steps effective wealth alone."""
+that steps effective wealth alone. The oracles below them (the memory
+quadrature, the one-point power value and the aggregated-value identity)
+restate closed forms that only the tests read."""
 
 from __future__ import annotations
 
@@ -12,9 +14,12 @@ import math
 
 import numpy as np
 
+from delaris import exponential as expmod
+from delaris import power as powmod
 from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 from delaris.simulation import path_rng
-from delaris.utility import POWER
+from delaris.utility import EXPONENTIAL, POWER, inverse_utility
+from delaris.verification import _ansatz_values
 
 
 def euler_growth(kappa, g2, gammas, probs, horizon, n_steps):
@@ -113,3 +118,41 @@ def random_power_models(count, seed, base):
             horizon=base.horizon,
             x0=base.x0,
         )
+
+
+def m1_quadrature(params, path, k):
+    """Trapezoid evaluation of the memory integral
+    int_{-h}^{0} e^{alpha*s} X(t_k + s) ds on the path's grid, using the
+    constant pre-history for times before zero. Cross-check for the
+    ODE-propagated M1."""
+    dt = float(path.t[1] - path.t[0])
+    n_lag = int(round(params.delay.h / dt))
+    vals = np.empty(n_lag + 1)
+    for j in range(n_lag + 1):
+        idx = k - n_lag + j
+        x_j = path.X[idx] if idx >= 0 else params.x0
+        s = -params.delay.h + j * dt
+        vals[j] = math.exp(params.delay.alpha * s) * x_j
+    weights = np.full(n_lag + 1, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    return float(vals @ weights)
+
+
+def single_gamma_value(params, gamma, t, x, m1):
+    """Closed-form value for a one-point distribution:
+    w * exp((kappa + 0.5*G2/gamma)*(T - t))."""
+    w = powmod._effective_wealth(params, x, m1, "value")
+    rate = params.constants.kappa + 0.5 * params.g2 / gamma
+    return w * math.exp(rate * (params.horizon - float(t)))
+
+
+def aggregated_value_identity(params, t, x, m1, solution=None):
+    """(probability-weighted certainty equivalent of the per-gamma ansatz,
+    closed-form aggregated value); the two must agree."""
+    h = math.fsum(
+        p * inverse_utility(params.dist.family, g, phi)
+        for (g, p), phi in zip(params.dist.points, _ansatz_values(params, solution, t, x, m1))
+    )
+    if params.dist.family == EXPONENTIAL:
+        return h, expmod.value(params, t, x, m1)
+    return h, powmod.value(solution, params, t, x, m1)

@@ -243,6 +243,20 @@ def test_fine_dt_run_fits_a_fixed_address_space(tmp_path, family):
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("argv", [("simulate",), ("strategy", "--family", "power"),
+                                  ("verify", "--check", "feynman-kac")],
+                         ids=["simulate", "strategy-power", "verify-fk"])
+def test_dt_too_small_for_any_array(tmp_path, capsys, argv, dt):
+    # span/dt is 2e300 steps, or inf at the smallest subnormal: rounding it
+    # raised OverflowError, or numpy could not size the array, and both
+    # exited 3 as unexpected errors
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--dt", dt, "--out", str(out)) == 1
+    assert f"error: dt={float(dt)} is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_case_config_conflict(tmp_path, capsys):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps(cli.config_dict(sweeps.baseline_params("exponential", "I"))))

@@ -8,7 +8,7 @@ from delaris import power as powmod
 from delaris.exceptions import DomainError, EvaluationError, ParameterError
 from delaris.model import ModelParams, RiskAversionDist
 from delaris.utility import POWER, utility
-from helpers import levered, random_power_models
+from helpers import levered, random_power_models, single_gamma_value
 
 # frozen references: step-doubled first-order integration at dt = 1e-6
 # (helpers.richardson_growth), independent of the RK4 solver under test
@@ -56,7 +56,7 @@ def test_single_gamma_closed_form(pow_single):
     v = powmod.value(sol, pow_single, 0.0, pow_single.x0, pow_single.m1_0)
     assert v == pytest.approx(V0_SINGLE, rel=1e-10)
     assert v == pytest.approx(
-        powmod.single_gamma_value(pow_single, 0.5, 0.0, pow_single.x0, pow_single.m1_0),
+        single_gamma_value(pow_single, 0.5, 0.0, pow_single.x0, pow_single.m1_0),
         rel=1e-10,
     )
     q0, pi0 = powmod.strategy(sol, pow_single, 0.0, pow_single.x0, pow_single.m1_0)

@@ -22,7 +22,7 @@ from delaris.model import (
     ModelParams,
     RiskAversionDist,
 )
-from helpers import random_power_models, three_state_euler
+from helpers import m1_quadrature, random_power_models, three_state_euler
 
 
 def _zero_strategy(t, w):
@@ -153,7 +153,7 @@ def test_callable_and_recorded_path_read_the_step_times(pow_case1):
     X, M1, _, _ = three_state_euler(
         params, 0.1, 5, range(3),
         lambda k, w: powmod.strategy(None, params, min(k * 0.1, 0.3), w, 0.0), True)
-    np.testing.assert_allclose(sim._run_paths(params, cfg, range(3))[0],
+    np.testing.assert_allclose(sim._run_paths(params, cfg, range(3)),
                                X[-1] + params.delay.beta * M1[-1], rtol=1e-12, atol=0.0)
     assert max(seen) == 0.3
     np.testing.assert_array_equal(sim.simulate_path(params, cfg).t, [0.0, 0.1, 0.2, 0.3])
@@ -187,13 +187,13 @@ def test_moving_average_matches_quadrature(exp_case1):
     path = sim.simulate_path(exp_case1, cfg, path_index=0)
     for k in (500, 1500, 2000):
         assert path.M1[k] == pytest.approx(
-            sim.m1_quadrature(exp_case1, path, k), abs=2e-4
+            m1_quadrature(exp_case1, path, k), abs=2e-4
         )
     # and on a noiseless path the two agree far more tightly
     quiet = _quiet_params(r=1e-12)
     qpath = sim.simulate_path(
         quiet, sim.SimConfig(dt=1e-3, n_paths=1, seed=29, strategy=_zero_strategy))
-    assert qpath.M1[2000] == pytest.approx(sim.m1_quadrature(quiet, qpath, 2000), abs=1e-6)
+    assert qpath.M1[2000] == pytest.approx(m1_quadrature(quiet, qpath, 2000), abs=1e-6)
 
 
 def test_reproducible_across_batch_sizes(exp_case1):
@@ -348,33 +348,6 @@ def _recording_rngs(states):
     return recording
 
 
-def test_exponential_noise_contract(monkeypatch, exp_case1):
-    # Monte Carlo terminal wealth is path i's own draw through the affine
-    # map, bit for bit whatever the order and subset, and path i draws from
-    # the state path_rng(seed, i) starts in
-    cfg = sim.SimConfig(dt=1e-2, n_paths=12, seed=4)
-    run_paths, real_rng = sim._run_paths, sim.path_rng
-    seen, states = [], []
-
-    def spy(*args, **kwargs):
-        out = run_paths(*args, **kwargs)
-        seen.append(out[0])
-        return out
-
-    monkeypatch.setattr(sim, "_run_paths", spy)
-    monkeypatch.setattr(sim, "path_rngs", _recording_rngs(states))
-    sim.mc_reward(exp_case1, cfg)
-    assert sorted(states, key=lambda s: s[0]) == [
-        (i, real_rng(4, i).bit_generator.state) for i in range(12)]
-    (w_term,) = seen
-    mean, weights = sim._exp_affine(exp_case1, cfg.dt, 200)
-    for i in range(12):
-        np.testing.assert_array_equal(run_paths(exp_case1, cfg, [i])[0], w_term[i])
-        assert w_term[i] == mean + real_rng(4, i).standard_normal((200, 2)).ravel() @ weights
-    for subset in ([7, 2, 11, 0, 5], [11, 10, 3], list(range(12))[::-1]):
-        np.testing.assert_array_equal(run_paths(exp_case1, cfg, subset)[0], w_term[subset])
-
-
 @pytest.mark.parametrize("seed", [4, 2**33 + 1, 2**159 - 2**70 + 12345],
                          ids=["1-word", "2-words", "5-words"])
 def test_path_seeding_is_path_rng(seed):
@@ -396,56 +369,63 @@ def test_path_seeding_is_path_rng(seed):
             np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
-def _power_terminal(cfg, mean, weights, index):
-    """Terminal w of one power path: its own draw through the log-affine map."""
-    return np.exp(mean + sim.path_rng(cfg.seed, index).standard_normal((len(weights) // 2, 2))
-                  .ravel() @ weights)
-
-
-@pytest.mark.parametrize("source", [pytest.param(None, id="power"), "solution"])
-def test_power_noise_contract(monkeypatch, pow_case1, source):
-    # Monte Carlo terminal wealth is path i's own draw through the
-    # log-affine map, bit for bit whatever the order and subset, and path i
-    # draws from the state path_rng(seed, i) starts in; no model-source path
-    # exits, here (where most Euler paths did) or on random power models
+def _noise_case(source, exp_case1, pow_case1):
+    """(params, config, subsets, random models) of a noise-contract case:
+    exponential case I at dt 0.01 (12 paths), or the levered power model at
+    dt 0.2 (40 paths, where most Euler paths exit) under its closed form or
+    its solution, followed by random power models under the same source"""
+    if source == "exponential":
+        cfg = sim.SimConfig(dt=1e-2, n_paths=12, seed=4)
+        return exp_case1, cfg, ([7, 2, 11, 0, 5], [11, 10, 3], list(range(12))[::-1]), ()
     params = _levered_power()
-    strategy = None if source is None else powmod.solve_growth_factors(params, dt=0.01)
-    cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
+    strategy = lambda p: powmod.solve_growth_factors(p, dt=0.01) if source == "solution" else None
+    cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy(params))
+    randoms = ((p, dataclasses.replace(cfg, strategy=strategy(p)))
+               for p in random_power_models(10, seed=4242, base=pow_case1))
+    return params, cfg, ([7, 2, 31, 0, 5], [39, 10, 3], list(range(40))[::-1]), randoms
+
+
+def _law_terminal(law, seed, index):
+    """Terminal w of one path: its own draw through the source's law."""
+    z = sim.path_rng(seed, index).standard_normal((len(law.weights) // 2, 2))
+    terminal = law.mean + z.ravel() @ law.weights
+    return np.exp(terminal) if law.log else terminal
+
+
+@pytest.mark.parametrize("source", ["exponential", "power", "solution"])
+def test_noise_contract(monkeypatch, exp_case1, pow_case1, source):
+    # Monte Carlo terminal wealth is path i's own draw through the model
+    # source's law, bit for bit whatever the order and subset, and path i
+    # draws from the state path_rng(seed, i) starts in; no model-source path
+    # leaves the domain, under power here (where most Euler paths did) or on
+    # random power models
+    params, cfg, subsets, randoms = _noise_case(source, exp_case1, pow_case1)
     run_paths, path_rngs = sim._run_paths, sim.path_rngs
     seen, states = [], []
 
     def spy(*args, **kwargs):
-        out = run_paths(*args, **kwargs)
-        seen.append(out)
-        return out
+        seen.append(run_paths(*args, **kwargs))
+        return seen[-1]
 
     monkeypatch.setattr(sim, "_run_paths", spy)
     monkeypatch.setattr(sim, "path_rngs", _recording_rngs(states))
     est = sim.mc_reward(params, cfg)
     assert sorted(states, key=lambda s: s[0]) == [
-        (i, sim.path_rng(4, i).bit_generator.state) for i in range(40)]
+        (i, sim.path_rng(4, i).bit_generator.state) for i in range(cfg.n_paths)]
     monkeypatch.setattr(sim, "path_rngs", path_rngs)
-    ((w_term, exit_t),) = seen
-    assert np.isnan(exit_t).all() and est.excluded_paths == 0
-    mean, weights = sim._power_affine(params, cfg, 10)
-    for i in range(40):
-        w_i, exit_i = run_paths(params, cfg, [i])
-        np.testing.assert_array_equal(w_i, w_term[i])
-        np.testing.assert_array_equal(exit_i, exit_t[i])
-        np.testing.assert_array_equal(_power_terminal(cfg, mean, weights, i), w_term[i])
-    for subset in ([7, 2, 31, 0, 5], [39, 10, 3], list(range(40))[::-1]):
-        w_s, exit_s = run_paths(params, cfg, subset)
-        np.testing.assert_array_equal(w_s, w_term[subset])
-        np.testing.assert_array_equal(exit_s, exit_t[subset])
-    for params in random_power_models(10, seed=4242, base=pow_case1):
-        if source == "solution":
-            strategy = powmod.solve_growth_factors(params, dt=0.01)
-        cfg = sim.SimConfig(dt=0.2, n_paths=40, seed=4, strategy=strategy)
-        mean, weights = sim._power_affine(params, cfg, 10)
-        w_term, exit_t = run_paths(params, cfg, range(40))
+    (w_term,) = seen
+    assert est.excluded_paths == 0
+    law = sim.terminal_law(params, cfg)
+    for i in range(cfg.n_paths):
+        np.testing.assert_array_equal(run_paths(params, cfg, [i]), w_term[i])
+        np.testing.assert_array_equal(_law_terminal(law, cfg.seed, i), w_term[i])
+    for subset in subsets:
+        np.testing.assert_array_equal(run_paths(params, cfg, subset), w_term[subset])
+    for params, cfg in randoms:
+        law, w_term = sim.terminal_law(params, cfg), run_paths(params, cfg, range(40))
         for i in range(40):
-            np.testing.assert_array_equal(_power_terminal(cfg, mean, weights, i), w_term[i])
-        assert np.isnan(exit_t).all() and (w_term > 0.0).all()
+            np.testing.assert_array_equal(_law_terminal(law, cfg.seed, i), w_term[i])
+        assert (w_term > 0.0).all()
 
 
 @pytest.mark.parametrize("dt", [0.2, 0.01])
@@ -459,34 +439,47 @@ def test_levered_power_paths_stay_in_the_domain(source, dt):
     assert est.excluded_paths == 0
 
 
-# relative gap of the log step's exact discrete law to the ansatz at dt T/1000:
-# measured at most 4.5e-14 on the baselines and 7.7e-8 over
-# random_power_models(40, seed=4242); the midpoint varpi makes it second
-# order in dt (it falls by 4 as dt halves), where a left-end varpi leaves a
-# first-order gap of about 2e-8 on the baselines
-_LAW_RTOL = {"baseline": 1e-13, "random": 2e-7}
+# relative gap of the model sources' exact discrete law to the ansatz at dt
+# T/1000. Power log step: measured at most 4.5e-14 on the baselines and
+# 7.7e-8 over random_power_models(40, seed=4242); the midpoint varpi makes it
+# second order in dt (it falls by 4 as dt halves), where a left-end varpi
+# leaves a first-order gap of about 2e-8 on the baselines. Exponential Euler:
+# measured 9.08e-6 (case I, gamma 0.5), 3.71e-6 (I, 0.9), 7.61e-6 (II, 0.5)
+# and 4.69e-6 (II, 0.9), each halving at T/2000 (4.54e-6 on I, gamma 0.5),
+# the chain's first-order bias
+_LAW_RTOL = {"baseline": 1e-13, "random": 2e-7, "euler": 1e-5}
 
 
-def _power_discrete_gap(params, n_steps):
-    """Largest relative gap over the atoms between E[u_i(w_N)] of the log
-    step, exp((1-gamma)*mean_N + (1-gamma)^2*|weights|^2/2)/(1-gamma) with
-    log w_N ~ N(mean_N, |weights|^2), and the ansatz at (0, x0, m1_0)."""
-    cfg = sim.SimConfig(dt=params.horizon / n_steps, n_paths=1, seed=0)
-    mean, weights = sim._power_affine(params, cfg, n_steps)
-    gaps = []
-    for i, gamma in enumerate(params.dist.gammas):
+def _discrete_utility(law, gamma):
+    """E[u_gamma(w_N)] under a model source's law: w_N, or log w_N under
+    ``law.log``, is normal with mean ``law.mean`` and variance
+    weights @ weights."""
+    var = law.weights @ law.weights
+    if law.log:
         a = 1 - gamma
-        exact = math.exp(a * mean + 0.5 * a**2 * (weights @ weights)) / a
-        ref = powmod.ansatz(None, params, i, 0.0, params.x0, params.m1_0)
-        gaps.append(abs(exact - ref) / abs(ref))
-    return max(gaps)
+        return math.exp(a * law.mean + 0.5 * a**2 * var) / a
+    return -math.exp(-gamma * law.mean + 0.5 * gamma**2 * var) / gamma
 
 
-def test_power_discrete_law_matches_ansatz(pow_case1, pow_case2):
-    for params in (pow_case1, pow_case2):
-        assert _power_discrete_gap(params, 1000) < _LAW_RTOL["baseline"]
+def _law(params, dt):
+    return sim.terminal_law(params, sim.SimConfig(dt=dt, n_paths=1, seed=0))
+
+
+def _discrete_gap(params, n_steps):
+    """Largest relative gap over the atoms between E[u_i(w_N)] of the
+    model source's law and the ansatz at (0, x0, m1_0)."""
+    law = _law(params, params.horizon / n_steps)
+    refs = ver._ansatz_values(params, None, 0.0, params.x0, params.m1_0)
+    return max(abs(_discrete_utility(law, gamma) - ref) / abs(ref)
+               for gamma, ref in zip(params.dist.gammas, refs))
+
+
+def test_discrete_law_matches_ansatz(exp_case1, exp_case2, pow_case1, pow_case2):
+    for params, bound in ((exp_case1, "euler"), (exp_case2, "euler"),
+                          (pow_case1, "baseline"), (pow_case2, "baseline")):
+        assert _discrete_gap(params, 1000) < _LAW_RTOL[bound]
     for params in random_power_models(40, seed=4242, base=pow_case1):
-        assert _power_discrete_gap(params, 1000) < _LAW_RTOL["random"]
+        assert _discrete_gap(params, 1000) < _LAW_RTOL["random"]
 
 
 def _thread_spy(monkeypatch):
@@ -526,9 +519,9 @@ def test_run_paths_do_not_depend_on_worker_count(monkeypatch, exp_case1, exp_cas
             assert len(threads) == (1 if callable(strategy) else workers)
             assert all(err["over"] == "raise" for _, err in calls)
         for workers in (2, 3):
-            for got, want in zip(results[workers], results[1], strict=True):
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert callable(strategy) or np.isnan(results[1][1]).all()
+            np.testing.assert_array_equal(results[workers].view(np.uint64),
+                                          results[1].view(np.uint64))
+        assert callable(strategy) or not np.isnan(results[1]).any()
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
@@ -548,8 +541,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and len(got) == 1
-    for g, w in zip(got[0], want, strict=True):
-        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+    np.testing.assert_array_equal(got[0].view(np.uint64), want.view(np.uint64))
 
 
 def test_single_block_or_cpu_starts_no_thread(monkeypatch, exp_case1):
@@ -581,20 +573,13 @@ def test_worker_exception_reaches_caller(monkeypatch, pow_case1):
         assert threading.active_count() == started
 
 
-def _exp_discrete_utility(params, gamma, dt):
-    """E[-exp(-gamma*w_N)/gamma] of the exponential Euler chain: w_N is
-    exactly normal with the kernel's mean_N and variance weights @ weights."""
-    mean, weights = sim._exp_affine(params, dt, round(params.horizon / dt))
-    return -math.exp(-gamma * mean + 0.5 * gamma**2 * (weights @ weights)) / gamma
-
-
 @pytest.mark.parametrize("case", ["I", "II"])
 def test_exponential_mc_matches_exact_discrete_value(case):
     # no discretization allowance: the band is three standard errors
     params = sweeps.baseline_params("exponential", case)
     cfg = sim.SimConfig(dt=2e-3, n_paths=4000, seed=7)
     for pg in sim.mc_reward(params, cfg).per_gamma:
-        assert abs(pg.y_mean - _exp_discrete_utility(params, pg.gamma, cfg.dt)) < 3 * pg.y_se
+        assert abs(pg.y_mean - _discrete_utility(_law(params, cfg.dt), pg.gamma)) < 3 * pg.y_se
 
 
 @pytest.mark.parametrize("case", ["I", "II"])
@@ -605,7 +590,7 @@ def test_exponential_discrete_value_is_weak_order_one(case):
     params = sweeps.baseline_params("exponential", case)
     for gamma in params.dist.gammas:
         ref = expmod.ansatz(params, gamma, 0.0, params.x0, params.m1_0)
-        coeff = [(_exp_discrete_utility(params, gamma, dt) - ref) / (abs(ref) * dt)
+        coeff = [(_discrete_utility(_law(params, dt), gamma) - ref) / (abs(ref) * dt)
                  for dt in (1e-2, 5e-3)]
         assert coeff[1] == pytest.approx(coeff[0], rel=0.01)
 
@@ -685,8 +670,8 @@ def test_effective_wealth_kernel_matches_three_state_euler(exp_case1, pow_case1,
     cfg = sim.SimConfig(dt=dt, n_paths=n_paths, seed=4, strategy=strategy)
     X, M1, M2, exit_ref = three_state_euler(
         params, dt, cfg.seed, range(n_paths), _oracle_controls(params, source, dt), power_domain)
-    w_term, exit_t = sim._run_paths(params, cfg, range(n_paths))
-    np.testing.assert_array_equal(exit_t, exit_ref)
+    w_term = sim._run_paths(params, cfg, range(n_paths))
+    np.testing.assert_array_equal(np.isnan(w_term), ~np.isnan(exit_ref))
     if case.startswith("levered"):
         assert 0 < np.isfinite(exit_ref).sum() < n_paths
     np.testing.assert_allclose(w_term, X[-1] + params.delay.beta * M1[-1], rtol=1e-11, atol=0.0)
@@ -718,8 +703,7 @@ def test_power_model_sources_take_the_exact_log_step(exp_case1, pow_case1, case)
         z = sim.path_rng(cfg.seed, i).standard_normal((n_steps, 2))
         shock = math.sqrt(dt) * (co.b * cq * z[:, 0] + fin.sigma * cpi * z[:, 1]) / v_mid
         w[1:, i] = params.w0 * np.cumprod(np.exp(rate * dt + shock))
-    w_term, exit_t = sim._run_paths(params, cfg, range(n_paths))
-    assert np.isnan(exit_t).all()
+    w_term = sim._run_paths(params, cfg, range(n_paths))
     np.testing.assert_allclose(w_term, w[-1], rtol=1e-11, atol=0.0)
     varpi = powmod.factors(params, t, source)[1]
     for i in (0, 1, 2):

@@ -15,6 +15,7 @@ from delaris import verification as ver
 from delaris.exceptions import DomainError, ParameterError
 from delaris.model import DelayParams, FinancialParams, ModelParams, RiskAversionDist
 from delaris.utility import EXPONENTIAL, POWER, inverse_utility_d2
+from helpers import aggregated_value_identity
 from test_cli import _models
 
 T_GRID = np.linspace(0.0, 2.0, 6)
@@ -153,9 +154,9 @@ def test_coefficient_split(exp_case1):
 
 def test_aggregated_value_identity(exp_case1, pow_case1, pow_sol):
     for t, x, m1 in ((0.0, 0.6, 0.75), (1.3, 0.9, 0.5)):
-        h, u = ver.aggregated_value_identity(exp_case1, t, x, m1)
+        h, u = aggregated_value_identity(exp_case1, t, x, m1)
         assert h == pytest.approx(u, rel=1e-12)
-        hp, up = ver.aggregated_value_identity(pow_case1, t, x, m1, solution=pow_sol)
+        hp, up = aggregated_value_identity(pow_case1, t, x, m1, solution=pow_sol)
         assert hp == pytest.approx(up, rel=1e-12)
 
 
@@ -235,7 +236,7 @@ def test_jets_on_random_models(family):
             params, t_vals, x_vals, m1_vals, m2=0.6, solution=sol).max_scaled
         assert clean <= 1e-12, params
         for t, x, m1 in ((0.0, 0.6, 0.75), (1.3, 0.9, 0.5)):
-            h, u = ver.aggregated_value_identity(params, t, x, m1, solution=sol)
+            h, u = aggregated_value_identity(params, t, x, m1, solution=sol)
             assert h == pytest.approx(u, rel=1e-12), params
         bad = ver.perturb_constants(params, "C", 0.01)
         lifted = ver.expectation_pde_residual(
